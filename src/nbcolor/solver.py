@@ -18,7 +18,10 @@ The per-level subset scan is exact and cheap: one max-flow per vertex in the
 worst case (force v inside, ban its cyclic successor; every proper nonempty
 subset has such a boundary pair), and usually just one flow per "dirty" vertex
 group recorded by the previous reduction, because a reduction only changes the
-potential of subsets that swallow the vertices it touched.
+potential of subsets that swallow the vertices it touched.  None of these
+flows starts from zero: min_potential solves the level's hypergraph once
+without constraints and warm-starts every forced or banned instance from that
+flow, which gives the same subsets a flow from zero would.
 
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
