@@ -256,7 +256,7 @@ def _batch_one(path: str, args, catalog: Catalog) -> dict:
     try:
         G = load_nbg(path)
         payload, _code = _color_payload(G, args.mode, catalog, args.brute_threshold, args.trace)
-    except (GraphError, KindError, OracleSizeError, ValueError, OSError) as exc:
+    except (GraphError, KindError, OracleSizeError, ValueError, OSError, RecursionError) as exc:
         payload = {"status": "error", "message": str(exc)}
     report["kind"] = payload["status"]
     report["outcome"] = payload
@@ -375,6 +375,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))
+    except RecursionError as exc:
+        return _fail(f"input too deep for the solver: {exc}")
 
 
 if __name__ == "__main__":

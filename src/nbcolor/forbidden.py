@@ -98,8 +98,11 @@ def find_embedding(pattern: Graph, host: Graph, anchor: dict[int, int] | None = 
             used.discard(h)
         return False
 
-    start = len(fixed)
-    return dict(mapping) if extend(start) else None
+    try:
+        found = extend(len(fixed))
+    finally:
+        del extend  # the closure refers to itself; drop the cycle with the search
+    return dict(mapping) if found else None
 
 
 def _isomorphic(a: Graph, b: Graph) -> bool:

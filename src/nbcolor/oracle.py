@@ -123,7 +123,10 @@ def _colorings(G: Graph):
             color[v] = None
             undo(mark)
 
-    yield from dfs(0)
+    try:
+        yield from dfs(0)
+    finally:
+        del dfs  # the generator function refers to itself; drop the cycle once done
 
 
 def brute_nb_color(G: Graph, threshold: int = DEFAULT_THRESHOLD) -> Coloring | None:

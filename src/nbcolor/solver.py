@@ -12,7 +12,27 @@ or reports why it cannot:
 Workers assume the screened invariants (potential floor on every nonempty
 subset, no catalog member) and re-establish them for every recursive call by
 construction; a breach at any point turns into a Diagnostic, never a wrong
-answer.  Every coloring is validated before it is returned.
+answer.  Every lifted coloring is validated at its level, and the driver
+validates the final coloring once more against its own input (step "final").
+
+A worker level opens with its checks in a fixed order: empty graph,
+full-set potential against the floor ("entry"), the brute-force base, the
+split into components.  The degree <= 2 rules that follow (multigraph steps
+2a-2d, simple step 2) do not recurse.  They run as one worklist peel
+(peel.py): a mutable adjacency, one min-heap of candidates per rule, and
+each step deletes the smallest id of the highest-priority rule, the vertex
+one recursive level per deletion would pick.  The peel stops where that
+level's opening checks would fire: at most brute_threshold vertices left,
+the full-set potential (kept as an integer) below the floor, or a deletion
+that disconnected the graph (searched from the deleted vertex's
+neighbours).  The worker then runs once on the core, one level per deletion
+deeper, and the peel records replay in reverse to lift its coloring.  The
+replay validates the core once and then each deleted vertex against its
+neighbours at deletion time (independent side, parallel pairs and gadgets,
+a union-find over the F forest, its tag); since a level's tags are never
+stronger than the level below's, these checks are exactly one full
+validation per level.  Trace lines, diagnostics and dirty groups are the
+ones the recursion would produce.
 
 The per-level subset scan is exact and cheap: one max-flow per vertex in the
 worst case (force v inside, ban its cyclic successor; every proper nonempty
@@ -57,6 +77,7 @@ from .graph_core import (
 )
 from .min_potential import LARGEST, min_potential_constrained, min_potential_pinned
 from .oracle import DEFAULT_THRESHOLD, brute_nb_color
+from .peel import Rule, Spec, peel
 from .potential import (
     KindError,
     hypergraph_for_rho_m,
@@ -1013,7 +1034,8 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) -> 
     n = G.n
     if n == 0:
         return Colored(Coloring(()))
-    if rho_m(G, range(n)) < MULTI_FLOOR:
+    rho = rho_m(G, range(n))
+    if rho < MULTI_FLOOR:
         return Diagnostic("entry", "full-set potential below the floor")
     if n <= ctx.brute_threshold:
         c = brute_nb_color(G, ctx.brute_threshold)
@@ -1026,80 +1048,10 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) -> 
     if len(comps) > 1:
         return _split_components(G, comps, ctx, depth, floor, dirty, _multi_worker)
 
-    # step 2a: an independent-side precolored vertex
-    for v in range(n):
-        if G.precolor[v] != IP:
-            continue
-        if any(G.precolor[u] == IP for u in G.adj[v]):
-            return Diagnostic("2a", "adjacent independent-side precolored pair")
-        ctx.note(depth, f"2a v={v}")
-        sub, idmap = _delete(G, {v})
-        groups = []
-        for u in G.adj[v]:
-            if G.precolor[u] == UNCOLORED:
-                sub = sub.with_precolor(idmap[u], FP)
-                groups.append(frozenset([idmap[u]]))
-        out = _recurse(G, sub, ctx, depth, floor, _remap_groups(dirty, idmap) + tuple(groups), _multi_worker)
-        if not isinstance(out, Colored):
-            return out
-        return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: I_SIDE}), "2a")
-
-    # step 2b: degree at most one
-    for v in range(n):
-        if G.degree(v) > 1:
-            continue
-        ctx.note(depth, f"2b v={v}")
-        sub, idmap = _delete(G, {v})
-        out = _recurse(G, sub, ctx, depth, floor, _remap_groups(dirty, idmap), _multi_worker)
-        if not isinstance(out, Colored):
-            return out
-        return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: F_SIDE}), "2b")
-
-    # step 2c: a single distinct neighbor through a parallel pair
-    for v in range(n):
-        if G.nsize(v) != 1:
-            continue
-        w = G.adj[v][0]
-        if G.kind_of(v, w) != MULTI:
-            continue  # a single edge here is degree one, handled above
-        ctx.note(depth, f"2c v={v} w={w}")
-        if G.precolor[v] == UNCOLORED:
-            sub, idmap = _delete(G, {v})
-            out = _recurse(G, sub, ctx, depth, floor, _remap_groups(dirty, idmap), _multi_worker)
-            if not isinstance(out, Colored):
-                return out
-            wside = out.coloring.assignment[idmap[w]]
-            return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: _opp(wside)}), "2c")
-        # v is forest-tagged: its partner must take the independent side
-        if G.precolor[w] == FP:
-            return Diagnostic("2c", "parallel pair inside the forest-tagged set")
-        sub, idmap = _delete(G, {v})
-        groups = []
-        if G.precolor[w] == UNCOLORED:
-            sub = sub.with_precolor(idmap[w], IP)
-            groups.append(frozenset([idmap[w]]))
-        out = _recurse(G, sub, ctx, depth, floor, _remap_groups(dirty, idmap) + tuple(groups), _multi_worker)
-        if not isinstance(out, Colored):
-            return out
-        return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: F_SIDE}), "2c")
-
-    # step 2d: an uncolored vertex with exactly two plain neighbors
-    for v in range(n):
-        if G.precolor[v] != UNCOLORED or G.nsize(v) != 2:
-            continue
-        x, y = G.adj[v]
-        if G.kind_of(v, x) != SINGLE or G.kind_of(v, y) != SINGLE:
-            continue
-        ctx.note(depth, f"2d v={v}")
-        sub, idmap = _delete(G, {v})
-        out = _recurse(G, sub, ctx, depth, floor, _remap_groups(dirty, idmap), _multi_worker)
-        if not isinstance(out, Colored):
-            return out
-        both_f = (
-            out.coloring.assignment[idmap[x]] == F_SIDE
-            and out.coloring.assignment[idmap[y]] == F_SIDE
-        )
-        return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: I_SIDE if both_f else F_SIDE}), "2d")
+    # steps 2a-2d: the degree <= 2 peel
+    out = _peel(G, ctx, depth, floor, dirty, rho, _MULTI_PEEL, _multi_worker)
+    if out is not None:
+        return out
 
     # steps 3 and 4: the tight-subset scan
     H = hypergraph_for_rho_m(G)
@@ -1180,14 +1132,6 @@ def _split_components(G, comps, ctx, depth, floor, dirty, worker) -> Outcome:
         for i, orig in enumerate(table):
             assign[orig] = out.coloring.assignment[i]
     return _ok(G, Coloring(tuple(assign)), "1")
-
-
-def _remap_groups(dirty, idmap) -> tuple:
-    out = []
-    for g in dirty:
-        if all(x in idmap for x in g):
-            out.append(frozenset(idmap[x] for x in g))
-    return tuple(out)
 
 
 def _recurse(parent: Graph, child: Graph, ctx: _Ctx, depth: int, floor, dirty, worker) -> Outcome:
@@ -1348,7 +1292,8 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) ->
     n = G.n
     if n == 0:
         return Colored(Coloring(()))
-    if rho_s(G, range(n)) < SIMPLE_FLOOR:
+    rho = rho_s(G, range(n))
+    if rho < SIMPLE_FLOOR:
         return Diagnostic("entry", "full-set potential below the floor")
     if n <= ctx.brute_threshold:
         c = brute_nb_color(G, ctx.brute_threshold)
@@ -1362,58 +1307,9 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) ->
         return _split_components(G, comps, ctx, depth, floor, dirty, _simple_worker)
 
     # step 2: independent-tagged, degree at most one, plain degree two
-    for v in range(n):
-        if G.precolor[v] != IP:
-            continue
-        if any(G.precolor[u] == IP for u in G.adj[v]):
-            return Diagnostic("2", "adjacent independent-side precolored pair")
-        ctx.note(depth, f"2 ip v={v}")
-        sub, idmap = _delete(G, {v})
-        groups = []
-        for u in G.adj[v]:
-            if G.precolor[u] == UNCOLORED:
-                sub = sub.with_precolor(idmap[u], FP)
-                groups.append(frozenset([idmap[u]]))
-        out = _recurse(G, sub, ctx, depth, floor, _remap_groups(dirty, idmap) + tuple(groups), _simple_worker)
-        if not isinstance(out, Colored):
-            return out
-        return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: I_SIDE}), "2")
-
-    for v in range(n):
-        if G.nsize(v) > 1:
-            continue
-        if G.nsize(v) == 0:
-            continue  # isolated vertices split off with the components
-        u = G.adj[v][0]
-        kind = G.kind_of(v, u)
-        if kind == GADGET and G.precolor[v] != UNCOLORED:
-            continue  # a tagged gadget end forms a tight pair for the scan
-        ctx.note(depth, f"2 d1 v={v}")
-        sub, idmap = _delete(G, {v})
-        out = _recurse(G, sub, ctx, depth, floor, _remap_groups(dirty, idmap), _simple_worker)
-        if not isinstance(out, Colored):
-            return out
-        if kind == GADGET:
-            uside = out.coloring.assignment[idmap[u]]
-            return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: _opp(uside)}), "2")
-        return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: F_SIDE}), "2")
-
-    for v in range(n):
-        if G.precolor[v] != UNCOLORED or G.nsize(v) != 2:
-            continue
-        x, y = G.adj[v]
-        if G.kind_of(v, x) != SINGLE or G.kind_of(v, y) != SINGLE:
-            continue
-        ctx.note(depth, f"2 d2 v={v}")
-        sub, idmap = _delete(G, {v})
-        out = _recurse(G, sub, ctx, depth, floor, _remap_groups(dirty, idmap), _simple_worker)
-        if not isinstance(out, Colored):
-            return out
-        both_f = (
-            out.coloring.assignment[idmap[x]] == F_SIDE
-            and out.coloring.assignment[idmap[y]] == F_SIDE
-        )
-        return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: I_SIDE if both_f else F_SIDE}), "2")
+    out = _peel(G, ctx, depth, floor, dirty, rho, _SIMPLE_PEEL, _simple_worker)
+    if out is not None:
+        return out
 
     # step 3: the scan, with the low band consumed here
     H = hypergraph_for_rho_s(G)
@@ -1787,6 +1683,59 @@ def _tree_path(G: Graph, Lset, a: int, b: int):
     return path
 
 
+# -- the degree <= 2 peel --------------------------------------------------
+
+
+def _two_plain(tag: str, kinds: tuple) -> bool:
+    return tag == UNCOLORED and kinds == (SINGLE, SINGLE)
+
+
+_MULTI_PEEL = Spec(
+    rules=(
+        Rule("ip", "2a", "2a v={v}", lambda tag, kinds: tag == IP),
+        Rule("leaf", "2b", "2b v={v}", lambda tag, kinds: kinds in ((), (SINGLE,))),
+        Rule("leaf", "2c", "2c v={v} w={w}", lambda tag, kinds: kinds == (MULTI,)),
+        Rule("deg2", "2d", "2d v={v}", _two_plain),
+    ),
+    tag_weight={UNCOLORED: 3, FP: 1, IP: 0},
+    edge_weight={SINGLE: 2, MULTI: 4},
+    entry_floor=MULTI_FLOOR,
+)
+
+_SIMPLE_PEEL = Spec(
+    rules=(
+        Rule("ip", "2", "2 ip v={v}", lambda tag, kinds: tag == IP),
+        # a tagged gadget end forms a tight pair for the scan
+        Rule("leaf", "2", "2 d1 v={v}", lambda tag, kinds: len(kinds) == 1 and (kinds[0] != GADGET or tag == UNCOLORED)),
+        Rule("deg2", "2", "2 d2 v={v}", _two_plain),
+    ),
+    tag_weight={UNCOLORED: 8, FP: 3, IP: 0},
+    edge_weight={SINGLE: 5, GADGET: 11},
+    entry_floor=SIMPLE_FLOOR,
+)
+
+
+def _peel(G: Graph, ctx: _Ctx, depth: int, floor, dirty, rho: int, spec: Spec, worker) -> Outcome | None:
+    """Peel a connected level, color the core with `worker` one level per
+    deletion deeper, and lift; None when no peel rule applies.  The rebuild
+    and the validations go through this module's names, so wrappers
+    installed on them see every call."""
+    note = None if ctx.trace is None else (lambda i, line: ctx.note(depth + i, line))
+    run = peel(G, spec, rho, ctx.brute_threshold, dirty, note)
+    if run is None:
+        return None
+    if run.failure is not None:
+        return Diagnostic(*run.failure)
+    core, table = induced_subgraph(run.graph, run.keep)
+    pos = {orig: i for i, orig in enumerate(table)}
+    groups = tuple(frozenset(pos[x] for x in g) for g in run.dirty)
+    out = worker(core, ctx, depth + len(run.records), floor, groups)
+    if not isinstance(out, Colored):
+        return out
+    lifted = run.lift(core, table, out.coloring, validate_coloring, induced_subgraph)
+    return Colored(lifted) if isinstance(lifted, Coloring) else Diagnostic(*lifted)
+
+
 # -- public drivers --------------------------------------------------------
 
 
@@ -1814,7 +1763,7 @@ def color_multigraph(
     if hit is not None:
         return CertForbidden(hit[0], hit[1])
     ctx = _Ctx(cat, brute_threshold, trace)
-    return _multi_worker(G, ctx, 0, None, ())
+    return _checked(G, _multi_worker(G, ctx, 0, None, ()))
 
 
 def color_simple(
@@ -1840,4 +1789,14 @@ def color_simple(
     if hit is not None:
         return CertForbidden(hit[0], hit[1])
     ctx = _Ctx(cat, brute_threshold, trace)
-    return _simple_worker(G, ctx, 0, None, ())
+    return _checked(G, _simple_worker(G, ctx, 0, None, ()))
+
+
+def _checked(G: Graph, out: Outcome) -> Outcome:
+    """A driver's answer, with a coloring validated once more against the
+    driver's own input."""
+    if isinstance(out, Colored):
+        bad = validate_coloring(G, out.coloring)
+        if bad is not None:
+            return Diagnostic("final", f"coloring violates {bad.rule} at {bad.witness}")
+    return out

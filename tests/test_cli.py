@@ -232,3 +232,20 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     path = write_graph(tmp_path, "k4.nbg", base_graph("k4"))
     code, _, err = run(capsys, "potential", "--kind", "m", "--set", "0,9", path)
     assert code == USAGE and "out of range" in err
+
+
+def test_exhausted_stack_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    from nbcolor import cli
+
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "color_multigraph", overflow)
+    path = write_graph(tmp_path, "p3.nbg", graph(3, singles=[(0, 1), (1, 2)]))
+    code, out, err = run(capsys, "color", "--mode", "multi", path)
+    assert code == USAGE and out == ""
+    assert "recursion depth" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "batch", "--mode", "multi", str(tmp_path))
+    assert code == OK
+    (report,) = json.loads(out)
+    assert report["kind"] == "error" and "recursion depth" in report["outcome"]["message"]

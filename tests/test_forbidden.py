@@ -168,3 +168,17 @@ def test_catalog_load_errors(tmp_path):
     target.write_text(target.read_text() + "# tampered\n")
     with pytest.raises(CatalogError):
         load_catalog(tmp_path / "cat")
+
+
+def test_embedding_search_leaves_no_reference_cycles():
+    import gc
+
+    k4, w5 = base_graph("k4"), base_graph("w5")
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_embedding(k4, k4) is not None
+        assert find_embedding(k4, w5) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -121,3 +121,19 @@ def test_4_critical_spot():
     assert not is_4_critical(graph(3, singles=[(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(KindError):
         is_4_critical(graph(2, multis=[(0, 1)]))
+
+
+def test_search_leaves_no_reference_cycles():
+    import gc
+
+    odd_wheel = base_graph("w5")
+    path = graph(4, singles=[(0, 1), (1, 2), (2, 3)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert brute_nb_color(path) is not None  # stopped at the first hit
+        assert brute_nb_color(odd_wheel) is None  # search exhausted
+        assert len(list(enumerate_nb_colorings(path))) > 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nbcolor import solver
 from nbcolor.families import (
     base_graph,
     gen_gk,
@@ -21,6 +22,7 @@ from nbcolor.graph_core import (
     I_SIDE,
     MULTI,
     SINGLE,
+    Coloring,
     GraphError,
     graph,
     normalize,
@@ -550,3 +552,75 @@ def test_trace_smoke():
     out = color_simple(H, trace=trace)
     assert isinstance(out, Colored)
     assert trace
+
+
+# -- the peel: scale, call counts, final validation -------------------------
+
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+PETERSEN += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+# a cubic graph with one extra edge, (1, 2), found by densifying a seeded
+# random cubic graph while the simple floor and the catalog screen held:
+# full-set simple potential 0, so the entry screen settles in one flow
+DENSE10 = [(0, 7), (0, 8), (0, 9), (1, 2), (1, 3), (1, 5), (1, 9), (2, 4), (2, 6),
+           (2, 7), (3, 4), (3, 6), (4, 5), (5, 6), (7, 8), (8, 9)]
+
+
+def hung_on(core, core_n, n, chains=20, chain_len=200):
+    """`core` with `chains` subdivided chains of `chain_len` inner vertices
+    between core vertices, and a pendant path on vertex 0 up to n vertices."""
+    rng = random.Random(11)
+    singles = list(core)
+    count = core_n
+    for _ in range(chains):
+        a, b = rng.sample(range(core_n), 2)
+        path = [a] + list(range(count, count + chain_len)) + [b]
+        singles += list(zip(path, path[1:]))
+        count += chain_len
+    path = [0] + list(range(count, n))
+    singles += list(zip(path, path[1:]))
+    return graph(n, singles=singles)
+
+
+def test_multi_peel_at_scale():
+    G = hung_on(PETERSEN, 10, 20_000)
+    out = color_multigraph(G)
+    assert isinstance(out, Colored)
+    assert validate_coloring(G, out.coloring) is None
+
+
+def test_simple_peel_at_scale():
+    assert rho_s(graph(10, singles=DENSE10), range(10)) == 0
+    G = hung_on(DENSE10, 10, 20_000)
+    out = color_simple(G)
+    assert isinstance(out, Colored)
+    assert validate_coloring(G, out.coloring) is None
+
+
+def test_peel_rebuilds_and_validates_a_constant_number_of_times(monkeypatch):
+    calls = {"induced_subgraph": 0, "validate_coloring": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(solver, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    G = hung_on(PETERSEN, 10, 5_000, chains=5, chain_len=100)
+    trace = []
+    out = color_multigraph(G, trace=trace)
+    assert isinstance(out, Colored)
+    # one line per vertex peeled down to the brute-force threshold, then the base
+    assert len(trace) == 5_000 - 22 + 1
+    # one core rebuild; the core's validation plus the driver's final one
+    assert calls == {"induced_subgraph": 1, "validate_coloring": 2}
+
+
+def test_driver_rejects_an_invalid_base_coloring(monkeypatch):
+    monkeypatch.setattr(solver, "brute_nb_color", lambda G, threshold: Coloring((I_SIDE,) * G.n))
+    out = color_multigraph(graph(10, singles=PETERSEN))
+    assert isinstance(out, Diagnostic) and out.step == "final"
+    out = color_simple(graph(10, singles=DENSE10))
+    assert isinstance(out, Diagnostic) and out.step == "final"
+    # behind a peel, the level above the core reports it
+    out = color_multigraph(hung_on(PETERSEN, 10, 40, chains=1, chain_len=10))
+    assert isinstance(out, Diagnostic) and out.step == "2b"
+    assert out.message.startswith("lifted coloring violates edge-inside-I")
