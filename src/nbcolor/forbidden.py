@@ -24,7 +24,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .families import base_graph
-from .graph_core import Graph, induced_subgraph, parse_nbg, write_nbg
+from .graph_core import Graph, induced_cycles, induced_subgraph, parse_nbg, write_nbg
 from .min_potential import min_potential_constrained
 from .oracle import DEFAULT_THRESHOLD, is_nb_critical
 from .potential import hypergraph_for_rho_s
@@ -166,38 +166,11 @@ def are_linked(G: Graph, s: int, t: int, catalog: "Catalog | None" = None) -> Li
     return None
 
 
-def _induced_cycles(G: Graph):
-    """Induced cycles of length 3 and 5 whose vertices all have degree 3."""
-    deg3 = [v for v in range(G.n) if len(G.adj[v]) == 3]
-    d3 = set(deg3)
-    for u, v, _ in G.edges:
-        if u in d3 and v in d3:
-            for w in G.adj[u]:
-                if w > v and w in d3 and G.kind_of(v, w) is not None:
-                    yield (u, v, w)
-    # five-cycles: DFS for paths a-b-c-d-e-a with canonical start and no chords
-    for a in deg3:
-        for b in G.adj[a]:
-            if b <= a or b not in d3:
-                continue
-            for c in G.adj[b]:
-                if c <= a or c == a or c not in d3 or G.kind_of(a, c):
-                    continue
-                for d in G.adj[c]:
-                    if d <= a or d in (a, b) or d not in d3 or G.kind_of(a, d) or G.kind_of(b, d):
-                        continue
-                    for e in G.adj[d]:
-                        if e <= b or e in (a, b, c) or e not in d3:
-                            continue
-                        if G.kind_of(b, e) or G.kind_of(c, e):
-                            continue
-                        if G.kind_of(a, e):
-                            yield (a, b, c, d, e)
-
-
 def witness_cycle(cand: Graph, catalog: "Catalog") -> tuple[int, ...] | None:
-    """First induced 3- or 5-cycle that certifies membership, if any."""
-    for cycle in _induced_cycles(cand):
+    """First induced 3- or 5-cycle of degree-three vertices that certifies
+    membership, if any."""
+    deg3 = {v for v in range(cand.n) if len(cand.adj[v]) == 3}
+    for cycle in induced_cycles(cand, deg3):
         k = len(cycle)
         cyc = set(cycle)
         zs = []

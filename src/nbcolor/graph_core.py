@@ -360,6 +360,36 @@ def induced_subgraph(G: Graph, W) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(table), rec, pre), table
 
 
+def induced_cycles(G: Graph, allowed):
+    """Induced cycles of length 3 and 5 with every vertex in `allowed`.
+
+    Triangles come first, as (u, v, w) with u < v < w in edge-record order;
+    then five-cycles, each once as (a, b, c, d, e) with a its smallest vertex
+    and b < e, in order of a.  Any edge record counts as adjacency."""
+    for u, v, _ in G.edges:
+        if u in allowed and v in allowed:
+            for w in G.adj[u]:
+                if w > v and w in allowed and G.kind_of(v, w) is not None:
+                    yield (u, v, w)
+    for a in sorted(allowed):
+        for b in G.adj[a]:
+            if b <= a or b not in allowed:
+                continue
+            for c in G.adj[b]:
+                if c <= a or c not in allowed or G.kind_of(a, c):
+                    continue
+                for d in G.adj[c]:
+                    if d <= a or d in (a, b) or d not in allowed or G.kind_of(a, d) or G.kind_of(b, d):
+                        continue
+                    for e in G.adj[d]:
+                        if e <= b or e in (a, b, c) or e not in allowed:
+                            continue
+                        if G.kind_of(b, e) or G.kind_of(c, e):
+                            continue
+                        if G.kind_of(a, e):
+                            yield (a, b, c, d, e)
+
+
 @dataclass(frozen=True)
 class LiftMap:
     """Recipe for turning a coloring of the contracted graph back into a

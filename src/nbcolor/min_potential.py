@@ -387,42 +387,6 @@ def min_potential_pinned(
     return _answer(warm[0], _solve_device(warm, bset, fset))
 
 
-def min_proper_nonempty(
-    H: WeightedHypergraph, extremal: str | None = LARGEST
-) -> tuple[frozenset[int], Fraction]:
-    """Minimize rho over proper nonempty subsets (m1=1, m2=1) with the same
-    devices, organized so the common cases cost one flow."""
-    n = H.n
-    if n < 2:
-        raise ValueError("need at least two vertices for a proper nonempty subset")
-    warm = _warm(H, extremal)
-    aux, W0 = warm
-    if 0 < len(W0) < n:
-        return _answer(aux, W0)
-    best = None
-    best_key = None
-    for x in range(n):
-        banned = (x,)
-        Wx = _solve_device(warm, banned, ())
-        if Wx:
-            candidates = [Wx]
-        else:
-            # this branch's nonempty sets all have rho >= 1 > rho(empty); if a
-            # strictly better branch is in hand, skip the forcing sweep
-            if best_key is not None and best_key[0] <= 0:
-                continue
-            candidates = [
-                _solve_device(warm, banned, frozenset([y]))
-                for y in range(n)
-                if y != x
-            ]
-        for W in candidates:
-            key = _rank_key(aux, W, extremal)
-            if best_key is None or key < best_key:
-                best_key, best = key, W
-    return best, Fraction(best_key[0], aux.scale)
-
-
 # -- reference implementation by enumeration ------------------------------
 
 

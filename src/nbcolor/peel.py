@@ -21,9 +21,9 @@ the rest would open its level with a check of its own:
     neighbours settle it at about the cost of the smaller side.
 
 Tag changes (forest tags around a deleted independent-tagged vertex, an
-independent tag on the partner of a forest-tagged parallel pair) append the
-dirty groups the recursion appended, and groups that lose a vertex drop out.
-The caller colors the core and `Peeled.lift` replays the records in reverse.
+independent tag on the partner of a forest-tagged parallel pair) update the
+potential and the candidate heaps of the retagged vertices.  The caller
+colors the core and `Peeled.lift` replays the records in reverse.
 """
 
 from __future__ import annotations
@@ -135,15 +135,13 @@ def _splits(nbr: list[dict[int, str]], starts) -> bool:
 class Peeled:
     """A finished peel.  `failure` is a (step, message) diagnostic; otherwise
     the core is `graph` (the input with its final tags) induced on `keep`,
-    `dirty` its surviving dirty groups in input ids, and `records` one entry
-    per deleted vertex, in deletion order."""
+    and `records` holds one entry per deleted vertex, in deletion order."""
 
     def __init__(self, source: Graph, tags: list[str], alive: list[bool]):
         self.source = source
         self.tags = tags
         self.alive = alive
         self.records: list[tuple] = []
-        self.dirty: list[frozenset[int]] = []
         self.failure: tuple[str, str] | None = None
 
     @property
@@ -220,7 +218,7 @@ class Peeled:
         return Coloring(tuple(color))
 
 
-def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, dirty, note) -> Peeled | None:
+def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled | None:
     """Peel a connected graph whose full-set potential is `rho`, or return
     None when no rule applies.  `note(i, line)`, when given, receives the
     trace line of the i-th deletion in that level's vertex numbering."""
@@ -235,12 +233,6 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, dirty, note) -> P
     nbr = [dict(zip(G.adj[v], kinds[v])) for v in range(n)]
     alive = [True] * n
     live = n
-    groups = list(dirty)
-    dead = [False] * len(groups)
-    holds: dict[int, list[int]] = {}
-    for i, g in enumerate(groups):
-        for x in g:
-            holds.setdefault(x, []).append(i)
     ranks = _Ranks(n) if note is not None else None
     run = Peeled(G, tags, alive)
 
@@ -288,14 +280,9 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, dirty, note) -> P
         for u, kind in nb.items():
             rho += spec.edge_weight[kind]
             del nbr[u][v]
-        for i in holds.pop(v, ()):
-            dead[i] = True
         for u in retag:
             rho += spec.tag_weight[new_tag] - spec.tag_weight[UNCOLORED]
             tags[u] = new_tag
-            holds.setdefault(u, []).append(len(groups))
-            groups.append(frozenset([u]))
-            dead.append(False)
         for u in nb:
             kinds_u = tuple(nbr[u].values())
             for r, h in zip(rules, heaps):
@@ -306,5 +293,4 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, dirty, note) -> P
         if len(nb) >= 2 and _splits(nbr, list(nb)):
             break
 
-    run.dirty = [g for g, gone in zip(groups, dead) if not gone]
     return run

@@ -31,17 +31,15 @@ replay validates the core once and then each deleted vertex against its
 neighbours at deletion time (independent side, parallel pairs and gadgets,
 a union-find over the F forest, its tag); since a level's tags are never
 stronger than the level below's, these checks are exactly one full
-validation per level.  Trace lines, diagnostics and dirty groups are the
-ones the recursion would produce.
+validation per level.  Trace lines and diagnostics are the ones the
+recursion would produce.
 
-The per-level subset scan is exact and cheap: one max-flow per vertex in the
-worst case (force v inside, ban its cyclic successor; every proper nonempty
-subset has such a boundary pair), and usually just one flow per "dirty" vertex
-group recorded by the previous reduction, because a reduction only changes the
-potential of subsets that swallow the vertices it touched.  None of these
-flows starts from zero: min_potential solves the level's hypergraph once
-without constraints and warm-starts every forced or banned instance from that
-flow, which gives the same subsets a flow from zero would.
+The per-level subset scan is exact: one max-flow per vertex, forcing v inside
+and banning its cyclic successor, since every proper nonempty subset has such
+a boundary pair.  None of these flows starts from zero: min_potential solves
+the level's hypergraph once without constraints and warm-starts every forced
+and banned instance from that flow, which gives the same subsets a flow from
+zero would.
 
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
@@ -71,6 +69,7 @@ from .graph_core import (
     GraphError,
     I_SIDE,
     contract_colored_subset,
+    induced_cycles,
     induced_subgraph,
     normalize,
     validate_coloring,
@@ -210,47 +209,30 @@ def _exact_int(x: Fraction) -> int:
     return int(x)
 
 
-def _scan(H, n: int, floor: int | None, dirty, band_top: int) -> tuple[int, frozenset[int] | None]:
+def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     """Exact minimum of rho over subsets with 2 <= |X| <= n-1.
+
+    The boundary-pair sweep: for each v, one flow forcing v and banning its
+    cyclic successor.  Every proper nonempty subset contains some v whose
+    successor it misses, so every subset of the window is open to one of the
+    n flows.
 
     Returns (m, W): an in-band witness (m <= band_top, W its exact minimum
     set, largest among surfaced minimizers) or (m, None) with m a certified
-    floor above the band.  `floor`/`dirty` shortcut the work: every qualifying
-    subset that contains no dirty group is known to sit at `floor` or above,
-    so one forced flow per group settles the rest.  A forced flow that
-    surfaces the full vertex set says nothing about proper subsets, so the
-    scan falls back to the boundary-pair sweep: force v, ban its cyclic
-    successor; every proper nonempty subset has such a pair.
-
-    A singleton winner enters as the bound value+1: by the largest-cardinality
-    tie-break no larger set ties it, and singleton potentials keep that bound
-    out of every band this module uses.
+    floor above the band.  A singleton winner enters as the bound value+1: by
+    the largest-cardinality tie-break no larger set ties it, and singleton
+    potentials keep that bound out of every band this module uses.
     """
     if n < 3:
         return band_top + 1, None
     results: list[tuple[int, frozenset[int] | None]] = []
-    use_full = floor is None or floor <= band_top
-    if not use_full:
-        results.append((floor, None))
-        for group in dirty:
-            W, r = min_potential_pinned(H, force=group, extremal=LARGEST)
-            if len(W) == n:
-                use_full = True
-                break
-            val = _exact_int(r)
-            if len(W) >= 2:
-                results.append((val, W))
-            else:
-                results.append((val + 1, None))
-    if use_full:
-        results = []
-        for v in range(n):
-            W, r = min_potential_pinned(H, force=[v], ban=[(v + 1) % n], extremal=LARGEST)
-            val = _exact_int(r)
-            if len(W) >= 2:
-                results.append((val, W))
-            else:
-                results.append((val + 1, None))
+    for v in range(n):
+        W, r = min_potential_pinned(H, force=[v], ban=[(v + 1) % n], extremal=LARGEST)
+        val = _exact_int(r)
+        if len(W) >= 2:
+            results.append((val, W))
+        else:
+            results.append((val + 1, None))
     m = min(val for val, _ in results)
     if m > band_top:
         return m, None
@@ -1030,7 +1012,7 @@ def finish_structured(
 # -- the multigraph worker -------------------------------------------------
 
 
-def _multi_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) -> Outcome:
+def _multi_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     n = G.n
     if n == 0:
         return Colored(Coloring(()))
@@ -1046,21 +1028,20 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) -> 
 
     comps = G.components()
     if len(comps) > 1:
-        return _split_components(G, comps, ctx, depth, floor, dirty, _multi_worker)
+        return _split_components(G, comps, ctx, depth, _multi_worker)
 
     # steps 2a-2d: the degree <= 2 peel
-    out = _peel(G, ctx, depth, floor, dirty, rho, _MULTI_PEEL, _multi_worker)
+    out = _peel(G, ctx, depth, rho, _MULTI_PEEL, _multi_worker)
     if out is not None:
         return out
 
     # steps 3 and 4: the tight-subset scan
     H = hypergraph_for_rho_m(G)
-    m, W = _scan(H, n, floor, dirty, _MULTI_BAND)
+    m, W = _scan(H, n, _MULTI_BAND)
     if W is None and m <= _MULTI_BAND:
         return Diagnostic("3", "in-band scan floor without an actionable witness")
     if W is not None:
         return _multi_tight_route(G, ctx, depth, W)
-    floor2 = m
 
     # step 5a: a forest-tagged vertex with two plain neighbors
     for v in range(n):
@@ -1072,8 +1053,7 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) -> 
         ctx.note(depth, f"5a v={v}")
         sub, idmap = _delete(G, {v})
         child = sub.with_edge(idmap[w], idmap[x], SINGLE)
-        groups = (frozenset([idmap[w], idmap[x]]),)
-        out = _recurse(G, child, ctx, depth, floor2, groups, _multi_worker)
+        out = _recurse(G, child, ctx, depth, _multi_worker)
         if not isinstance(out, Colored):
             return out
         return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: F_SIDE}), "5a")
@@ -1101,8 +1081,7 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) -> 
             ctx.note(depth, f"5c v={v} multi={x} single={w}")
             sub, idmap = _delete(G, {v})
             child = sub.with_precolor(idmap[w], FP) if sub.precolor[idmap[w]] == UNCOLORED else sub
-            groups = (frozenset([idmap[w]]),)
-            out = _recurse(G, child, ctx, depth, floor2, groups, _multi_worker)
+            out = _recurse(G, child, ctx, depth, _multi_worker)
             if not isinstance(out, Colored):
                 return out
             xside = out.coloring.assignment[idmap[x]]
@@ -1110,23 +1089,19 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) -> 
         return Diagnostic("5c", "every parallel pair has both endpoints above degree three")
 
     # step 5d: triangles
-    out = _multi_triangles(G, ctx, depth, floor2)
+    out = _multi_triangles(G, ctx, depth)
     if out is not None:
         return out
 
     # step 6: split a degree-three vertex
-    return _multi_finish(G, ctx, depth, floor2)
+    return _multi_finish(G, ctx, depth)
 
 
-def _split_components(G, comps, ctx, depth, floor, dirty, worker) -> Outcome:
+def _split_components(G, comps, ctx, depth, worker) -> Outcome:
     assign: list[str | None] = [None] * G.n
     for comp in comps:
         sub, table = induced_subgraph(G, comp)
-        pos = {orig: i for i, orig in enumerate(table)}
-        groups = tuple(
-            frozenset(pos[x] for x in g) for g in dirty if all(x in pos for x in g)
-        )
-        out = worker(sub, ctx, depth + 1, floor, groups)
+        out = worker(sub, ctx, depth + 1)
         if not isinstance(out, Colored):
             return out
         for i, orig in enumerate(table):
@@ -1134,10 +1109,10 @@ def _split_components(G, comps, ctx, depth, floor, dirty, worker) -> Outcome:
     return _ok(G, Coloring(tuple(assign)), "1")
 
 
-def _recurse(parent: Graph, child: Graph, ctx: _Ctx, depth: int, floor, dirty, worker) -> Outcome:
+def _recurse(parent: Graph, child: Graph, ctx: _Ctx, depth: int, worker) -> Outcome:
     if _measure(child) >= _measure(parent):
         raise AssertionError("recursion without progress")
-    return worker(child, ctx, depth + 1, floor, dirty)
+    return worker(child, ctx, depth + 1)
 
 
 def _multi_tight_route(G: Graph, ctx: _Ctx, depth: int, W) -> Outcome:
@@ -1155,11 +1130,11 @@ def _multi_tight_route(G: Graph, ctx: _Ctx, depth: int, W) -> Outcome:
         w = next(v for v in inner if any(u not in W2 for u in G.adj[v]))
         if sub.precolor[pos[w]] == UNCOLORED:
             sub = sub.with_precolor(pos[w], FP)
-    out1 = _recurse(G, sub, ctx, depth, None, (), _multi_worker)
+    out1 = _recurse(G, sub, ctx, depth, _multi_worker)
     if not isinstance(out1, Colored):
         return _unwrap_inner(out1, step)
     Gp, lift = contract_colored_subset(G, inner, out1.coloring, "multi")
-    out2 = _recurse(G, Gp, ctx, depth, None, (), _multi_worker)
+    out2 = _recurse(G, Gp, ctx, depth, _multi_worker)
     if not isinstance(out2, Colored):
         return _unwrap_inner(out2, step)
     return _ok(G, lift.lift(out2.coloring), step)
@@ -1171,7 +1146,7 @@ def _unwrap_inner(out: Outcome, step: str) -> Outcome:
     return Diagnostic(step, f"subset recursion returned {type(out).__name__}")
 
 
-def _multi_triangles(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome | None:
+def _multi_triangles(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
     n = G.n
     tri_edges: dict[tuple[int, int], list[int]] = {}
     for u, v, _ in G.edges:
@@ -1195,8 +1170,7 @@ def _multi_triangles(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome | None:
         sub, m1 = _delete(G, {u1, u2})
         child, m2 = _identify(sub, min(m1[v], m1[y]), max(m1[v], m1[y]))
         idmap = {o: m2[m1[o]] for o in m1}
-        groups = (frozenset([idmap[v]]),)
-        out = _recurse(G, child, ctx, depth, floor2, groups, _multi_worker)
+        out = _recurse(G, child, ctx, depth, _multi_worker)
         if not isinstance(out, Colored):
             return out
         for s1 in (F_SIDE, I_SIDE):
@@ -1241,8 +1215,7 @@ def _multi_triangles(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome | None:
         sub, m1 = _delete(G, {v, x})
         child, m2 = _identify(sub, min(m1[w], m1[y]), max(m1[w], m1[y]))
         idmap = {o: m2[m1[o]] for o in m1}
-        groups = (frozenset([idmap[w]]),)
-        out = _recurse(G, child, ctx, depth, floor2, groups, _multi_worker)
+        out = _recurse(G, child, ctx, depth, _multi_worker)
         if not isinstance(out, Colored):
             last = out
             continue
@@ -1261,7 +1234,7 @@ def _multi_triangles(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome | None:
     return last if last is not None else Diagnostic("5d", "no usable lone triangle labeling")
 
 
-def _multi_finish(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome:
+def _multi_finish(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     n = G.n
     v = next((u for u in range(n) if G.degree(u) == 3), None)
     if v is None:
@@ -1275,8 +1248,7 @@ def _multi_finish(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome:
     sub, m1 = _delete(G, {v})
     child, m2 = _identify(sub, min(m1[w], m1[x]), max(m1[w], m1[x]))
     idmap = {o: m2[m1[o]] for o in m1}
-    groups = (frozenset([idmap[w]]),)
-    out = _recurse(G, child, ctx, depth, floor2, groups, _multi_worker)
+    out = _recurse(G, child, ctx, depth, _multi_worker)
     if not isinstance(out, Colored):
         return out
     sigma = out.coloring.assignment[idmap[w]]
@@ -1288,7 +1260,7 @@ def _multi_finish(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome:
 # -- the simple worker -----------------------------------------------------
 
 
-def _simple_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) -> Outcome:
+def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     n = G.n
     if n == 0:
         return Colored(Coloring(()))
@@ -1304,19 +1276,18 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) ->
 
     comps = G.components()
     if len(comps) > 1:
-        return _split_components(G, comps, ctx, depth, floor, dirty, _simple_worker)
+        return _split_components(G, comps, ctx, depth, _simple_worker)
 
     # step 2: independent-tagged, degree at most one, plain degree two
-    out = _peel(G, ctx, depth, floor, dirty, rho, _SIMPLE_PEEL, _simple_worker)
+    out = _peel(G, ctx, depth, rho, _SIMPLE_PEEL, _simple_worker)
     if out is not None:
         return out
 
     # step 3: the scan, with the low band consumed here
     H = hypergraph_for_rho_s(G)
-    m, W = _scan(H, n, floor, dirty, _SIMPLE_BAND)
+    m, W = _scan(H, n, _SIMPLE_BAND)
     if W is None and m <= _SIMPLE_BAND:
         return Diagnostic("3", "in-band scan floor without an actionable witness")
-    floor2 = m  # the level minimum, whether or not a witness surfaced
     if W is not None and rho_s(G, W) <= 0:
         out = _simple_tight_route(G, H, ctx, depth, W, "3")
         if out is not None:
@@ -1331,16 +1302,17 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) ->
         and G.nsize(v) == 3
         and all(G.kind_of(v, u) == SINGLE for u in G.adj[v])
     )
-    c3 = _first_triangle(G, Lset)
+    cycles = list(induced_cycles(G, Lset))
+    c3 = min((c for c in cycles if len(c) == 3), default=None)
     if c3 is not None:
         zs = _attachments(G, c3)
         if len(set(zs)) == 1:
             return Diagnostic("4", "triangle attachments collapse to one vertex")
-        out = _cycle_device_route(G, ctx, depth, c3, [(0, 1), (1, 2), (2, 0)], floor2, "4")
+        out = _cycle_device_route(G, ctx, depth, c3, [(0, 1), (1, 2), (2, 0)], "4")
         return out if out is not None else Diagnostic("4", "every triangle attachment pair is linked")
     c4 = _first_induced_c4(G, Lset)
     if c4 is not None:
-        return _cycle_pin_route(G, ctx, depth, c4, floor2, "4")
+        return _cycle_pin_route(G, ctx, depth, c4, "4")
 
     # step 5: the remaining in-band witnesses
     if W is not None:
@@ -1349,14 +1321,14 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) ->
             return out
 
     # step 6: five-cycles in the degree-three part
-    c5 = _first_induced_c5(G, Lset)
+    c5 = min((c for c in cycles if len(c) == 5), default=None)
     if c5 is not None:
         pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-        out = _cycle_device_route(G, ctx, depth, c5, pairs, floor2, "6")
+        out = _cycle_device_route(G, ctx, depth, c5, pairs, "6")
         return out if out is not None else Diagnostic("6", "every five-cycle attachment pair is linked")
 
     # step 7: residual degree-two vertices
-    out = _simple_degree_two(G, ctx, depth, floor2)
+    out = _simple_degree_two(G, ctx, depth)
     if out is not None:
         return out
 
@@ -1367,9 +1339,9 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int, floor: int | None, dirty) ->
         if k < 6:
             return Diagnostic("8", "short cycle survived the dedicated steps")
         if k % 2 == 0:
-            return _cycle_pin_route(G, ctx, depth, cyc, floor2, "8")
+            return _cycle_pin_route(G, ctx, depth, cyc, "8")
         pairs = [(j, (j + 1) % k) for j in range(k)]
-        out = _cycle_device_route(G, ctx, depth, cyc, pairs, floor2, "8")
+        out = _cycle_device_route(G, ctx, depth, cyc, pairs, "8")
         return out if out is not None else Diagnostic("8", "every cycle attachment pair is linked")
 
     # steps 9 and 10: discharging and the structured endgame
@@ -1410,14 +1382,14 @@ def _simple_tight_route(G: Graph, H, ctx: _Ctx, depth: int, W, step: str) -> Out
     ctx.note(depth, f"{step} tight W={sorted(W2)} rho={r}")
     inner = sorted(W2)
     sub, _ = induced_subgraph(G, inner)
-    out1 = _recurse(G, sub, ctx, depth, None, (), _simple_worker)
+    out1 = _recurse(G, sub, ctx, depth, _simple_worker)
     if not isinstance(out1, Colored):
         return _unwrap_inner(out1, step)
     try:
         Gp, lift = contract_colored_subset(G, inner, out1.coloring, "simple")
     except ContractionRejected as exc:
         return Diagnostic(step, f"outside vertex {exc.vertex} still holds two edges into the subset")
-    out2 = _recurse(G, Gp, ctx, depth, None, (), _simple_worker)
+    out2 = _recurse(G, Gp, ctx, depth, _simple_worker)
     if not isinstance(out2, Colored):
         return _unwrap_inner(out2, step)
     return _ok(G, lift.lift(out2.coloring), step)
@@ -1434,7 +1406,7 @@ def _attachments(G: Graph, C) -> list[int]:
     return zs
 
 
-def _cycle_device_route(G, ctx, depth, C, pairs, floor2, step) -> Outcome | None:
+def _cycle_device_route(G, ctx, depth, C, pairs, step) -> Outcome | None:
     zs = _attachments(G, C)
     cset = set(C)
     rest = [v for v in range(G.n) if v not in cset]
@@ -1448,28 +1420,23 @@ def _cycle_device_route(G, ctx, depth, C, pairs, floor2, step) -> Outcome | None
             continue
         ctx.note(depth, f"{step} cycle={list(C)} tie={za},{zb}")
         child, lift = reduce_cycle_gadget(G, C, za, zb)
-        groups = () if G.kind_of(za, zb) == GADGET else (frozenset([pos[za], pos[zb]]),)
-        out = _recurse(G, child, ctx, depth, floor2, groups, _simple_worker)
+        out = _recurse(G, child, ctx, depth, _simple_worker)
         if not isinstance(out, Colored):
             return _unwrap_inner(out, step)
         return _ok(G, lift.lift(out.coloring), step)
     return None
 
 
-def _cycle_pin_route(G, ctx, depth, C, floor2, step) -> Outcome:
+def _cycle_pin_route(G, ctx, depth, C, step) -> Outcome:
     zs = _attachments(G, C)
     z1 = zs[0]
     cset = set(C)
     rest = [v for v in range(G.n) if v not in cset]
     sub, table = induced_subgraph(G, rest)
     pos = {orig: i for i, orig in enumerate(table)}
-    groups: tuple = ()
-    child = sub
-    if child.precolor[pos[z1]] == UNCOLORED:
-        child = child.with_precolor(pos[z1], FP)
-        groups = (frozenset([pos[z1]]),)
+    child = sub.with_precolor(pos[z1], FP) if sub.precolor[pos[z1]] == UNCOLORED else sub
     ctx.note(depth, f"{step} cycle={list(C)} pin={z1}")
-    out = _recurse(G, child, ctx, depth, floor2, groups, _simple_worker)
+    out = _recurse(G, child, ctx, depth, _simple_worker)
     if not isinstance(out, Colored):
         return _unwrap_inner(out, step)
     partial = {table[i]: side for i, side in enumerate(out.coloring.assignment)}
@@ -1477,19 +1444,6 @@ def _cycle_pin_route(G, ctx, depth, C, floor2, step) -> Outcome:
     if isinstance(col, Blocked):
         return Diagnostic(step, f"cycle extension blocked: {col.reason}")
     return _ok(G, col, step)
-
-
-def _first_triangle(G: Graph, Lset):
-    best = None
-    for u, v, _ in G.edges:
-        if u not in Lset or v not in Lset:
-            continue
-        for w in G.adj[u]:
-            if w in Lset and w > v and G.kind_of(v, w) is not None:
-                tri = (u, v, w)
-                if best is None or tri < best:
-                    best = tri
-    return best
 
 
 def _first_induced_c4(G: Graph, Lset):
@@ -1507,30 +1461,6 @@ def _first_induced_c4(G: Graph, Lset):
                     cyc = _canon_cycle((a, x, c, y))
                     if best is None or cyc < best:
                         best = cyc
-    return best
-
-
-def _first_induced_c5(G: Graph, Lset):
-    best = None
-    for a in sorted(Lset):
-        for b in G.adj[a]:
-            if b <= a or b not in Lset:
-                continue
-            for c in G.adj[b]:
-                if c <= a or c == a or c not in Lset or G.kind_of(a, c):
-                    continue
-                for d in G.adj[c]:
-                    if d <= a or d in (a, b) or d not in Lset or G.kind_of(a, d) or G.kind_of(b, d):
-                        continue
-                    for e in G.adj[d]:
-                        if e <= a or e in (a, b, c) or e not in Lset:
-                            continue
-                        if G.kind_of(b, e) or G.kind_of(c, e):
-                            continue
-                        if G.kind_of(a, e):
-                            cyc = _canon_cycle((a, b, c, d, e))
-                            if best is None or cyc < best:
-                                best = cyc
     return best
 
 
@@ -1580,7 +1510,7 @@ def _shortest_l_cycle(G: Graph, Lset):
     return best
 
 
-def _simple_degree_two(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome | None:
+def _simple_degree_two(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
     n = G.n
     for v in range(n):
         if G.nsize(v) != 2:
@@ -1597,12 +1527,8 @@ def _simple_degree_two(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome | Non
             w2 = u2 if w1 == u1 else u1
             ctx.note(depth, f"7 case1 v={v}")
             sub, idmap = _delete(G, {v})
-            groups: tuple = ()
-            child = sub
-            if child.precolor[idmap[w2]] == UNCOLORED:
-                child = child.with_precolor(idmap[w2], FP)
-                groups = (frozenset([idmap[w2]]),)
-            out = _recurse(G, child, ctx, depth, floor2, groups, _simple_worker)
+            child = sub.with_precolor(idmap[w2], FP) if sub.precolor[idmap[w2]] == UNCOLORED else sub
+            out = _recurse(G, child, ctx, depth, _simple_worker)
             if not isinstance(out, Colored):
                 return out
             w1side = out.coloring.assignment[idmap[w1]]
@@ -1618,20 +1544,14 @@ def _simple_degree_two(G: Graph, ctx: _Ctx, depth: int, floor2) -> Outcome | Non
         sub, idmap = _delete(G, {v})
         if between is not None:
             ctx.note(depth, f"7 case2 v={v}")
-            if between == SINGLE:
-                child = sub.set_kind(idmap[w1], idmap[w2], GADGET)
-                groups = (frozenset([idmap[w1], idmap[w2]]),)
-            else:
-                child = sub
-                groups = ()
+            child = sub.set_kind(idmap[w1], idmap[w2], GADGET) if between == SINGLE else sub
         else:
             linked = are_linked(sub, idmap[w1], idmap[w2], ctx.catalog)
             if linked is not None:
                 return Diagnostic("7", "neighbors of a tagged degree-two vertex are linked")
             ctx.note(depth, f"7 case3 v={v}")
             child = sub.with_edge(idmap[w1], idmap[w2], SINGLE)
-            groups = (frozenset([idmap[w1], idmap[w2]]),)
-        out = _recurse(G, child, ctx, depth, floor2, groups, _simple_worker)
+        out = _recurse(G, child, ctx, depth, _simple_worker)
         if not isinstance(out, Colored):
             return out
         return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: F_SIDE}), "7")
@@ -1715,21 +1635,19 @@ _SIMPLE_PEEL = Spec(
 )
 
 
-def _peel(G: Graph, ctx: _Ctx, depth: int, floor, dirty, rho: int, spec: Spec, worker) -> Outcome | None:
+def _peel(G: Graph, ctx: _Ctx, depth: int, rho: int, spec: Spec, worker) -> Outcome | None:
     """Peel a connected level, color the core with `worker` one level per
     deletion deeper, and lift; None when no peel rule applies.  The rebuild
     and the validations go through this module's names, so wrappers
     installed on them see every call."""
     note = None if ctx.trace is None else (lambda i, line: ctx.note(depth + i, line))
-    run = peel(G, spec, rho, ctx.brute_threshold, dirty, note)
+    run = peel(G, spec, rho, ctx.brute_threshold, note)
     if run is None:
         return None
     if run.failure is not None:
         return Diagnostic(*run.failure)
     core, table = induced_subgraph(run.graph, run.keep)
-    pos = {orig: i for i, orig in enumerate(table)}
-    groups = tuple(frozenset(pos[x] for x in g) for g in run.dirty)
-    out = worker(core, ctx, depth + len(run.records), floor, groups)
+    out = worker(core, ctx, depth + len(run.records))
     if not isinstance(out, Colored):
         return out
     lifted = run.lift(core, table, out.coloring, validate_coloring, induced_subgraph)
@@ -1763,7 +1681,7 @@ def color_multigraph(
     if hit is not None:
         return CertForbidden(hit[0], hit[1])
     ctx = _Ctx(cat, brute_threshold, trace)
-    return _checked(G, _multi_worker(G, ctx, 0, None, ()))
+    return _checked(G, _multi_worker(G, ctx, 0))
 
 
 def color_simple(
@@ -1789,7 +1707,7 @@ def color_simple(
     if hit is not None:
         return CertForbidden(hit[0], hit[1])
     ctx = _Ctx(cat, brute_threshold, trace)
-    return _checked(G, _simple_worker(G, ctx, 0, None, ()))
+    return _checked(G, _simple_worker(G, ctx, 0))
 
 
 def _checked(G: Graph, out: Outcome) -> Outcome:

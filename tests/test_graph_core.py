@@ -1,6 +1,7 @@
 """Graph type, coloring validation, contraction, and the .nbg text format."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from nbcolor.graph_core import (
     coloring_from_i_set,
     contract_colored_subset,
     graph,
+    induced_cycles,
     induced_subgraph,
     normalize,
     parse_nbg,
@@ -239,6 +241,47 @@ def test_induced_subgraph_keeps_kinds_and_tags():
     assert sub.kind_of(0, 1) == SINGLE and sub.kind_of(1, 2) == SINGLE
     assert sub.kind_of(0, 2) == MULTI
     assert sub.precolor[1] == FP
+
+
+def _induced_cycles_by_brute_force(G, allowed, k):
+    """Every induced k-cycle (k = 3 or 5) inside `allowed`, written from its
+    smallest vertex towards the smaller of that vertex's two cycle
+    neighbours.  On 3 or 5 vertices, a 2-regular induced graph is one cycle."""
+    out = set()
+    for S in itertools.combinations(sorted(allowed), k):
+        inside = {v: [u for u in G.adj[v] if u in S] for v in S}
+        if any(len(nb) != 2 for nb in inside.values()):
+            continue
+        walk = [S[0], min(inside[S[0]])]
+        while len(walk) < k:
+            a, b = inside[walk[-1]]
+            walk.append(b if a == walk[-2] else a)
+        out.add(tuple(walk))
+    return out
+
+
+def test_induced_cycles_match_brute_force():
+    rng = random.Random(35)
+    found = {3: 0, 5: 0}
+    for _ in range(300):
+        n = rng.randrange(3, 12)
+        p = rng.uniform(0.15, 0.45)
+        raw = [
+            (u, v, rng.choice((SINGLE, SINGLE, MULTI, GADGET)))
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < p
+        ]
+        G = normalize(n, raw)
+        allowed = frozenset(v for v in range(n) if rng.random() < 0.85)
+        got = list(induced_cycles(G, allowed))
+        lengths = [len(c) for c in got]
+        assert lengths == sorted(lengths)  # triangles first
+        for k in (3, 5):
+            cycles = [c for c in got if len(c) == k]
+            assert len(cycles) == len(set(cycles))
+            assert set(cycles) == _induced_cycles_by_brute_force(G, allowed, k)
+            found[k] += len(cycles)
+    assert found[3] >= 100 and found[5] >= 40
 
 
 def test_contract_multi_mode_basic():

@@ -21,7 +21,6 @@ from nbcolor.min_potential import (
     min_potential_enum,
     min_potential_pinned,
     min_potential_subset,
-    min_proper_nonempty,
 )
 from nbcolor.potential import hypergraph, rho_hyper
 
@@ -174,22 +173,6 @@ def test_pinned_rejects_bad_input():
         min_potential_pinned(H, ban=[-1])
     with pytest.raises(ValueError):
         min_potential_pinned(H, extremal="weird")
-
-
-def test_proper_nonempty():
-    rng = random.Random(2718)
-    for _ in range(30):
-        H = random_hypergraph(rng, max_n=6, max_edges=8)
-        if H.n < 2:
-            continue
-        for mode in (LARGEST, SMALLEST):
-            W, val = min_proper_nonempty(H, mode)
-            We, vale = min_potential_enum(H, m1=1, m2=1, extremal=mode)
-            assert val == vale
-            assert 0 < len(W) < H.n
-            assert rho_hyper(H, W) == val
-    with pytest.raises(ValueError):
-        min_proper_nonempty(hypergraph(1, [1], []))
 
 
 def test_submodularity_spot():

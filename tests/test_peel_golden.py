@@ -5,8 +5,7 @@ A seeded corpus of 150 instances exercises every degree <= 2 peel rule
 precolor tags, peels that stop at the brute-force threshold, peels that split
 the graph into components midway, and the entry, 2a and 2c diagnostics.  The
 diagnostics need inputs the drivers' entry screen would refuse, so part of
-the corpus calls the workers directly, some of it with a scan floor and
-dirty groups handed in.
+the corpus calls the workers directly, at depth 0.
 
 For each instance the SHA-256 of its canonical outcome record plus its full
 trace must equal the value in ``peel_golden.json``: a changed answer,
@@ -124,9 +123,9 @@ def _instance_graph(rng: random.Random, driver: str, screened: bool) -> Graph:
 
 
 def corpus():
-    """(name, driver, call, graph, brute threshold, floor, dirty) records in a
-    fixed order.  `call` is "driver" for the public entry point and "worker"
-    for a direct worker call at depth 0."""
+    """(name, driver, call, graph, brute threshold) records in a fixed order.
+    `call` is "driver" for the public entry point and "worker" for a direct
+    worker call at depth 0."""
     rng = random.Random(SEED)
     out = []
     for i in range(COUNT):
@@ -134,12 +133,12 @@ def corpus():
         call = "worker" if i % 5 >= 3 else "driver"
         G = _instance_graph(rng, driver, call == "driver")
         threshold = THRESHOLDS[(i // 2) % len(THRESHOLDS)]
-        floor, dirty = None, ()
         if call == "worker" and rng.random() < 0.5:
-            floor = rng.choice((-1, 0, 2, 4))
-            picks = rng.sample(range(G.n), min(G.n, rng.randint(1, 4)))
-            dirty = tuple(frozenset(picks[j : j + 2]) for j in range(0, len(picks), 2))
-        out.append((f"{i:03d}-{driver}-{call}", driver, call, G, threshold, floor, dirty))
+            # Workers once took a scan floor and vertex groups drawn here.  The
+            # draws stay so that later instances, and their hashes, do not move.
+            rng.choice((-1, 0, 2, 4))
+            rng.sample(range(G.n), min(G.n, rng.randint(1, 4)))
+        out.append((f"{i:03d}-{driver}-{call}", driver, call, G, threshold))
     return out
 
 
@@ -153,7 +152,7 @@ def outcome_record(out) -> dict:
     return {"status": "diagnostic", "step": out.step, "message": out.message}
 
 
-def solve(driver, call, G, threshold, floor, dirty):
+def solve(driver, call, G, threshold):
     trace: list[str] = []
     if call == "driver":
         fn = solver.color_multigraph if driver == "multi" else solver.color_simple
@@ -162,10 +161,10 @@ def solve(driver, call, G, threshold, floor, dirty):
         cat = default_catalog()
         if driver == "multi":
             ctx = solver._Ctx(cat.restrict(("k4", "m7")), threshold, trace)
-            out = solver._multi_worker(G, ctx, 0, floor, dirty)
+            out = solver._multi_worker(G, ctx, 0)
         else:
             ctx = solver._Ctx(cat, threshold, trace)
-            out = solver._simple_worker(G, ctx, 0, floor, dirty)
+            out = solver._simple_worker(G, ctx, 0)
     return outcome_record(out), trace
 
 
@@ -175,8 +174,8 @@ def digest(record, trace) -> str:
 
 
 def _results():
-    for name, driver, call, G, threshold, floor, dirty in corpus():
-        record, trace = solve(driver, call, G, threshold, floor, dirty)
+    for name, driver, call, G, threshold in corpus():
+        record, trace = solve(driver, call, G, threshold)
         yield name, record, trace
 
 

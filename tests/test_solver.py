@@ -1,5 +1,6 @@
 """Reduction machinery and the two recursive coloring drivers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,14 +23,16 @@ from nbcolor.graph_core import (
     I_SIDE,
     MULTI,
     SINGLE,
+    UNCOLORED,
     Coloring,
     GraphError,
     graph,
     normalize,
     validate_coloring,
 )
+from nbcolor.min_potential import LARGEST, min_potential_enum
 from nbcolor.oracle import brute_nb_color, enumerate_nb_colorings
-from nbcolor.potential import KindError, rho_m, rho_s
+from nbcolor.potential import KindError, hypergraph_for_rho_m, hypergraph_for_rho_s, rho_m, rho_s
 from nbcolor.solver import (
     Blocked,
     CertForbidden,
@@ -419,6 +422,40 @@ def test_finish_structured_needs_frame():
     G = instance_b().with_precolor(8, FP)
     out = finish_structured(G, discharge_classify(G))
     assert isinstance(out, Diagnostic)
+
+
+# -- the level scan --------------------------------------------------------
+
+
+def test_scan_matches_enumeration():
+    # no independent tags: the peel removes those before any level scans
+    rng = random.Random(8)
+    in_band = 0
+    for trial in range(240):
+        if trial % 2 == 0:
+            heavy, rho, to_hyper, band = MULTI, rho_m, hypergraph_for_rho_m, solver._MULTI_BAND
+        else:
+            heavy, rho, to_hyper, band = GADGET, rho_s, hypergraph_for_rho_s, solver._SIMPLE_BAND
+        n = rng.randrange(3, 10)
+        p = rng.uniform(0.2, 0.7)
+        raw = [
+            (u, v, heavy if rng.random() < 0.15 else SINGLE)
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < p
+        ]
+        G = normalize(n, raw, [FP if rng.random() < 0.3 else UNCOLORED for _ in range(n)])
+        H = to_hyper(G)
+        m, W = solver._scan(H, n, band)
+        _, low = min_potential_enum(H, m1=2, m2=1, extremal=LARGEST)
+        assert m <= low
+        if low <= band:
+            in_band += 1
+            assert m == low
+            assert W is not None and 2 <= len(W) <= n - 1
+            assert rho(G, W) == m
+        else:
+            assert m > band and W is None
+    assert in_band >= 100
 
 
 # -- drivers: certificates and guards --------------------------------------
