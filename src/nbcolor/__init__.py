@@ -20,7 +20,8 @@ Layout:
   attachments, and random sparse instance generators.
 - ``forbidden``: the catalog of minimal non-colorable graphs and the
   linked-pair test built on it.
-- ``solver``: the two recursive coloring algorithms and their supporting
+- ``solver``: the two coloring drivers, sharing one entry and one level
+  opening (with the degree <= 2 peel of ``peel``), and their supporting
   extension operations.
 - ``cli``: the ``nbcolor`` command line tool.
 """

@@ -85,9 +85,6 @@ class Graph:
             nbr[v].append(u)
         return tuple(tuple(sorted(x)) for x in nbr)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def kind_of(self, u: int, v: int) -> str | None:
         if u > v:
             u, v = v, u

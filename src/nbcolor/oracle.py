@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .graph_core import (
     FP,
-    GADGET,
     IP,
     MULTI,
     SINGLE,

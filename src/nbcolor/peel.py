@@ -22,8 +22,11 @@ the rest would open its level with a check of its own:
 
 Tag changes (forest tags around a deleted independent-tagged vertex, an
 independent tag on the partner of a forest-tagged parallel pair) update the
-potential and the candidate heaps of the retagged vertices.  The caller
-colors the core and `Peeled.lift` replays the records in reverse.
+potential and the candidate heaps of the retagged vertices.  The potential's
+tag credits and edge debits come from the driver's weights record
+(potential.RHO_M or RHO_S), the same one the potential itself reads.  The
+caller (the solver's level opening) colors the core and `Peeled.lift`
+replays the records in reverse.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ class Rule(namedtuple("Rule", "action step note test")):
     __slots__ = ()
 
 
-class Spec(namedtuple("Spec", "rules tag_weight edge_weight entry_floor")):
-    """A driver's peel: its rules in priority order, the potential weights of
-    tags and edge kinds, and the floor of the full-set potential."""
+class Spec(namedtuple("Spec", "rules weights entry_floor")):
+    """A driver's peel: its rules in priority order, its potential's weights
+    record (potential.RHO_M or RHO_S) and the floor of the full-set
+    potential."""
 
     __slots__ = ()
 
@@ -224,6 +228,7 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
     trace line of the i-th deletion in that level's vertex numbering."""
     n = G.n
     rules = spec.rules
+    tag_weight, edge_weight = spec.weights.tag, spec.weights.edge
     kinds = [tuple(G.kind_of(v, u) for u in G.adj[v]) for v in range(n)]
     tags = list(G.precolor)
     heaps = [[v for v in range(n) if rule.test(tags[v], kinds[v])] for rule in rules]
@@ -276,12 +281,12 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
         live -= 1
         if ranks is not None:
             ranks.drop(v)
-        rho -= spec.tag_weight[tags[v]]
+        rho -= tag_weight[tags[v]]
         for u, kind in nb.items():
-            rho += spec.edge_weight[kind]
+            rho += edge_weight[kind]
             del nbr[u][v]
         for u in retag:
-            rho += spec.tag_weight[new_tag] - spec.tag_weight[UNCOLORED]
+            rho += tag_weight[new_tag] - tag_weight[UNCOLORED]
             tags[u] = new_tag
         for u in nb:
             kinds_u = tuple(nbr[u].values())

@@ -8,6 +8,11 @@ Three flavors share one shape, "vertex credit minus edge debit":
   rho_hyper  generic weighted-hypergraph potential
              sum of vertex weights in X minus weights of hyperedges inside X
 
+The two graph potentials are one function of a weights record, RHO_M or
+RHO_S: a credit per precolor tag, a debit per edge kind, and the edge kind
+the potential refuses.  The hypergraph reductions and the drivers' peel read
+the same records, so each weight table is written once, here.
+
 Everything is exact: integers for the two graph potentials, Fractions for the
 hypergraph one.  rho_m refuses graphs with gadget records, rho_s refuses
 graphs with multi records.
@@ -15,51 +20,60 @@ graphs with multi records.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .graph_core import FP, GADGET, IP, MULTI, UNCOLORED, Graph
+from .graph_core import FP, GADGET, IP, MULTI, SINGLE, UNCOLORED, Graph
 
 
 class KindError(ValueError):
     """Potential applied to a graph of the wrong kind."""
 
 
-def rho_m(G: Graph, W) -> int:
-    if G.has_gadget:
-        raise KindError("multigraph potential does not accept gadget edges")
+class Weights(namedtuple("Weights", "tag edge refused message")):
+    """One graph potential: `tag` maps a precolor tag to its vertex credit,
+    `edge` an edge kind to its debit; graphs holding a `refused` edge are
+    rejected with `message`."""
+
+    __slots__ = ()
+
+    def check(self, G: Graph) -> None:
+        if G.has_multi if self.refused == MULTI else G.has_gadget:
+            raise KindError(self.message)
+
+
+RHO_M = Weights(
+    {UNCOLORED: 3, FP: 1, IP: 0},
+    {SINGLE: 2, MULTI: 4},
+    GADGET,
+    "multigraph potential does not accept gadget edges",
+)
+RHO_S = Weights(
+    {UNCOLORED: 8, FP: 3, IP: 0},
+    {SINGLE: 5, GADGET: 11},
+    MULTI,
+    "simple-graph potential does not accept multi edges",
+)
+
+
+def _rho(G: Graph, W, weights: Weights) -> int:
+    weights.check(G)
     W = set(W)
-    vertex = 0
-    for v in W:
-        tag = G.precolor[v]
-        if tag == UNCOLORED:
-            vertex += 3
-        elif tag == FP:
-            vertex += 1
-    edge = 0
+    tag, edge = weights.tag, weights.edge
+    total = sum(tag[G.precolor[v]] for v in W)
     for u, v, kind in G.edges:
         if u in W and v in W:
-            edge += 2 if kind == MULTI else 1
-    return vertex - 2 * edge
+            total -= edge[kind]
+    return total
+
+
+def rho_m(G: Graph, W) -> int:
+    return _rho(G, W, RHO_M)
 
 
 def rho_s(G: Graph, W) -> int:
-    if G.has_multi:
-        raise KindError("simple-graph potential does not accept multi edges")
-    W = set(W)
-    vertex = 0
-    for v in W:
-        tag = G.precolor[v]
-        if tag == UNCOLORED:
-            vertex += 8
-        elif tag == FP:
-            vertex += 3
-    debit = 0
-    for u, v, kind in G.edges:
-        if u in W and v in W:
-            debit += 11 if kind == GADGET else 5
-    return vertex - debit
+    return _rho(G, W, RHO_S)
 
 
 # -- weighted hypergraphs -------------------------------------------------
@@ -84,10 +98,6 @@ class WeightedHypergraph:
                 raise ValueError("hyperedge member out of range")
             if w <= 0:
                 raise ValueError("hyperedge weights must be positive")
-
-    @cached_property
-    def total_edge_weight(self) -> Fraction:
-        return sum((w for _, w in self.edges), Fraction(0))
 
 
 def hypergraph(n, vertex_weights, hyperedges) -> WeightedHypergraph:
@@ -116,26 +126,22 @@ def rho_hyper(H: WeightedHypergraph, X) -> Fraction:
 
 # -- graph -> hypergraph reductions ---------------------------------------
 
-_RHO_M_VERTEX = {UNCOLORED: 3, FP: 1, IP: 0}
-_RHO_S_VERTEX = {UNCOLORED: 8, FP: 3, IP: 0}
+
+def _hypergraph_for(G: Graph, weights: Weights) -> WeightedHypergraph:
+    weights.check(G)
+    vw = [weights.tag[t] for t in G.precolor]
+    he = [((u, v), weights.edge[kind]) for u, v, kind in G.edges]
+    return hypergraph(G.n, vw, he)
 
 
 def hypergraph_for_rho_m(G: Graph) -> WeightedHypergraph:
     """Hypergraph whose potential agrees with rho_m on every subset."""
-    if G.has_gadget:
-        raise KindError("multigraph potential does not accept gadget edges")
-    vw = [_RHO_M_VERTEX[G.precolor[v]] for v in range(G.n)]
-    he = [((u, v), 4 if kind == MULTI else 2) for u, v, kind in G.edges]
-    return hypergraph(G.n, vw, he)
+    return _hypergraph_for(G, RHO_M)
 
 
 def hypergraph_for_rho_s(G: Graph) -> WeightedHypergraph:
     """Hypergraph whose potential agrees with rho_s on every subset."""
-    if G.has_multi:
-        raise KindError("simple-graph potential does not accept multi edges")
-    vw = [_RHO_S_VERTEX[G.precolor[v]] for v in range(G.n)]
-    he = [((u, v), 11 if kind == GADGET else 5) for u, v, kind in G.edges]
-    return hypergraph(G.n, vw, he)
+    return _hypergraph_for(G, RHO_S)
 
 
 def hypergraph_for_sparsity(G: Graph, a) -> WeightedHypergraph:

@@ -1,8 +1,9 @@
-"""Recursive coloring drivers for multigraphs and simple graphs.
+"""Coloring drivers for multigraphs and simple graphs.
 
-Each driver screens its input (potential floor first, then forbidden
-structures) and then runs a worker that either produces a validated coloring,
-or reports why it cannot:
+color_multigraph and color_simple check their graph's kind and then share
+one entry (_drive): the empty graph, the potential floor over all nonempty
+subsets, the forbidden structures, and a worker that either produces a
+validated coloring or reports why it cannot:
 
   Colored            a coloring that passed validate_coloring
   CertLowPotential   a nonempty subset whose potential beats the hypothesis floor
@@ -15,12 +16,13 @@ construction; a breach at any point turns into a Diagnostic, never a wrong
 answer.  Every lifted coloring is validated at its level, and the driver
 validates the final coloring once more against its own input (step "final").
 
-A worker level opens with its checks in a fixed order: empty graph,
-full-set potential against the floor ("entry"), the brute-force base, the
-split into components.  The degree <= 2 rules that follow (multigraph steps
-2a-2d, simple step 2) do not recurse.  They run as one worklist peel
-(peel.py): a mutable adjacency, one min-heap of candidates per rule, and
-each step deletes the smallest id of the highest-priority rule, the vertex
+Both workers open a level the same way (_open), with its checks in a fixed
+order: empty graph, full-set potential against the floor ("entry"), the
+brute-force base, the split into components, then the peel; the kinds
+differ only in the potential's weights record and the peel rules (a Spec).
+The degree <= 2 rules (multigraph steps 2a-2d, simple step 2) do not
+recurse.  They run as one worklist peel (peel.py): a mutable adjacency,
+one min-heap of candidates per rule, and each step deletes the smallest id of the highest-priority rule, the vertex
 one recursive level per deletion would pick.  The peel stops where that
 level's opening checks would fire: at most brute_threshold vertices left,
 the full-set potential (kept as an integer) below the floor, or a deletion
@@ -32,7 +34,11 @@ neighbours at deletion time (independent side, parallel pairs and gadgets,
 a union-find over the F forest, its tag); since a level's tags are never
 stronger than the level below's, these checks are exactly one full
 validation per level.  Trace lines and diagnostics are the ones the
-recursion would produce.
+recursion would produce.  The reductions after the peel still recurse, one
+worker frame per step, but the stack stays shallow: at most 36 Python
+frames below the driver call, measured over the benchmark corpora and on
+cubic graphs, prisms and Moebius ladders of up to 400 vertices.  The
+drivers leave the interpreter's recursion limit alone.
 
 The per-level subset scan is exact: one max-flow per vertex, forcing v inside
 and banning its cyclic successor, since every proper nonempty subset has such
@@ -49,7 +55,6 @@ family is not constructively enumerable.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -78,6 +83,8 @@ from .min_potential import LARGEST, min_potential_constrained, min_potential_pin
 from .oracle import DEFAULT_THRESHOLD, brute_nb_color
 from .peel import Rule, Spec, peel
 from .potential import (
+    RHO_M,
+    RHO_S,
     KindError,
     hypergraph_for_rho_m,
     hypergraph_for_rho_s,
@@ -150,29 +157,32 @@ def _delete(G: Graph, drop) -> tuple[Graph, dict[int, int]]:
     return sub, {orig: i for i, orig in enumerate(table)}
 
 
-def _identify(G: Graph, keep: int, merge: int) -> tuple[Graph, dict[int, int]]:
-    """Merge vertex `merge` into `keep`; they must be distinct non-neighbors
-    with equal precolor tags.  Parallel collisions collapse by the normalize
-    rules.  The map sends every old id (merge included) to its new id."""
+def _identify(G: Graph, drop, a: int, b: int) -> tuple[Graph, dict[int, int]]:
+    """Delete `drop`, then merge the survivors a and b into one vertex; they
+    must be distinct non-neighbors with equal precolor tags.  Parallel
+    collisions collapse by the normalize rules.  The map sends every
+    surviving old id (a and b included) to its new id."""
+    sub, m1 = _delete(G, drop)
+    keep, merge = sorted((m1[a], m1[b]))
     if keep == merge:
         raise GraphError("cannot identify a vertex with itself")
-    if G.kind_of(keep, merge) is not None:
+    if sub.kind_of(keep, merge) is not None:
         raise GraphError("cannot identify adjacent vertices")
-    if G.precolor[keep] != G.precolor[merge]:
+    if sub.precolor[keep] != sub.precolor[merge]:
         raise GraphError("cannot identify differently tagged vertices")
     idmap = {}
-    for v in range(G.n):
+    for v in range(sub.n):
         if v != merge:
             idmap[v] = v - (1 if v > merge else 0)
     raw = []
-    for u, v, kind in G.edges:
+    for u, v, kind in sub.edges:
         u2 = keep if u == merge else u
         v2 = keep if v == merge else v
         raw.append((idmap[u2], idmap[v2], kind))
-    pre = [G.precolor[v] for v in range(G.n) if v != merge]
-    child = normalize(G.n - 1, raw, pre)
+    pre = [sub.precolor[v] for v in range(sub.n) if v != merge]
+    child = normalize(sub.n - 1, raw, pre)
     idmap[merge] = idmap[keep]
-    return child, idmap
+    return child, {o: idmap[i] for o, i in m1.items()}
 
 
 def _lift_deleted(G: Graph, c_child: Coloring, idmap: dict[int, int], extra: dict[int, str]) -> Coloring:
@@ -243,49 +253,19 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     return m, best[1]
 
 
-def _closure_multi(G: Graph, W) -> frozenset[int]:
-    """Absorb outside vertices carrying edge multiplicity two or more into W;
-    each absorption strictly lowers rho_m.  Stops before swallowing the whole
-    graph."""
+def _closure(G: Graph, W, absorbs: str, room: int) -> frozenset[int]:
+    """Grow W, while it has fewer than `room` vertices, by the smallest
+    outside vertex with an `absorbs` edge (a parallel pair or a gadget) or
+    two plain edges into W.  Each absorption strictly lowers the potential:
+    the edges' debit exceeds any vertex credit."""
     W = set(W)
-    n = G.n
     grown = True
-    while grown and len(W) + 1 <= n - 1:
+    while grown and len(W) < room:
         grown = False
-        for u in range(n):
+        for u in range(G.n):
             if u in W:
                 continue
-            mult = 0
-            for x in G.adj[u]:
-                if x in W:
-                    mult += 2 if G.kind_of(u, x) == MULTI else 1
-            if mult >= 2:
-                W.add(u)
-                grown = True
-                break
-    return frozenset(W)
-
-
-def _closure_simple(G: Graph, W) -> frozenset[int]:
-    """Absorb outside vertices with two plain edges or any gadget into W;
-    each absorption strictly lowers rho_s.  Capped at n-2 vertices so the
-    simple contraction size bound stays available."""
-    W = set(W)
-    n = G.n
-    grown = True
-    while grown and len(W) + 1 <= n - 2:
-        grown = False
-        for u in range(n):
-            if u in W:
-                continue
-            singles = gadgets = 0
-            for x in G.adj[u]:
-                if x in W:
-                    if G.kind_of(u, x) == GADGET:
-                        gadgets += 1
-                    else:
-                        singles += 1
-            if gadgets >= 1 or singles >= 2:
+            if sum(2 if G.kind_of(u, x) == absorbs else 1 for x in G.adj[u] if x in W) >= 2:
                 W.add(u)
                 grown = True
                 break
@@ -619,22 +599,28 @@ def _any_cycle(G: Graph) -> list[int]:
             if y == p:
                 continue
             if y in parent:
-                # close the cycle through the tree paths
-                px = [x]
-                while px[-1] is not None:
-                    px.append(parent[px[-1]])
-                px.pop()
-                py = [y]
-                while py[-1] is not None:
-                    py.append(parent[py[-1]])
-                py.pop()
-                sx, sy = set(px), set(py)
-                cut = next(u for u in px if u in sy)
-                cyc = px[: px.index(cut) + 1] + list(reversed(py[: py.index(cut)]))
-                return cyc
+                return _close_cycle(parent, x, y)
             parent[y] = x
             stack.append((y, x))
     raise GraphError("no cycle found")
+
+
+def _close_cycle(parent: dict, x: int, y: int) -> list[int] | None:
+    """The cycle a non-tree edge xy closes through the search tree `parent`
+    (root mapped to None), or None when the two tree paths share no vertex."""
+    px = [x]
+    while px[-1] is not None:
+        px.append(parent[px[-1]])
+    px.pop()
+    py = [y]
+    while py[-1] is not None:
+        py.append(parent[py[-1]])
+    py.pop()
+    sy = set(py)
+    cut = next((u for u in px if u in sy), None)
+    if cut is None:
+        return None
+    return px[: px.index(cut) + 1] + list(reversed(py[: py.index(cut)]))
 
 
 # -- discharging -----------------------------------------------------------
@@ -1013,27 +999,11 @@ def finish_structured(
 
 
 def _multi_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
-    n = G.n
-    if n == 0:
-        return Colored(Coloring(()))
-    rho = rho_m(G, range(n))
-    if rho < MULTI_FLOOR:
-        return Diagnostic("entry", "full-set potential below the floor")
-    if n <= ctx.brute_threshold:
-        c = brute_nb_color(G, ctx.brute_threshold)
-        if c is None:
-            return Diagnostic("base", "exhaustive search found no coloring")
-        ctx.note(depth, f"base n={n}")
-        return Colored(c)
-
-    comps = G.components()
-    if len(comps) > 1:
-        return _split_components(G, comps, ctx, depth, _multi_worker)
-
-    # steps 2a-2d: the degree <= 2 peel
-    out = _peel(G, ctx, depth, rho, _MULTI_PEEL, _multi_worker)
+    # steps 2a-2d run in the level opening's peel
+    out = _open(G, ctx, depth, rho_m, _MULTI_PEEL, _multi_worker)
     if out is not None:
         return out
+    n = G.n
 
     # steps 3 and 4: the tight-subset scan
     H = hypergraph_for_rho_m(G)
@@ -1097,18 +1067,6 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     return _multi_finish(G, ctx, depth)
 
 
-def _split_components(G, comps, ctx, depth, worker) -> Outcome:
-    assign: list[str | None] = [None] * G.n
-    for comp in comps:
-        sub, table = induced_subgraph(G, comp)
-        out = worker(sub, ctx, depth + 1)
-        if not isinstance(out, Colored):
-            return out
-        for i, orig in enumerate(table):
-            assign[orig] = out.coloring.assignment[i]
-    return _ok(G, Coloring(tuple(assign)), "1")
-
-
 def _recurse(parent: Graph, child: Graph, ctx: _Ctx, depth: int, worker) -> Outcome:
     if _measure(child) >= _measure(parent):
         raise AssertionError("recursion without progress")
@@ -1116,28 +1074,38 @@ def _recurse(parent: Graph, child: Graph, ctx: _Ctx, depth: int, worker) -> Outc
 
 
 def _multi_tight_route(G: Graph, ctx: _Ctx, depth: int, W) -> Outcome:
-    W2 = _closure_multi(G, W)
+    W2 = _closure(G, W, MULTI, G.n - 1)
     r = rho_m(G, W2)
     if r < MULTI_FLOOR:
         return Diagnostic("3", f"subset potential {r} breaches the floor")
     ctx.note(depth, f"tight W={sorted(W2)} rho={r}")
-    inner = sorted(W2)
-    sub, table = induced_subgraph(G, inner)
-    pos = {orig: i for i, orig in enumerate(table)}
-    step = "3"
     if r == 1:
-        step = "4"
-        w = next(v for v in inner if any(u not in W2 for u in G.adj[v]))
-        if sub.precolor[pos[w]] == UNCOLORED:
-            sub = sub.with_precolor(pos[w], FP)
-    out1 = _recurse(G, sub, ctx, depth, _multi_worker)
-    if not isinstance(out1, Colored):
-        return _unwrap_inner(out1, step)
-    Gp, lift = contract_colored_subset(G, inner, out1.coloring, "multi")
-    out2 = _recurse(G, Gp, ctx, depth, _multi_worker)
-    if not isinstance(out2, Colored):
-        return _unwrap_inner(out2, step)
-    return _ok(G, lift.lift(out2.coloring), step)
+        # pin a boundary vertex of W to the forest side
+        pin = next(v for v in sorted(W2) if any(u not in W2 for u in G.adj[v]))
+        return _contract_route(G, W2, pin, ctx, depth, "4", "multi", _multi_worker)
+    return _contract_route(G, W2, None, ctx, depth, "3", "multi", _multi_worker)
+
+
+def _contract_route(G: Graph, W, pin, ctx: _Ctx, depth: int, step: str, mode: str, worker) -> Outcome:
+    """Color G[W] (with `pin` forest-tagged when uncolored), contract W by
+    that coloring, color the contracted graph and lift."""
+    inner = sorted(W)
+    sub, table = induced_subgraph(G, inner)
+    if pin is not None:
+        i = table.index(pin)
+        if sub.precolor[i] == UNCOLORED:
+            sub = sub.with_precolor(i, FP)
+    out = _recurse(G, sub, ctx, depth, worker)
+    if not isinstance(out, Colored):
+        return _unwrap_inner(out, step)
+    try:
+        Gp, lift = contract_colored_subset(G, inner, out.coloring, mode)
+    except ContractionRejected as exc:
+        return Diagnostic(step, f"outside vertex {exc.vertex} still holds two edges into the subset")
+    out = _recurse(G, Gp, ctx, depth, worker)
+    if not isinstance(out, Colored):
+        return _unwrap_inner(out, step)
+    return _ok(G, lift.lift(out.coloring), step)
 
 
 def _unwrap_inner(out: Outcome, step: str) -> Outcome:
@@ -1167,18 +1135,12 @@ def _multi_triangles(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
         if G.kind_of(v, y) is not None:
             return Diagnostic("5d", "four mutually adjacent vertices survived the screen")
         ctx.note(depth, f"5d shared edge={u1},{u2} corners={v},{y}")
-        sub, m1 = _delete(G, {u1, u2})
-        child, m2 = _identify(sub, min(m1[v], m1[y]), max(m1[v], m1[y]))
-        idmap = {o: m2[m1[o]] for o in m1}
+        child, idmap = _identify(G, {u1, u2}, v, y)
         out = _recurse(G, child, ctx, depth, _multi_worker)
         if not isinstance(out, Colored):
             return out
-        for s1 in (F_SIDE, I_SIDE):
-            for s2 in (F_SIDE, I_SIDE):
-                col = _lift_deleted(G, out.coloring, idmap, {u1: s1, u2: s2})
-                if validate_coloring(G, col) is None:
-                    return Colored(col)
-        return Diagnostic("5d", "no corner assignment over the shared edge lifts")
+        out = _lift_pair(G, out.coloring, idmap, u1, u2)
+        return out if out is not None else Diagnostic("5d", "no corner assignment over the shared edge lifts")
 
     # lone triangles: prefer all degree-three ones, try both labelings
     triangles = sorted(
@@ -1212,26 +1174,26 @@ def _multi_triangles(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
     last: Outcome | None = None
     for v, w, x, y in attempts[:3]:
         ctx.note(depth, f"5d lone v={v} w={w} x={x} y={y}")
-        sub, m1 = _delete(G, {v, x})
-        child, m2 = _identify(sub, min(m1[w], m1[y]), max(m1[w], m1[y]))
-        idmap = {o: m2[m1[o]] for o in m1}
+        child, idmap = _identify(G, {v, x}, w, y)
         out = _recurse(G, child, ctx, depth, _multi_worker)
-        if not isinstance(out, Colored):
-            last = out
-            continue
-        done = None
-        for s1 in (F_SIDE, I_SIDE):
-            for s2 in (F_SIDE, I_SIDE):
-                col = _lift_deleted(G, out.coloring, idmap, {v: s1, x: s2})
-                if validate_coloring(G, col) is None:
-                    done = Colored(col)
-                    break
-            if done:
-                break
-        if done:
-            return done
-        last = Diagnostic("5d", "no apex assignment over the lone triangle lifts")
+        if isinstance(out, Colored):
+            out = _lift_pair(G, out.coloring, idmap, v, x)
+            if out is not None:
+                return out
+            out = Diagnostic("5d", "no apex assignment over the lone triangle lifts")
+        last = out
     return last if last is not None else Diagnostic("5d", "no usable lone triangle labeling")
+
+
+def _lift_pair(G: Graph, c_child: Coloring, idmap: dict[int, int], a: int, b: int) -> Colored | None:
+    """The first lift, over the four side pairs of the deleted a and b, that
+    validates."""
+    for s1 in (F_SIDE, I_SIDE):
+        for s2 in (F_SIDE, I_SIDE):
+            col = _lift_deleted(G, c_child, idmap, {a: s1, b: s2})
+            if validate_coloring(G, col) is None:
+                return Colored(col)
+    return None
 
 
 def _multi_finish(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
@@ -1245,9 +1207,7 @@ def _multi_finish(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     if G.kind_of(w, x) is not None:
         return Diagnostic("6", "triangle survived to the finish")
     ctx.note(depth, f"6 v={v} merge={w},{x} spare={y}")
-    sub, m1 = _delete(G, {v})
-    child, m2 = _identify(sub, min(m1[w], m1[x]), max(m1[w], m1[x]))
-    idmap = {o: m2[m1[o]] for o in m1}
+    child, idmap = _identify(G, {v}, w, x)
     out = _recurse(G, child, ctx, depth, _multi_worker)
     if not isinstance(out, Colored):
         return out
@@ -1261,27 +1221,12 @@ def _multi_finish(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
 
 
 def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
-    n = G.n
-    if n == 0:
-        return Colored(Coloring(()))
-    rho = rho_s(G, range(n))
-    if rho < SIMPLE_FLOOR:
-        return Diagnostic("entry", "full-set potential below the floor")
-    if n <= ctx.brute_threshold:
-        c = brute_nb_color(G, ctx.brute_threshold)
-        if c is None:
-            return Diagnostic("base", "exhaustive search found no coloring")
-        ctx.note(depth, f"base n={n}")
-        return Colored(c)
-
-    comps = G.components()
-    if len(comps) > 1:
-        return _split_components(G, comps, ctx, depth, _simple_worker)
-
-    # step 2: independent-tagged, degree at most one, plain degree two
-    out = _peel(G, ctx, depth, rho, _SIMPLE_PEEL, _simple_worker)
+    # step 2 (independent-tagged, degree at most one, plain degree two) runs
+    # in the level opening's peel
+    out = _open(G, ctx, depth, rho_s, _SIMPLE_PEEL, _simple_worker)
     if out is not None:
         return out
+    n = G.n
 
     # step 3: the scan, with the low band consumed here
     H = hypergraph_for_rho_s(G)
@@ -1366,33 +1311,21 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
 
 def _simple_tight_route(G: Graph, H, ctx: _Ctx, depth: int, W, step: str) -> Outcome | None:
     n = G.n
-    W2 = _closure_simple(G, W)
+    W2 = _closure(G, W, GADGET, n - 2)
     if len(W2) == n - 1:
         # the size bound for contraction asks for two outside vertices
         W3, r3 = min_potential_constrained(H, m1=2, m2=2, extremal=LARGEST)
         if _exact_int(r3) > _SIMPLE_BAND:
             ctx.note(depth, f"{step} tight set fills the graph, smaller sets are clean")
             return None
-        W2 = _closure_simple(G, W3)
+        W2 = _closure(G, W3, GADGET, n - 2)
         if len(W2) >= n - 1:
             return Diagnostic(step, "tight subset cannot leave two vertices outside")
     r = rho_s(G, W2)
     if r < SIMPLE_FLOOR:
         return Diagnostic(step, f"subset potential {r} breaches the floor")
     ctx.note(depth, f"{step} tight W={sorted(W2)} rho={r}")
-    inner = sorted(W2)
-    sub, _ = induced_subgraph(G, inner)
-    out1 = _recurse(G, sub, ctx, depth, _simple_worker)
-    if not isinstance(out1, Colored):
-        return _unwrap_inner(out1, step)
-    try:
-        Gp, lift = contract_colored_subset(G, inner, out1.coloring, "simple")
-    except ContractionRejected as exc:
-        return Diagnostic(step, f"outside vertex {exc.vertex} still holds two edges into the subset")
-    out2 = _recurse(G, Gp, ctx, depth, _simple_worker)
-    if not isinstance(out2, Colored):
-        return _unwrap_inner(out2, step)
-    return _ok(G, lift.lift(out2.coloring), step)
+    return _contract_route(G, W2, None, ctx, depth, step, "simple", _simple_worker)
 
 
 def _attachments(G: Graph, C) -> list[int]:
@@ -1408,10 +1341,7 @@ def _attachments(G: Graph, C) -> list[int]:
 
 def _cycle_device_route(G, ctx, depth, C, pairs, step) -> Outcome | None:
     zs = _attachments(G, C)
-    cset = set(C)
-    rest = [v for v in range(G.n) if v not in cset]
-    sub, table = induced_subgraph(G, rest)
-    pos = {orig: i for i, orig in enumerate(table)}
+    sub, pos = _delete(G, C)
     for a, b in pairs:
         za, zb = zs[a], zs[b]
         if za == zb:
@@ -1428,18 +1358,14 @@ def _cycle_device_route(G, ctx, depth, C, pairs, step) -> Outcome | None:
 
 
 def _cycle_pin_route(G, ctx, depth, C, step) -> Outcome:
-    zs = _attachments(G, C)
-    z1 = zs[0]
-    cset = set(C)
-    rest = [v for v in range(G.n) if v not in cset]
-    sub, table = induced_subgraph(G, rest)
-    pos = {orig: i for i, orig in enumerate(table)}
+    z1 = _attachments(G, C)[0]
+    sub, pos = _delete(G, C)
     child = sub.with_precolor(pos[z1], FP) if sub.precolor[pos[z1]] == UNCOLORED else sub
     ctx.note(depth, f"{step} cycle={list(C)} pin={z1}")
     out = _recurse(G, child, ctx, depth, _simple_worker)
     if not isinstance(out, Colored):
         return _unwrap_inner(out, step)
-    partial = {table[i]: side for i, side in enumerate(out.coloring.assignment)}
+    partial = {orig: out.coloring.assignment[i] for orig, i in pos.items()}
     col = extend_over_induced_cycle(G, C, partial)
     if isinstance(col, Blocked):
         return Diagnostic(step, f"cycle extension blocked: {col.reason}")
@@ -1478,7 +1404,6 @@ def _shortest_l_cycle(G: Graph, Lset):
     best: tuple[int, ...] | None = None
     for s in sorted(Lset):
         parent: dict[int, int | None] = {s: None}
-        depth = {s: 0}
         queue = [s]
         head = 0
         while head < len(queue):
@@ -1487,22 +1412,11 @@ def _shortest_l_cycle(G: Graph, Lset):
             for y in adjL[x]:
                 if y not in parent:
                     parent[y] = x
-                    depth[y] = depth[x] + 1
                     queue.append(y)
                 elif parent[x] != y and parent[y] != x:
-                    px = [x]
-                    while px[-1] is not None:
-                        px.append(parent[px[-1]])
-                    px.pop()
-                    py = [y]
-                    while py[-1] is not None:
-                        py.append(parent[py[-1]])
-                    py.pop()
-                    sy = set(py)
-                    cut = next((u for u in px if u in sy), None)
-                    if cut is None:
+                    cyc = _close_cycle(parent, x, y)
+                    if cyc is None:
                         continue
-                    cyc = px[: px.index(cut) + 1] + list(reversed(py[: py.index(cut)]))
                     if len(cyc) >= 3 and (best is None or len(cyc) < len(best)):
                         best = _canon_cycle(cyc)
         if best is not None and len(best) == 3:
@@ -1603,7 +1517,7 @@ def _tree_path(G: Graph, Lset, a: int, b: int):
     return path
 
 
-# -- the degree <= 2 peel --------------------------------------------------
+# -- the level opening and the degree <= 2 peel ------------------------------
 
 
 def _two_plain(tag: str, kinds: tuple) -> bool:
@@ -1617,8 +1531,7 @@ _MULTI_PEEL = Spec(
         Rule("leaf", "2c", "2c v={v} w={w}", lambda tag, kinds: kinds == (MULTI,)),
         Rule("deg2", "2d", "2d v={v}", _two_plain),
     ),
-    tag_weight={UNCOLORED: 3, FP: 1, IP: 0},
-    edge_weight={SINGLE: 2, MULTI: 4},
+    weights=RHO_M,
     entry_floor=MULTI_FLOOR,
 )
 
@@ -1629,19 +1542,47 @@ _SIMPLE_PEEL = Spec(
         Rule("leaf", "2", "2 d1 v={v}", lambda tag, kinds: len(kinds) == 1 and (kinds[0] != GADGET or tag == UNCOLORED)),
         Rule("deg2", "2", "2 d2 v={v}", _two_plain),
     ),
-    tag_weight={UNCOLORED: 8, FP: 3, IP: 0},
-    edge_weight={SINGLE: 5, GADGET: 11},
+    weights=RHO_S,
     entry_floor=SIMPLE_FLOOR,
 )
 
 
-def _peel(G: Graph, ctx: _Ctx, depth: int, rho: int, spec: Spec, worker) -> Outcome | None:
-    """Peel a connected level, color the core with `worker` one level per
-    deletion deeper, and lift; None when no peel rule applies.  The rebuild
-    and the validations go through this module's names, so wrappers
+def _open(G: Graph, ctx: _Ctx, depth: int, rho, spec: Spec, worker) -> Outcome | None:
+    """Open a worker level: the empty graph, the full-set potential `rho`
+    against the floor ("entry"), the brute-force base, the split into
+    components, then the degree <= 2 peel, whose core `worker` colors one
+    level per deletion deeper.  Returns None when the level stays open for
+    the worker's own steps.  `rho` is the public potential function the
+    worker looked up (spec.weights holds the same weights); it and the
+    rebuilds and validations go through this module's names, so wrappers
     installed on them see every call."""
+    n = G.n
+    if n == 0:
+        return Colored(Coloring(()))
+    r = rho(G, range(n))
+    if r < spec.entry_floor:
+        return Diagnostic("entry", "full-set potential below the floor")
+    if n <= ctx.brute_threshold:
+        c = brute_nb_color(G, ctx.brute_threshold)
+        if c is None:
+            return Diagnostic("base", "exhaustive search found no coloring")
+        ctx.note(depth, f"base n={n}")
+        return Colored(c)
+
+    comps = G.components()
+    if len(comps) > 1:
+        assign: list[str | None] = [None] * n
+        for comp in comps:
+            sub, table = induced_subgraph(G, comp)
+            out = worker(sub, ctx, depth + 1)
+            if not isinstance(out, Colored):
+                return out
+            for i, orig in enumerate(table):
+                assign[orig] = out.coloring.assignment[i]
+        return _ok(G, Coloring(tuple(assign)), "1")
+
     note = None if ctx.trace is None else (lambda i, line: ctx.note(depth + i, line))
-    run = peel(G, spec, rho, ctx.brute_threshold, note)
+    run = peel(G, spec, r, ctx.brute_threshold, note)
     if run is None:
         return None
     if run.failure is not None:
@@ -1669,19 +1610,8 @@ def color_multigraph(
     forbidden structures, then runs the reduction worker."""
     if G.has_gadget:
         raise KindError("the multigraph driver does not accept gadget edges")
-    if G.n == 0:
-        return Colored(Coloring(()))
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
-    H = hypergraph_for_rho_m(G)
-    W, r = min_potential_constrained(H, m1=1, m2=0, extremal=LARGEST)
-    if r < MULTI_FLOOR:
-        return CertLowPotential(W, _exact_int(r), MULTI_FLOOR)
-    cat = default_catalog().restrict(("k4", "m7"))
-    hit = find_forbidden_subgraph(G, cat)
-    if hit is not None:
-        return CertForbidden(hit[0], hit[1])
-    ctx = _Ctx(cat, brute_threshold, trace)
-    return _checked(G, _multi_worker(G, ctx, 0))
+    ctx = _Ctx(default_catalog().restrict(("k4", "m7")), brute_threshold, trace)
+    return _drive(G, ctx, hypergraph_for_rho_m, MULTI_FLOOR, _multi_worker)
 
 
 def color_simple(
@@ -1695,24 +1625,23 @@ def color_simple(
     relative to the supplied forbidden-structure catalog."""
     if G.has_multi:
         raise KindError("the simple driver does not accept parallel pairs")
+    ctx = _Ctx(catalog if catalog is not None else default_catalog(), brute_threshold, trace)
+    return _drive(G, ctx, hypergraph_for_rho_s, SIMPLE_FLOOR, _simple_worker)
+
+
+def _drive(G: Graph, ctx: _Ctx, hyper, floor: int, worker) -> Outcome:
+    """The empty graph, the potential screen over all nonempty subsets of
+    `hyper(G)`, the catalog screen, the worker, and a final validation of a
+    coloring against the driver's own input (step "final")."""
     if G.n == 0:
         return Colored(Coloring(()))
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
-    cat = catalog if catalog is not None else default_catalog()
-    H = hypergraph_for_rho_s(G)
-    W, r = min_potential_constrained(H, m1=1, m2=0, extremal=LARGEST)
-    if r < SIMPLE_FLOOR:
-        return CertLowPotential(W, _exact_int(r), SIMPLE_FLOOR)
-    hit = find_forbidden_subgraph(G, cat)
+    W, r = min_potential_constrained(hyper(G), m1=1, m2=0, extremal=LARGEST)
+    if r < floor:
+        return CertLowPotential(W, _exact_int(r), floor)
+    hit = find_forbidden_subgraph(G, ctx.catalog)
     if hit is not None:
         return CertForbidden(hit[0], hit[1])
-    ctx = _Ctx(cat, brute_threshold, trace)
-    return _checked(G, _simple_worker(G, ctx, 0))
-
-
-def _checked(G: Graph, out: Outcome) -> Outcome:
-    """A driver's answer, with a coloring validated once more against the
-    driver's own input."""
+    out = worker(G, ctx, 0)
     if isinstance(out, Colored):
         bad = validate_coloring(G, out.coloring)
         if bad is not None:

@@ -6,7 +6,6 @@ from nbcolor.families import base_graph
 from nbcolor.forbidden import (
     BASE_NAMES,
     SEED_NAMES,
-    Catalog,
     CatalogError,
     LinkWitness,
     are_linked,
@@ -19,7 +18,7 @@ from nbcolor.forbidden import (
     verify_member,
     witness_cycle,
 )
-from nbcolor.graph_core import MULTI, SINGLE, graph
+from nbcolor.graph_core import SINGLE, graph
 
 
 def cycle(n):

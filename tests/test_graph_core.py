@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbcolor.families import multiedge_replacement
 from nbcolor.graph_core import (
     FP,
     GADGET,
@@ -18,7 +17,6 @@ from nbcolor.graph_core import (
     Coloring,
     ContractionRejected,
     F_SIDE,
-    Graph,
     GraphError,
     I_SIDE,
     coloring_from_i_set,

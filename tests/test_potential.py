@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nbcolor.families import base_graph, gen_gk, gen_hk
-from nbcolor.graph_core import FP, IP, graph
+from nbcolor.graph_core import graph
 from nbcolor.potential import (
     KindError,
     hypergraph,

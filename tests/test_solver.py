@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -458,6 +459,39 @@ def test_scan_matches_enumeration():
     assert in_band >= 100
 
 
+def test_closure_absorbs_within_its_room():
+    rng = random.Random(31)
+    grown = capped = 0
+    for trial in range(300):
+        if trial % 2 == 0:
+            heavy, rho, room_left = MULTI, rho_m, 1
+        else:
+            heavy, rho, room_left = GADGET, rho_s, 2
+        n = rng.randrange(3, 12)
+        p = rng.uniform(0.15, 0.6)
+        raw = [
+            (u, v, heavy if rng.random() < 0.2 else SINGLE)
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < p
+        ]
+        G = normalize(n, raw, [rng.choice((UNCOLORED, UNCOLORED, FP, IP)) for _ in range(n)])
+        W = frozenset(rng.sample(range(n), rng.randrange(1, n)))
+        room = n - room_left
+        out = solver._closure(G, W, heavy, room)
+        assert W <= out
+        assert len(out) <= max(len(W), room)
+        # every absorption lowers the potential by at least one
+        assert rho(G, out) <= rho(G, W) - (len(out) - len(W))
+        grown += len(out) > len(W)
+        if len(out) >= room:
+            capped += 1
+            continue
+        for u in set(range(n)) - out:
+            kinds = [G.kind_of(u, x) for x in G.adj[u] if x in out]
+            assert heavy not in kinds and kinds.count(SINGLE) < 2
+    assert grown >= 50 and capped >= 20
+
+
 # -- drivers: certificates and guards --------------------------------------
 
 
@@ -552,6 +586,20 @@ def _random_instance(rng):
         elif r < 0.14:
             G = G.with_precolor(v, IP)
     return kind, G
+
+
+def test_drivers_leave_the_recursion_limit_alone():
+    rng = random.Random(12)
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        for G in (random_sparse_multigraph(rng, 40), hung_on(PETERSEN, 10, 3_000, chains=5, chain_len=100)):
+            assert isinstance(color_multigraph(G, brute_threshold=6), Colored)
+        for G in (random_sparse_simple(rng, 40), hung_on(DENSE10, 10, 3_000, chains=5, chain_len=100)):
+            assert isinstance(color_simple(G, brute_threshold=6), Colored)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_agreement_with_oracle():
