@@ -33,15 +33,38 @@ W is read from that set, so it is the union of all minimizers of the
 (perturbed) objective, exactly what a flow from zero on the constrained
 network returns.
 
-Cardinality windows m1 <= |W| <= n - m2 sweep those constraints over every
-m1-subset to force or m2-subset to ban and keep the best branch.  Two
-shortcut rules (documented at their call sites) skip branches whose answer is
-already known; both are exact, they never change results.
+Cardinality windows m1 <= |W| <= n - m2 are searched best first over
+branches (F, B), the subsets that contain F and miss B.  One flow solves a
+branch; its extremal minimizer W ranks it by (rho, extremal cardinality,
+sorted vertex tuple).  The root (empty, empty) is the warm flow itself.  The
+open branch of least rank is taken next.  If its W lies in the window, W is
+the answer.  Otherwise the branch splits on the side W breaks.  W too small:
+one child per vertex u outside W and B, forcing u (a child reached twice is
+solved once).  W too large: with u_1 < ... < u_k the vertices of W - F, child
+i bans u_i and forces u_1 .. u_(i-1), so these children are disjoint.  A
+branch forcing m1 vertices is never too small and one banning m2 never too
+large, so no chain of splits is longer than m1 + m2.
+
+This is exact, for three reasons.  The children cover every window set of
+their parent: one larger than W holds a vertex outside W and B, one smaller
+than W misses a vertex of W - F.  Restricting a branch never lowers its
+minimum, so the first in-window W taken has the least rho of the window.
+And under an extremal mode W is the canonical best set of its branch, since
+minimizers form a lattice: under LARGEST W is their union.  Let X be the
+enumeration's answer (least rho, then largest, then smallest tuple) and N
+the open branch holding X when W is taken.  N ranks no lower than W, and its
+minimum is at most rho(X) <= rho(W), so X is one of N's minimizers and lies
+inside N's set W_N.  Then |W| <= |X| <= |W_N| <= |W| by the ranks, so
+W_N = X, and W_N's tuple is no smaller than W's, so W = X.  SMALLEST is the
+mirror image, with W the intersection of the minimizers.  Without a mode W
+is still the union of the branch's minimizers, so the value is exact, but the
+tuple tie-break sees only the branches taken: W is an in-window minimizer
+that can differ from the enumeration's.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -292,9 +315,10 @@ def min_potential_constrained(
 ) -> tuple[frozenset[int], Fraction]:
     """Minimize rho over subsets with m1 <= |W| <= n - m2.
 
-    Ties on rho are settled by extremal cardinality when asked, then by the
-    lexicographically smallest vertex tuple among the candidate sets the
-    device branches surface.
+    Under LARGEST or SMALLEST, ties on rho go to the extremal cardinality,
+    then to the lexicographically smallest vertex tuple over every subset in
+    the window: W is min_potential_enum's.  With no mode the value is exact
+    and W is one of the window's minimizers.
     """
     n = H.n
     if extremal not in EXTREMAL_MODES:
@@ -302,66 +326,27 @@ def min_potential_constrained(
     if m1 < 0 or m2 < 0 or m1 > n - m2:
         raise ValueError(f"no subset satisfies {m1} <= |W| <= {n} - {m2}")
 
-    # exact shortcut: a feasible unconstrained extremal minimizer already
-    # answers the constrained problem
+    # best first over branches (forced, banned); see the module docstring
     warm = _warm(H, extremal)
     aux, W0 = warm
-    if m1 <= len(W0) <= n - m2:
-        return _answer(aux, W0)
-
-    best = None
-    best_key = None
-
-    def consider(W):
-        nonlocal best, best_key
+    heap = [(_rank_key(aux, W0, extremal), frozenset(), frozenset())]
+    seen = set()
+    while True:
+        key, forced, banned = heapq.heappop(heap)
+        W = frozenset(key[2])
         if m1 <= len(W) <= n - m2:
-            key = _rank_key(aux, W, extremal)
-            if best_key is None or key < best_key:
-                best_key, best = key, W
-
-    # Sweep the side of the window that W0 violates: forcing an m1-subset
-    # guarantees the lower bound by membership, banning an m2-subset the
-    # upper bound, so primary branches almost always land inside the window.
-    # A branch whose extremal minimizer still misses the window falls back
-    # to the crossed sweep, pruned by the branch minimum: restricting a
-    # branch never lowers its rho, and in extremal mode an out-of-window
-    # extremal minimizer means every in-window set is strictly worse.
-    if len(W0) < m1:
-        pend = []
-        for Y in itertools.combinations(range(n), m1):
-            forced = frozenset(Y)
-            W1 = _solve_device(warm, (), forced)
-            if len(W1) <= n - m2:
-                consider(W1)
-            else:
-                pend.append((forced, aux.rho_scaled(W1)))
-        for forced, lb in pend:
-            if best_key is not None and lb > best_key[0]:
+            return _answer(aux, W)
+        if len(W) < m1:
+            kids = [(forced | {u}, banned) for u in range(n) if u not in W and u not in banned]
+        else:
+            free = sorted(W - forced)
+            kids = [(forced.union(free[:i]), banned | {u}) for i, u in enumerate(free)]
+        for kid in kids:
+            if kid in seen:
                 continue
-            if extremal == SMALLEST and best_key is not None and lb >= best_key[0]:
-                continue
-            for X in itertools.combinations(
-                [v for v in range(n) if v not in forced], m2
-            ):
-                consider(_solve_device(warm, X, forced))
-    else:
-        pend = []
-        for X in itertools.combinations(range(n), m2):
-            W1 = _solve_device(warm, X, ())
-            if len(W1) >= m1:
-                consider(W1)
-            else:
-                pend.append((X, aux.rho_scaled(W1)))
-        for banned, lb in pend:
-            if best_key is not None and lb > best_key[0]:
-                continue
-            if extremal == LARGEST and best_key is not None and lb >= best_key[0]:
-                continue
-            for Y in itertools.combinations(
-                [v for v in range(n) if v not in banned], m1
-            ):
-                consider(_solve_device(warm, banned, frozenset(Y)))
-    return best, Fraction(best_key[0], aux.scale)
+            seen.add(kid)
+            W_kid = _solve_device(warm, kid[1], kid[0])
+            heapq.heappush(heap, (_rank_key(aux, W_kid, extremal), *kid))
 
 
 def min_potential_pinned(

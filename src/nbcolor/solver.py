@@ -714,11 +714,11 @@ def discharge_classify(G: Graph) -> DischargeReport:
     b4_f = frozenset(v for v in B if G.precolor[v] == FP and dp[v] >= 4)
     b_star = frozenset(v for v in B if G.precolor[v] == UNCOLORED and dp[v] >= 6)
 
+    # charges from rho_s: half a single edge's debit per edge end (dp counts
+    # a gadget end twice), less the vertex's tag credit
     half = Fraction(1, 2)
-    ch = []
-    for v in range(n):
-        base = Fraction(5, 2) * dp[v]
-        ch.append(base - (3 if G.precolor[v] == FP else 8))
+    edge_end = Fraction(RHO_S.edge[SINGLE], 2)
+    ch = [edge_end * dp[v] - RHO_S.tag[G.precolor[v]] for v in range(n)]
     ch_star = list(ch)
     for v in B:
         for u in G.adj[v]:

@@ -22,7 +22,8 @@ from nbcolor.min_potential import (
     min_potential_pinned,
     min_potential_subset,
 )
-from nbcolor.potential import hypergraph, rho_hyper
+from nbcolor.graph_core import SINGLE, normalize
+from nbcolor.potential import hypergraph, hypergraph_for_rho_s, rho_hyper
 
 
 # worked example: six vertices u..z with the two-triangle-plus-tail shape
@@ -347,3 +348,58 @@ def test_max_flow_long_path_is_iterative():
         net.add_arc(v, v + 1, c)
     assert net.max_flow(0, n - 1) == min(caps)
     assert len(net.source_side(0)) == caps.index(min(caps)) + 1
+
+
+def test_window_matches_enum_tiebreak():
+    # LARGEST and SMALLEST break ties canonically, so the flow route must
+    # return enumeration's very set; mode None promises only the value and
+    # an in-window minimizer
+    rng = random.Random(6061)
+    for trial in range(60):
+        if trial % 4 == 3:
+            n = rng.randint(1, 10)
+            weights = [Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(n)]
+            edges = [
+                (rng.sample(range(n), rng.randint(1, min(3, n))), Fraction(rng.randint(1, 12), rng.choice((1, 2))))
+                for _ in range(rng.randint(0, 2 * n))
+            ]
+            H = hypergraph(n, weights, edges)
+        else:
+            H = random_hypergraph(rng, max_n=10, max_edges=20)
+        for m1, m2 in itertools.product(range(4), repeat=2):
+            if m1 > H.n - m2:
+                continue
+            for mode in (LARGEST, SMALLEST):
+                assert min_potential_constrained(H, m1, m2, mode) == min_potential_enum(H, m1, m2, mode)
+            W, val = min_potential_constrained(H, m1, m2)
+            assert val == min_potential_enum(H, m1, m2)[1]
+            assert m1 <= len(W) <= H.n - m2
+            assert rho_hyper(H, W) == val
+
+
+# 12 vertices, 20 edges, minimum degree three: rho_s is lowest on the whole
+# vertex set (-4), and every set that misses two vertices has rho_s above 0
+WINDOW_GRAPH_EDGES = [
+    (0, 2), (0, 3), (0, 9), (1, 2), (1, 4), (1, 5), (1, 10), (2, 8), (2, 10), (2, 11),
+    (3, 8), (3, 11), (4, 9), (4, 11), (5, 6), (5, 7), (6, 9), (6, 10), (7, 8), (7, 9),
+]
+
+
+def test_window_query_flow_count(monkeypatch):
+    # the crossed sweep ran 66 banned pairs times 45 forced pairs here
+    G = normalize(12, [(u, v, SINGLE) for u, v in WINDOW_GRAPH_EDGES])
+    H = hypergraph_for_rho_s(G)
+    assert min_potential_enum(H, extremal=LARGEST)[0] == frozenset(range(12))
+    flows = 0
+    run = FlowNetwork.max_flow
+
+    def counted(self, s, t):
+        nonlocal flows
+        flows += 1
+        return run(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    got = min_potential_constrained(H, 2, 2, LARGEST)
+    assert got == min_potential_enum(H, 2, 2, LARGEST)
+    assert got[1] == 5
+    assert flows <= 250

@@ -459,6 +459,32 @@ def test_scan_matches_enumeration():
     assert in_band >= 100
 
 
+def test_scan_witness_is_canonical():
+    # an in-band witness is enumeration's answer on the window, set included:
+    # the smallest potential, then the largest set, then the smallest tuple
+    rng = random.Random(2718)
+    in_band = 0
+    for trial in range(200):
+        if trial % 2 == 0:
+            heavy, to_hyper, band = MULTI, hypergraph_for_rho_m, solver._MULTI_BAND
+        else:
+            heavy, to_hyper, band = GADGET, hypergraph_for_rho_s, solver._SIMPLE_BAND
+        n = rng.randrange(3, 11)
+        p = rng.uniform(0.2, 0.7)
+        raw = [
+            (u, v, heavy if rng.random() < 0.15 else SINGLE)
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < p
+        ]
+        G = normalize(n, raw, [FP if rng.random() < 0.3 else UNCOLORED for _ in range(n)])
+        H = to_hyper(G)
+        m, W = solver._scan(H, n, band)
+        if m <= band:
+            in_band += 1
+            assert (W, Fraction(m)) == min_potential_enum(H, m1=2, m2=1, extremal=LARGEST)
+    assert in_band >= 80
+
+
 def test_closure_absorbs_within_its_room():
     rng = random.Random(31)
     grown = capped = 0
