@@ -35,7 +35,7 @@ from .forbidden import (
     find_forbidden_subgraph,
     load_catalog,
 )
-from .graph_core import Graph, GraphError, load_nbg, save_nbg, write_nbg
+from .graph_core import Graph, GraphError, load_nbg, parse_nbg, save_nbg, write_nbg
 from .min_potential import min_potential_constrained
 from .oracle import (
     DEFAULT_THRESHOLD,
@@ -70,6 +70,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _fail(message: str) -> int:
@@ -250,11 +257,13 @@ def _cmd_forbidden(args) -> int:
 
 def _batch_one(path: str, args, catalog: Catalog) -> dict:
     name = os.path.basename(path)
-    digest = "sha256:" + hashlib.sha256(open(path, "rb").read()).hexdigest()
-    report = {"command": f"color --mode {args.mode}", "input": name, "digest": digest}
+    report = {"command": f"color --mode {args.mode}", "input": name, "digest": None}
     start = time.monotonic()
     try:
-        G = load_nbg(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        report["digest"] = "sha256:" + hashlib.sha256(data).hexdigest()
+        G = parse_nbg(data.decode("utf-8"))
         payload, _code = _color_payload(G, args.mode, catalog, args.brute_threshold, args.trace)
     except (GraphError, KindError, OracleSizeError, ValueError, OSError, RecursionError) as exc:
         payload = {"status": "error", "message": str(exc)}
@@ -354,7 +363,7 @@ def _build_parser() -> _Parser:
 
     bp = sub.add_parser("batch", help="color every .nbg file in a directory")
     bp.add_argument("--mode", choices=("auto", "multi", "simple", "brute"), default="auto")
-    bp.add_argument("--jobs", type=int, default=1)
+    bp.add_argument("--jobs", type=_positive_int, default=1)
     bp.add_argument("--catalog")
     bp.add_argument("--brute-threshold", type=int, default=DEFAULT_THRESHOLD)
     bp.add_argument("--trace", action="store_true")

@@ -33,6 +33,22 @@ W is read from that set, so it is the union of all minimizers of the
 (perturbed) objective, exactly what a flow from zero on the constrained
 network returns.
 
+Dinic's level graph is measured from the sink (the distance labels of
+Goldberg & Tarjan, J. ACM 1988): each phase labels nodes by their residual
+distance d to t, and the blocking-flow search follows only arcs u->v with
+d(v) = d(u) - 1.  Every path it finds has d(s) arcs, a shortest s-t path, and
+a blocking flow raises d(s), so this is still Dinic and still ends at a
+maximum flow.  No answer can change: the max flow reached may differ from the
+one source-rooted levels reach, but the value does not, and W and the
+constrained W above are read from the nodes reachable from s, which are the
+same for every maximum flow.  So every W, value, flow count and trace is the
+same; only the work per phase differs, and warm starts gain most.  The
+cached flow saturates nearly every source arc, so a constrained instance
+can only gain paths through its own raised arcs.  Levels from t reach s
+through those arcs after labelling a few nodes near them; levels from s
+would first label every node s reaches in fewer steps than t, which on a
+warm network is most of it.
+
 Cardinality windows m1 <= |W| <= n - m2 are searched best first over
 branches (F, B), the subsets that contain F and miss B.  One flow solves a
 branch; its extremal minimizer W ranks it by (rho, extremal cardinality,
@@ -77,7 +93,8 @@ EXTREMAL_MODES = (None, LARGEST, SMALLEST)
 
 
 class FlowNetwork:
-    """Dinic's algorithm over integer capacities."""
+    """Dinic's algorithm over integer capacities, with each phase's level
+    graph measured as residual distance to the sink."""
 
     def __init__(self, num_nodes: int):
         self.n = num_nodes
@@ -104,25 +121,31 @@ class FlowNetwork:
         return net
 
     def _levels(self, s: int, t: int):
+        """Residual distances to t, by BFS from t over reversed arcs: arc idx
+        in head[u] leads into u with residual capacity cap[idx ^ 1].  Stops
+        once s is labelled, so only nodes nearer to t than s are complete;
+        None when s cannot reach t."""
         head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
+        level[t] = 0
+        queue = [t]
         for u in queue:
-            if u == t:
-                break  # the rest of the queue is at t's depth or deeper
             nxt = level[u] + 1
             for idx in head[u]:
                 v = to[idx]
-                if cap[idx] and level[v] < 0:
+                if cap[idx ^ 1] and level[v] < 0:
                     level[v] = nxt
+                    if v == s:
+                        return level
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return None
 
     def max_flow(self, s: int, t: int) -> int:
         """Augments the current flow to a maximum one and returns the amount
-        added.  The blocking-flow search keeps its path on an explicit stack,
-        so path length is not bounded by the interpreter's recursion limit."""
+        added.  Each phase's blocking-flow search walks from s and takes an
+        arc only to a node one level nearer t, so every path it augments is a
+        shortest one.  It keeps its path on an explicit stack, so path length
+        is not bounded by the interpreter's recursion limit."""
         head, to, cap = self.head, self.to, self.cap
         total = 0
         while True:
@@ -146,7 +169,7 @@ class FlowNetwork:
                     continue
                 arcs = head[u]
                 i, end = it[u], len(arcs)
-                nxt = level[u] + 1
+                nxt = level[u] - 1
                 while i < end:
                     a = arcs[i]
                     if cap[a] and level[to[a]] == nxt:

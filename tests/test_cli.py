@@ -249,3 +249,30 @@ def test_exhausted_stack_is_an_error_not_a_traceback(tmp_path, capsys, monkeypat
     assert code == OK
     (report,) = json.loads(out)
     assert report["kind"] == "error" and "recursion depth" in report["outcome"]["message"]
+
+
+def test_batch_reports_an_unreadable_entry(tmp_path, capsys):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    save_nbg(graph(3, singles=[(0, 1), (1, 2)]), d / "b.nbg")
+    code, out, _ = run(capsys, "batch", str(d))
+    assert code == OK
+    (alone,) = json.loads(out)
+    (d / "x.nbg").mkdir()
+    code, out, _ = run(capsys, "batch", str(d))
+    assert code == OK
+    by_name = {r["input"]: r for r in json.loads(out)}
+    assert sorted(by_name) == ["b.nbg", "x.nbg"]
+    for r in (alone, by_name["b.nbg"]):
+        r.pop("wall_time")
+    assert by_name["b.nbg"] == alone
+    bad = by_name["x.nbg"]
+    assert bad["kind"] == "error" and bad["outcome"]["status"] == "error"
+    assert bad["digest"] is None
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_batch_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    code, out, err = run(capsys, "batch", "--jobs", jobs, str(tmp_path))
+    assert code == USAGE and out == ""
+    assert "--jobs" in err

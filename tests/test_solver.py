@@ -735,3 +735,26 @@ def test_driver_rejects_an_invalid_base_coloring(monkeypatch):
     out = color_multigraph(hung_on(PETERSEN, 10, 40, chains=1, chain_len=10))
     assert isinstance(out, Diagnostic) and out.step == "2b"
     assert out.message.startswith("lifted coloring violates edge-inside-I")
+
+
+# The step-5d defect: the rho = 1 tight route pins vertex 9 of
+# W = {0, 1, 2, 7, 9}; step 5a then deletes 9 and joins 1 and 2, which makes
+# {0, 1, 2, 7} a K4, and the child fails although the graph is colorable.
+STEP_5D_WITNESS = [
+    (0, 1), (0, 2), (0, 7), (1, 7), (1, 9), (2, 7), (2, 9), (3, 4),
+    (3, 6), (3, 8), (4, 6), (4, 8), (5, 6), (5, 8), (5, 9),
+]
+
+
+STEP_5D_DEFECT = pytest.mark.xfail(strict=True, reason="step 5a hands its child a K4")
+
+
+@pytest.mark.parametrize(
+    "threshold",
+    [pytest.param(3, marks=STEP_5D_DEFECT), pytest.param(4, marks=STEP_5D_DEFECT), 5],
+)
+def test_step_5d_witness_is_colored(threshold):
+    G = graph(10, singles=STEP_5D_WITNESS)
+    out = color_multigraph(G, brute_threshold=threshold)
+    assert isinstance(out, Colored), out
+    assert validate_coloring(G, out.coloring) is None
