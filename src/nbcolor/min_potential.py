@@ -11,43 +11,64 @@ All arithmetic is integer: denominators are cleared once per hypergraph, and
 a Fraction is built only for the value handed back to the caller.  Extremal
 cardinality among minimizers comes from an exact integer perturbation: scale
 all weights by n + 1 so that one unit of cardinality can never outweigh one
-unit of potential, then nudge vertex weights by one.
+unit of potential, then make each vertex one unit dearer inside W (SMALLEST)
+or one unit dearer outside it (LARGEST).  Under SMALLEST every s->v arc gains
+one.  Under LARGEST every
+positive s->v arc loses one; a zero-weight vertex's s->v arc cannot, so its
+v->t arc gets capacity one instead, which is cut exactly when v is outside W.
+The cut is then (n + 1) * (rho(W) + total edge weight), minus |W| under
+LARGEST or plus |W| under SMALLEST, plus a constant.  So the perturbed
+minimizer is unique: the union of two minimizers is a minimizer too (the
+lattice), and equal perturbed cuts mean equal rho and equal |W|, so the
+union is each of the two.
 
 Membership constraints are terminal arcs.  Besides its s->v arc, every vertex
-has a v->t arc of capacity zero.  Banning v raises its s->v arc by the
-network's infinite capacity, so v stays on the source side; forcing v raises
-its v->t arc, so v stays on the sink side.  Infinite is one more than the sum
-of all finite capacities, so no minimum cut crosses a raised arc, and over
-the subsets that honour the constraints the cut weight is the unconstrained
-one plus a constant (the hyperedges through banned vertices).
+has a v->t arc (capacity zero but for the nudge above).  Banning v raises its
+s->v arc by the network's infinite capacity, so v stays on the source side;
+forcing v raises its v->t arc, so v stays on the sink side.  Infinite is one
+more than the sum of all finite capacities, so no minimum cut crosses a
+raised arc, and over the subsets that honour the constraints the cut weight
+is the unconstrained one plus a constant (the hyperedges through banned
+vertices).
 
 Warm start (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): the network
 of a hypergraph and its unconstrained max flow are built once per extremal
-mode and memoised in a one-entry cache.  A constrained instance copies the
-cached residual capacities, raises its terminal arcs and augments from the
-cached flow.  This is exact: raising capacities keeps the cached flow
-feasible, so augmenting it until no path is left gives a max flow of the
-constrained network, and the nodes reachable from s in the residual graph of
-any max flow form the same set, the smallest source side of a minimum cut.
-W is read from that set, so it is the union of all minimizers of the
-(perturbed) objective, exactly what a flow from zero on the constrained
-network returns.
+mode and memoised in a one-entry cache, and never changed afterwards.  A
+constrained instance starts from the max flow of the latest instance on the
+same network, or from the cached flow if there is none, and augments from
+there.  Raising the arcs it adds keeps that flow feasible.  Releasing an arc
+the previous instance raised lowers its capacity by infinite, and its flow
+may then exceed the capacity; the excess is cancelled along paths s->v->t
+and s->v->e->t.  v's only in-arc is s->v, so a released v->t carries no more
+than s->v does, and lowering both by the excess keeps v balanced.  A
+released s->v carried no more than v's out-arcs (v->t and the arcs v->e)
+carry together, so the excess can be taken off those, and each unit taken
+off v->e is also taken off e->t, whose flow is the sum over e's in-arcs.
+Every other capacity only rose, so the flow is feasible again, and
+augmenting it until no path is left gives a max flow of the new instance.
+The latest instance's flow is published in one step as a network that is
+never changed again; each caller copies it, so threads sharing the memo
+(`batch --jobs`) never see a half-updated flow.  Nothing read from the flow
+depends on which max flow it is, as below, so every W, value and flow count
+is the one a flow from zero would give.
 
 Dinic's level graph is measured from the sink (the distance labels of
 Goldberg & Tarjan, J. ACM 1988): each phase labels nodes by their residual
 distance d to t, and the blocking-flow search follows only arcs u->v with
 d(v) = d(u) - 1.  Every path it finds has d(s) arcs, a shortest s-t path, and
 a blocking flow raises d(s), so this is still Dinic and still ends at a
-maximum flow.  No answer can change: the max flow reached may differ from the
-one source-rooted levels reach, but the value does not, and W and the
-constrained W above are read from the nodes reachable from s, which are the
-same for every maximum flow.  So every W, value, flow count and trace is the
-same; only the work per phase differs, and warm starts gain most.  The
-cached flow saturates nearly every source arc, so a constrained instance
-can only gain paths through its own raised arcs.  Levels from t reach s
-through those arcs after labelling a few nodes near them; levels from s
-would first label every node s reaches in fewer steps than t, which on a
-warm network is most of it.
+maximum flow.  The cached flow saturates nearly every source arc, so a
+constrained instance can only gain paths through the arcs it changed, and
+levels from t reach s through them after labelling a few nodes near them.
+
+W is read off the residual graph of the max flow, from two node sets that
+are the same for every maximum flow.  The nodes s reaches form the
+smallest source side of a minimum cut, so their complement gives the union
+of all minimizers; the nodes that reach t form the smallest sink side, the
+intersection.  In an extremal mode the minimizer is unique, so both give
+it, and W comes from the labels of the last, failing BFS, which max_flow has
+already paid for; no second search runs.  Without a mode W is the union, so
+the nodes s reaches are searched once more.
 
 Cardinality windows m1 <= |W| <= n - m2 are searched best first over
 branches (F, B), the subsets that contain F and miss B.  One flow solves a
@@ -101,6 +122,7 @@ class FlowNetwork:
         self.head: list[list[int]] = [[] for _ in range(num_nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.sink_levels: list[int] | None = None
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         idx = len(self.to)
@@ -118,13 +140,15 @@ class FlowNetwork:
         net = FlowNetwork.__new__(FlowNetwork)
         net.n, net.head, net.to = self.n, self.head, self.to
         net.cap = self.cap.copy()
+        net.sink_levels = None
         return net
 
-    def _levels(self, s: int, t: int):
+    def _levels(self, s: int, t: int) -> list[int]:
         """Residual distances to t, by BFS from t over reversed arcs: arc idx
         in head[u] leads into u with residual capacity cap[idx ^ 1].  Stops
-        once s is labelled, so only nodes nearer to t than s are complete;
-        None when s cannot reach t."""
+        once s is labelled, so only nodes nearer to t than s are complete.
+        If s stays unlabelled (-1) the labels are complete: exactly the
+        nodes that can still reach t are labelled."""
         head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
         level[t] = 0
@@ -138,19 +162,22 @@ class FlowNetwork:
                     if v == s:
                         return level
                     queue.append(v)
-        return None
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
         """Augments the current flow to a maximum one and returns the amount
         added.  Each phase's blocking-flow search walks from s and takes an
         arc only to a node one level nearer t, so every path it augments is a
         shortest one.  It keeps its path on an explicit stack, so path length
-        is not bounded by the interpreter's recursion limit."""
+        is not bounded by the interpreter's recursion limit.  The labels of
+        the last phase, whose BFS finds no path, stay in `sink_levels`: the
+        nodes that can reach t in the final residual graph."""
         head, to, cap = self.head, self.to, self.cap
         total = 0
         while True:
             level = self._levels(s, t)
-            if level is None:
+            if level[s] < 0:
+                self.sink_levels = level
                 return total
             it = [0] * self.n
             path: list[int] = []  # arcs from s to u
@@ -205,7 +232,12 @@ class AuxNetwork:
     out a minimum-potential subset, offset by the total edge weight.
 
     Weights are cleared of denominators by `scale`; in an extremal mode the
-    capacities are those integers times n + 1, nudged by one per vertex."""
+    capacities are those integers times n + 1, nudged by one per vertex
+    (SMALLEST: every s->v arc gains one; LARGEST: every positive s->v arc
+    loses one, and each zero-weight vertex's v->t arc gets capacity one).
+    The perturbed minimizer is then unique, and W is read from the last BFS
+    of the max flow.  Without a mode W is the union of the minimizers, read
+    from the nodes s reaches."""
 
     flow: FlowNetwork
     source: int
@@ -216,16 +248,21 @@ class AuxNetwork:
     weights: tuple[int, ...]        # vertex weights * scale
     edges: tuple[tuple[frozenset[int], int], ...]  # hyperedges, weight * scale
     source_arc: tuple[int, ...]     # s->v of each vertex, raised to ban v
-    sink_arc: tuple[int, ...]       # v->t of each vertex (capacity 0), raised to force v
+    sink_arc: tuple[int, ...]       # v->t of each vertex, raised to force v
     infinite: int                   # above every finite cut
+    extremal: str | None
 
     def rho_scaled(self, W) -> int:
         """rho(W) * scale."""
         return sum(self.weights[v] for v in W) - sum(w for members, w in self.edges if members <= W)
 
     def sink_side(self, net: FlowNetwork) -> frozenset[int]:
-        """Vertices on the sink side of the smallest-source-side minimum cut
-        of `net`, a flowed copy of this network."""
+        """Vertices on the sink side of the minimum cut of `net`, a flowed
+        copy of this network: the largest sink side, which in an extremal
+        mode is the only one."""
+        if self.extremal:
+            reach = net.sink_levels
+            return frozenset(v for v, node in enumerate(self.vertex_node) if reach[node] >= 0)
         reach = net.source_side(self.source)
         return frozenset(v for v, node in enumerate(self.vertex_node) if node not in reach)
 
@@ -244,27 +281,29 @@ def build_aux_network(H: WeightedHypergraph, extremal: str | None = None) -> Aux
     M = n + 1 if extremal else 1
     weights = tuple(int(w * L) for w in H.vertex_weights)
     edges = tuple((members, int(w * L)) for members, w in H.edges)
-    caps_v = []
-    for w in weights:
-        c = w * M
-        if extremal == LARGEST and c > 0:
-            c -= 1
-        elif extremal == SMALLEST:
-            c += 1
-        caps_v.append(c)
+    caps_v = [w * M for w in weights]
+    caps_t = [0] * n
+    for v, c in enumerate(caps_v):
+        if extremal == SMALLEST:
+            caps_v[v] += 1
+        elif extremal == LARGEST:
+            if c > 0:
+                caps_v[v] -= 1
+            else:
+                caps_t[v] = 1
     total_e = sum(w for _, w in edges)
-    infinite = sum(caps_v) + total_e * M + 1
+    infinite = sum(caps_v) + sum(caps_t) + total_e * M + 1
     net = FlowNetwork(2 + n + len(edges))
     s, t = 0, 1
     vnode = tuple(2 + v for v in range(n))
     source_arc = tuple(net.add_arc(s, vnode[v], caps_v[v]) for v in range(n))
-    sink_arc = tuple(net.add_arc(vnode[v], t, 0) for v in range(n))
+    sink_arc = tuple(net.add_arc(vnode[v], t, caps_t[v]) for v in range(n))
     for j, (members, w) in enumerate(edges):
         enode = 2 + n + j
-        net.add_arc(enode, t, w * M)
+        net.add_arc(enode, t, w * M)  # first in head[enode]; _solve_device relies on it
         for v in sorted(members):
             net.add_arc(vnode[v], enode, infinite)
-    return AuxNetwork(net, s, t, vnode, L, total_e, weights, edges, source_arc, sink_arc, infinite)
+    return AuxNetwork(net, s, t, vnode, L, total_e, weights, edges, source_arc, sink_arc, infinite, extremal)
 
 
 def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
@@ -280,9 +319,9 @@ _last_warm: tuple = (None, None, None)
 
 def _warm(H: WeightedHypergraph, extremal) -> tuple[AuxNetwork, frozenset[int]]:
     """H's network after its unconstrained max flow, and the minimizer that
-    flow cuts out, memoised for the latest hypergraph.  Every instance on H
-    starts from this flow, and callers in several threads may share it, so
-    it is never changed again."""
+    flow cuts out, memoised for the latest hypergraph.  Instances on H start
+    from this flow or from a later instance's, and callers in several
+    threads may share it, so it is never changed again."""
     global _last_warm
     last, mode, warm = _last_warm
     if last is not H or mode != extremal:
@@ -293,19 +332,72 @@ def _warm(H: WeightedHypergraph, extremal) -> tuple[AuxNetwork, frozenset[int]]:
     return warm
 
 
+# (aux, forced, banned, net) of the latest instance solved on a warm network:
+# `net` holds its max flow, from which the next instance on `aux` starts.
+# Published whole once the flow is done and never changed afterwards; a
+# caller copies net before touching it, so threads can share it.
+_last_flow: tuple = (None, frozenset(), frozenset(), None)
+
+
+def _take_back(cap: list[int], a: int, amount: int) -> None:
+    """Lower the flow on arc a by `amount`."""
+    cap[a] += amount
+    cap[a ^ 1] -= amount
+
+
+def _lower(cap: list[int], a: int, by: int) -> int:
+    """Lower arc a's capacity by `by` and return the flow above the new
+    capacity, which is taken off the arc."""
+    cap[a] -= by
+    excess = -cap[a]
+    if excess <= 0:
+        return 0
+    _take_back(cap, a, excess)
+    return excess
+
+
 def _solve_device(warm, banned, forced) -> frozenset[int]:
     """One flow instance on the warm network `warm` with the vertices of
-    `banned` kept out and those of `forced` kept in.  Returns the minimizer W."""
+    `banned` kept out and those of `forced` kept in.  Returns the minimizer W.
+
+    Starts from the latest instance's max flow on the same network (from the
+    warm flow if there is none): raises the terminal arcs it adds, releases
+    the ones it drops, and augments.  See the module docstring."""
+    global _last_flow
     aux, W0 = warm
     if not banned and not forced:
         return W0
-    net = aux.flow.copy()
-    for v in banned:
-        net.cap[aux.source_arc[v]] += aux.infinite
-    for v in forced:
-        net.cap[aux.sink_arc[v]] += aux.infinite
+    last, forced0, banned0, start = _last_flow
+    if last is not aux:
+        forced0 = banned0 = frozenset()
+        start = aux.flow
+    net = start.copy()
+    cap, head, to, inf = net.cap, net.head, net.to, aux.infinite
+    for v in banned - banned0:
+        cap[aux.source_arc[v]] += inf
+    for v in forced - forced0:
+        cap[aux.sink_arc[v]] += inf
+    for v in forced0 - forced:
+        # v's in-flow all comes over s->v: take the excess back off it
+        excess = _lower(cap, aux.sink_arc[v], inf)
+        if excess:
+            _take_back(cap, aux.source_arc[v], excess)
+    for v in banned0 - banned:
+        # take the excess back off v's out-arcs, and off e->t behind v->e
+        excess = _lower(cap, aux.source_arc[v], inf)
+        for a in head[aux.vertex_node[v]]:
+            if not excess:
+                break
+            if a & 1 or not cap[a ^ 1]:
+                continue  # the reverse of s->v, or an arc without flow
+            d = min(cap[a ^ 1], excess)
+            _take_back(cap, a, d)
+            if to[a] != aux.sink:
+                _take_back(cap, head[to[a]][0], d)
+            excess -= d
     net.max_flow(aux.source, aux.sink)
     W = aux.sink_side(net)
+    _last_flow = (aux, forced, banned, net)
     if forced and not (forced <= W):
         raise AssertionError("forcing device failed to pin its subset")
     return W

@@ -40,12 +40,16 @@ frames below the driver call, measured over the benchmark corpora and on
 cubic graphs, prisms and Moebius ladders of up to 400 vertices.  The
 drivers leave the interpreter's recursion limit alone.
 
-The per-level subset scan is exact: one max-flow per vertex, forcing v inside
-and banning its cyclic successor, since every proper nonempty subset has such
-a boundary pair.  None of these flows starts from zero: min_potential solves
-the level's hypergraph once without constraints and warm-starts every forced
-and banned instance from that flow, which gives the same subsets a flow from
-zero would.
+The per-level subset scan (_scan) is exact in the band and a certified floor
+above it: one max-flow per vertex, forcing v inside and banning its
+successor in a cyclic order, since every proper nonempty subset has such a
+boundary pair in any cyclic order.  The order is a depth-first preorder of
+the level's graph, so the forced and the banned vertex are nearly always
+neighbours.  None of these flows starts from zero: min_potential solves the
+level's hypergraph once without constraints, and each forced and banned
+instance starts from the previous instance's max flow, releasing the two
+pins it drops and raising the two it adds, which gives the same subsets a
+flow from zero would.
 
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
@@ -219,25 +223,55 @@ def _exact_int(x: Fraction) -> int:
     return int(x)
 
 
-def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
-    """Exact minimum of rho over subsets with 2 <= |X| <= n-1.
+def _sweep_order(H, n: int) -> list[int]:
+    """The vertices in depth-first preorder over H's hyperedges, smallest
+    neighbour first, restarting at the smallest unvisited vertex."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for members, _ in H.edges:
+        for u in members:
+            adj[u].extend(v for v in members if v != u)
+    seen = [False] * n
+    order = []
+    for root in range(n):
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                stack.extend(sorted(adj[u], reverse=True))
+    return order
 
-    The boundary-pair sweep: for each v, one flow forcing v and banning its
-    cyclic successor.  Every proper nonempty subset contains some v whose
-    successor it misses, so every subset of the window is open to one of the
-    n flows.
+
+def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
+    """The minimum of rho over subsets with 2 <= |X| <= n-1 when it lies in
+    the band, and otherwise a floor above the band.
+
+    The boundary-pair sweep: the vertices in a cyclic order, and for each v
+    one flow forcing v and banning its successor.  Every proper nonempty
+    subset contains some v whose successor it misses, so every subset of the
+    window is open to one of the n flows, whatever the order.  The order is
+    depth-first (_sweep_order), so nearly every banned vertex is a neighbour
+    of the forced one, and each flow starts from the one before it
+    (min_potential chains them) and moves only what those two pins change.
 
     Returns (m, W): an in-band witness (m <= band_top, W its exact minimum
-    set, largest among surfaced minimizers) or (m, None) with m a certified
-    floor above the band.  A singleton winner enters as the bound value+1: by
-    the largest-cardinality tie-break no larger set ties it, and singleton
-    potentials keep that bound out of every band this module uses.
+    set, the largest, then lexicographically smallest, window minimizer) or
+    (m, None) with m a certified floor above the band.  A singleton winner
+    enters as the bound value+1: by the largest-cardinality tie-break no
+    larger set ties it, and singleton potentials keep that bound out of
+    every band this module uses (the peel removes every independent-tagged
+    vertex, the only kind of potential 0, before a level scans).  So an
+    in-band answer is the same for every cyclic order: each largest window
+    minimizer X lies in some flow's family, whose LARGEST set contains X at
+    the same value and so is X.
     """
     if n < 3:
         return band_top + 1, None
+    order = _sweep_order(H, n)
     results: list[tuple[int, frozenset[int] | None]] = []
-    for v in range(n):
-        W, r = min_potential_pinned(H, force=[v], ban=[(v + 1) % n], extremal=LARGEST)
+    for i, v in enumerate(order):
+        W, r = min_potential_pinned(H, force=[v], ban=[order[(i + 1) % n]], extremal=LARGEST)
         val = _exact_int(r)
         if len(W) >= 2:
             results.append((val, W))

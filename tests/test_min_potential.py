@@ -271,6 +271,11 @@ def test_warm_start_shared_across_threads():
             k = rng.randint(0, 1)
             qs.append((H, order[:k], order[k:k + rng.randint(0, 1)]))
         queries.append(qs)
+    # scan-shaped runs: force v, ban its successor, so each flow releases the
+    # pins of the one before it, on networks every thread shares
+    for H in pool * 2:
+        order = rng.sample(range(H.n), H.n)
+        queries.append([(H, [v], [order[(i + 1) % H.n]]) for i, v in enumerate(order)])
     expected = [[min_potential_pinned(H, f, b) for H, f, b in qs] for qs in queries]
     got = [[] for _ in queries]
     start = threading.Barrier(len(queries))
@@ -438,3 +443,70 @@ def test_forced_flows_search_near_their_raised_arc(monkeypatch):
         W, _ = min_potential_pinned(H, force=[v])
         assert v in W
     assert expanded <= 2_000
+
+
+def test_chained_release_matches_enumeration():
+    # Long runs on one hypergraph, so every instance starts from the one
+    # before it: pins are added, swapped (ban -> force, force -> ban) and
+    # released, and each release must cancel the flow its arc carries above
+    # the lowered capacity.  The warm network itself is never changed.
+    rng = random.Random(2024)
+    for trial in range(24):
+        n = rng.randint(3, 9)
+        weights = [rng.choice((0, 0, rng.randint(1, 12))) for _ in range(n)]
+        edges = [
+            (rng.sample(range(n), rng.randint(1, 3)), rng.randint(1, 12))
+            for _ in range(rng.randint(n, 3 * n))
+        ]
+        H = hypergraph(n, weights, edges)
+        for mode in (None, LARGEST, SMALLEST):
+            aux = min_potential._warm(H, mode)[0]
+            snapshot = list(aux.flow.cap)
+            force, ban = set(), set()
+            for _ in range(40):
+                free = [v for v in range(n) if v not in force and v not in ban]
+                move = rng.randrange(6)
+                if move == 0 and free:
+                    force.add(rng.choice(free))
+                elif move == 1 and free:
+                    ban.add(rng.choice(free))
+                elif move == 2 and ban:
+                    v = rng.choice(sorted(ban))
+                    ban.remove(v)
+                    force.add(v)
+                elif move == 3 and force:
+                    v = rng.choice(sorted(force))
+                    force.remove(v)
+                    ban.add(v)
+                elif move == 4 and force | ban:
+                    v = rng.choice(sorted(force | ban))
+                    force.discard(v)
+                    ban.discard(v)
+                elif move == 5:
+                    v = rng.randrange(n)
+                    force, ban = {v}, {(v + 1) % n}
+                got = min_potential_pinned(H, sorted(force), sorted(ban), extremal=mode)
+                assert got == _pinned_oracle(H, force, ban, mode), (trial, mode, force, ban)
+                if force or ban:
+                    last = min_potential._last_flow
+                    assert last[0] is aux and last[1:3] == (force, ban)
+            assert aux.flow.cap == snapshot
+
+
+# A zero-weight vertex's s->v arc cannot be nudged down, so under LARGEST its
+# v->t arc gets capacity one.  Vertex 4 is isolated; vertex 2 hangs off the
+# minimizer {0, 1} through the hyperedge {1, 2, 3}, which never closes since 3
+# is heavy.  rho is -1 on {0, 1} with or without either of them.
+ZERO_WEIGHT = hypergraph(5, [1, 1, 0, 5, 0], [((0, 1), 3), ((1, 2, 3), 1)])
+
+
+def test_zero_weight_vertices_join_the_largest_minimizer():
+    H = ZERO_WEIGHT
+    best = min_potential_enum(H, extremal=LARGEST)
+    assert best == (frozenset({0, 1, 2, 4}), -1)
+    assert min_potential_constrained(H, extremal=LARGEST) == best
+    assert min_potential_pinned(H, force=[0], ban=[3]) == best
+    got = min_potential_pinned(H, force=[2], ban=[0])
+    assert got == _pinned_oracle(H, [2], [0], LARGEST) == (frozenset({2, 4}), 0)
+    # the smallest minimizer leaves both out
+    assert min_potential_constrained(H, extremal=SMALLEST) == (frozenset({0, 1}), -1)
