@@ -11,14 +11,35 @@ I or joins them through the forest.
 Subgraph containment is plain backtracking with degree and adjacency pruning.
 Any host edge record counts as adjacency: a parallel pair or a widget edge
 constrains colorings at least as hard as the single edge the pattern asks
-for.
+for.  The matching order depends only on the pattern and on which of its
+vertices are anchored, so it is fixed once, as a SearchPlan, and the search
+follows the plan it is given or derives the same one.
+
+The linked-pair test searches each member's oriented edges in a fixed order
+(members by size, then the edge list, each edge (v, w) then (w, v)), and its
+answer is the first hit.  It skips every oriented edge (pv, pw) that an
+automorphism σ of the member maps an earlier one (qv, qw) onto.  That skip
+never changes the answer: if the member minus (pv, pw) embeds by φ with
+pv -> s and pw -> t, then φ∘σ embeds the member minus (qv, qw), because σ
+carries that edge set onto the other, with qv -> s and qw -> t.  So the
+skipped edge succeeds only where an earlier one already has, and the first
+hit, found by the same plan, is the same LinkWitness.  The six seed members
+need 30 searches this way instead of 144, and no member copy per call.
+
+Each CatalogEntry builds its plans when it is made (by build_catalog,
+load_catalog, or directly; restrict reuses the entries): one unanchored
+plan for the containment screen, and a link table holding, for each kept
+oriented edge, the member minus that edge and its anchored plan.  The
+automorphisms come from exhausting the member's own search into itself,
+which takes milliseconds.  A table filled on first use instead would make
+the first solve that needs it do more work than every later one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -42,12 +63,62 @@ class CatalogError(ValueError):
 # -- embedding search -----------------------------------------------------
 
 
-def find_embedding(pattern: Graph, host: Graph, anchor: dict[int, int] | None = None):
+@dataclass(frozen=True)
+class SearchPlan:
+    """A pattern's matching order for one set of anchored vertices.
+
+    `order` lists the anchored vertices, sorted, and then the rest, each
+    time the one with the most placed neighbours, then the highest degree,
+    then the smallest id.  `placed[i]` holds the pattern neighbours of
+    `order[i]` placed before it, in adjacency order; `degree[p]` is p's
+    pattern degree; `anchored_edges` are the pattern edges between two
+    anchored vertices.
+    """
+
+    anchored: tuple[int, ...]
+    order: tuple[int, ...]
+    placed: tuple[tuple[int, ...], ...]
+    degree: tuple[int, ...]
+    anchored_edges: tuple[tuple[int, int], ...]
+
+
+def search_plan(pattern: Graph, anchored=()) -> SearchPlan:
+    """The plan find_embedding follows for `pattern` with the vertices
+    `anchored` pinned."""
+    adj = pattern.adj
+    degree = tuple(len(a) for a in adj)
+    fixed = tuple(sorted(anchored))
+    order = list(fixed)
+    rest = [p for p in range(pattern.n) if p not in fixed]
+    placed_nbrs = [0] * pattern.n
+    for p in fixed:
+        for r in adj[p]:
+            placed_nbrs[r] += 1
+    while rest:
+        p = max(rest, key=lambda q: (placed_nbrs[q], degree[q], -q))
+        rest.remove(p)
+        order.append(p)
+        for r in adj[p]:
+            placed_nbrs[r] += 1
+    pos = {p: i for i, p in enumerate(order)}
+    return SearchPlan(
+        anchored=fixed,
+        order=tuple(order),
+        placed=tuple(tuple(q for q in adj[p] if pos[q] < i) for i, p in enumerate(order)),
+        degree=degree,
+        anchored_edges=tuple((p, q) for p, q in combinations(fixed, 2) if pattern.kind_of(p, q) is not None),
+    )
+
+
+def find_embedding(pattern: Graph, host: Graph, anchor: dict[int, int] | None = None,
+                   plan: SearchPlan | None = None):
     """Injective edge-preserving map pattern -> host, or None.
 
     anchor pins pattern vertices to host vertices.  Pattern edges between
     already-mapped vertices must exist in the host (kind does not matter);
-    extra host edges are fine, the search is not induced.
+    extra host edges are fine, the search is not induced.  `plan`, if
+    given, is `search_plan(pattern, anchor)` made in advance; the search and
+    its answer are the same as without it.
     """
     if pattern.n > host.n:
         return None
@@ -57,52 +128,50 @@ def find_embedding(pattern: Graph, host: Graph, anchor: dict[int, int] | None = 
     for p, h in anchor.items():
         if len(pattern.adj[p]) > len(host.adj[h]):
             return None
-
-    fixed = sorted(anchor)
-    order: list[int] = list(fixed)
-    placed = set(order)
-    while len(order) < pattern.n:
-        rest = [p for p in range(pattern.n) if p not in placed]
-        # prefer vertices with many placed neighbors, then high degree
-        p = max(rest, key=lambda q: (sum(1 for r in pattern.adj[q] if r in placed),
-                                     len(pattern.adj[q]), -q))
-        order.append(p)
-        placed.add(p)
-
-    mapping = dict(anchor)
-    used = set(anchor.values())
-    for p, q in combinations(fixed, 2):
-        if pattern.kind_of(p, q) is not None and host.kind_of(anchor[p], anchor[q]) is None:
+    if plan is None:
+        plan = search_plan(pattern, anchor)
+    elif plan.anchored != tuple(sorted(anchor)):
+        raise ValueError("the plan pins other pattern vertices than the anchor")
+    for p, q in plan.anchored_edges:
+        if host.kind_of(anchor[p], anchor[q]) is None:
             return None
+    mapping = anchor  # the caller's anchor was copied above; the search extends it
+    if _extend(plan, host, mapping, set(anchor.values()), len(plan.anchored), None):
+        return mapping
+    return None
 
-    def extend(i: int) -> bool:
-        if i == len(order):
+
+def _extend(plan: SearchPlan, host: Graph, mapping: dict, used: set, i: int, every) -> bool:
+    """Place plan.order[i:] by backtracking.  Stops at the first complete
+    mapping, or, with `every` a list, appends a copy of each one to it and
+    exhausts the search."""
+    if i == len(plan.order):
+        if every is None:
             return True
-        p = order[i]
-        req = [q for q in pattern.adj[p] if q in mapping]
-        if req:
-            pivot = min(req, key=lambda q: len(host.adj[mapping[q]]))
-            cands = host.adj[mapping[pivot]]
+        every.append(dict(mapping))
+        return False
+    p = plan.order[i]
+    hadj = host.adj
+    # the host neighbourhoods p's image must lie in; candidates come from
+    # the smallest, and since each is sorted, the images are tried in
+    # increasing order whichever it is
+    nbrs = [hadj[mapping[q]] for q in plan.placed[i]]
+    cands = min(nbrs, key=len) if nbrs else range(host.n)
+    need = plan.degree[p]
+    for h in cands:
+        if h in used or len(hadj[h]) < need:
+            continue
+        for nb in nbrs:
+            if h not in nb:
+                break
         else:
-            cands = range(host.n)
-        for h in cands:
-            if h in used or len(host.adj[h]) < len(pattern.adj[p]):
-                continue
-            if any(host.kind_of(mapping[q], h) is None for q in req):
-                continue
             mapping[p] = h
             used.add(h)
-            if extend(i + 1):
+            if _extend(plan, host, mapping, used, i + 1, every):
                 return True
             del mapping[p]
             used.discard(h)
-        return False
-
-    try:
-        found = extend(len(fixed))
-    finally:
-        del extend  # the closure refers to itself; drop the cycle with the search
-    return dict(mapping) if found else None
+    return False
 
 
 def _isomorphic(a: Graph, b: Graph) -> bool:
@@ -117,17 +186,70 @@ def _isomorphic(a: Graph, b: Graph) -> bool:
 
 
 @dataclass(frozen=True)
+class Link:
+    """One oriented member edge searched by are_linked: the member minus
+    `edge`, with `ends` pinned to (s, t)."""
+
+    edge: tuple[int, int]
+    ends: tuple[int, int]
+    pattern: Graph
+    plan: SearchPlan
+
+
+def _link_table(H: Graph, plan: SearchPlan) -> tuple[Link, ...]:
+    """The oriented edges of H in are_linked's order, each kept only when no
+    earlier one maps onto it under an automorphism of H."""
+    # every automorphism, by exhausting H's unanchored search into itself:
+    # an injective edge-preserving map of H into itself is a bijection onto
+    # the same number of edges
+    auts: list[dict[int, int]] = []
+    _extend(plan, H, {}, set(), 0, auts)
+    covered: set[tuple[int, int]] = set()
+    links = []
+    for v, w, _ in H.edges:
+        pattern = None
+        for a, b in ((v, w), (w, v)):
+            if (a, b) in covered:
+                continue
+            covered.update((sigma[a], sigma[b]) for sigma in auts)
+            if pattern is None:
+                pattern = H.without_edge(v, w)
+            links.append(Link((v, w), (a, b), pattern, search_plan(pattern, (a, b))))
+    return tuple(links)
+
+
+@dataclass(frozen=True)
 class CatalogEntry:
+    """A member with its search plans, made with the entry: `plan` for the
+    unanchored screen and `links` for are_linked."""
+
     name: str
     graph: Graph
     role: str  # "base" or "derived"
     witness_cycle: tuple[int, ...] | None
+    plan: SearchPlan = field(init=False, repr=False, compare=False)
+    links: tuple[Link, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        plan = search_plan(self.graph)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "links", _link_table(self.graph, plan))
 
 
 @dataclass(frozen=True)
 class Catalog:
     entries: tuple[CatalogEntry, ...]
     vertex_bound: int
+    # the members in are_linked's order (by size) and in the screen's (by
+    # size, then edge count); both sorts are stable
+    link_order: tuple[CatalogEntry, ...] = field(init=False, repr=False, compare=False)
+    screen_order: tuple[CatalogEntry, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "link_order", tuple(sorted(self.entries, key=lambda e: e.graph.n)))
+        object.__setattr__(
+            self, "screen_order", tuple(sorted(self.entries, key=lambda e: (e.graph.n, len(e.graph.edges))))
+        )
 
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)
@@ -151,18 +273,18 @@ class LinkWitness:
 
 
 def are_linked(G: Graph, s: int, t: int, catalog: "Catalog | None" = None) -> LinkWitness | None:
-    """Is a member minus one edge embeddable with that edge's ends on s, t?"""
+    """Is a member minus one edge embeddable with that edge's ends on s, t?
+    The first such member and oriented edge in catalog order (by member
+    size, then edge list, each edge in both orientations)."""
     if s == t:
         raise ValueError("a vertex is not linked with itself")
     cat = catalog if catalog is not None else default_catalog()
-    for entry in sorted(cat.entries, key=lambda e: e.graph.n):
-        H = entry.graph
-        for v, w, _ in H.edges:
-            patt = H.without_edge(v, w)
-            for pv, pw in ((v, w), (w, v)):
-                m = find_embedding(patt, G, {pv: s, pw: t})
-                if m is not None:
-                    return LinkWitness(entry.name, (v, w), m)
+    for entry in cat.link_order:
+        for link in entry.links:
+            pv, pw = link.ends
+            m = find_embedding(link.pattern, G, {pv: s, pw: t}, link.plan)
+            if m is not None:
+                return LinkWitness(entry.name, link.edge, m)
     return None
 
 
@@ -249,8 +371,8 @@ def default_catalog() -> Catalog:
 def find_forbidden_subgraph(G: Graph, catalog: "Catalog | None" = None):
     """Smallest member embeddable into G, as (name, mapping), else None."""
     cat = catalog if catalog is not None else default_catalog()
-    for entry in sorted(cat.entries, key=lambda e: (e.graph.n, len(e.graph.edges))):
-        m = find_embedding(entry.graph, G)
+    for entry in cat.screen_order:
+        m = find_embedding(entry.graph, G, plan=entry.plan)
         if m is not None:
             return entry.name, m
     return None

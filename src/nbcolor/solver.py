@@ -264,8 +264,12 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     vertex, the only kind of potential 0, before a level scans).  So an
     in-band answer is the same for every cyclic order: each largest window
     minimizer X lies in some flow's family, whose LARGEST set contains X at
-    the same value and so is X.
+    the same value and so is X.  A vertex of potential 0 would put its
+    singleton's bound 1 in band and make the answer depend on the order, so
+    it is refused with ValueError.
     """
+    if any(w == 0 for w in H.vertex_weights):
+        raise ValueError("the level scan needs every vertex potential nonzero")
     if n < 3:
         return band_top + 1, None
     order = _sweep_order(H, n)

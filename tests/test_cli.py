@@ -159,6 +159,27 @@ def test_linked(tmp_path, capsys):
     assert payload["linked"] is True and payload["member"] == "k4"
 
 
+@pytest.mark.parametrize(
+    "s, t, mapping",
+    [
+        (2, 7, [[0, 5], [1, 2], [2, 7], [3, 0], [4, 3], [5, 6]]),
+        (7, 2, [[0, 5], [1, 7], [2, 2], [3, 6], [4, 3], [5, 0]]),
+    ],
+)
+def test_linked_witness_past_the_first_orbit(tmp_path, capsys, s, t, mapping):
+    # W5 minus its rim edge (1, 2), relabelled, plus two vertices and three
+    # edges.  No k4 link and neither of w5's two spoke orbits fits the cut's
+    # ends, so the witness comes from w5's third orbit, the rim edges; the
+    # payload is the one searching every oriented edge gives
+    relabel = {0: 5, 1: 2, 2: 7, 3: 0, 4: 3, 5: 6}
+    rim_cut = base_graph("w5").without_edge(1, 2)
+    host = graph(8, singles=[(relabel[u], relabel[v]) for u, v, _ in rim_cut.edges] + [(1, 4), (4, 5), (0, 1)])
+    path = write_graph(tmp_path, "w5rim.nbg", host)
+    code, out, _ = run(capsys, "linked", "--s", str(s), "--t", str(t), path)
+    assert code == WITNESS
+    assert json.loads(out) == {"linked": True, "member": "w5", "removed_edge": [1, 2], "mapping": mapping}
+
+
 def test_forbidden(tmp_path, capsys):
     w5 = write_graph(tmp_path, "w5.nbg", base_graph("w5"))
     code, out, _ = run(capsys, "forbidden", w5)

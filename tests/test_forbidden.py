@@ -1,7 +1,12 @@
 """Embedding search, the obstruction catalog, and linkage certificates."""
 
+import gc
+import itertools
+import random
+
 import pytest
 
+from nbcolor import forbidden
 from nbcolor.families import base_graph
 from nbcolor.forbidden import (
     BASE_NAMES,
@@ -15,10 +20,11 @@ from nbcolor.forbidden import (
     find_forbidden_subgraph,
     load_catalog,
     save_catalog,
+    search_plan,
     verify_member,
     witness_cycle,
 )
-from nbcolor.graph_core import SINGLE, graph
+from nbcolor.graph_core import GADGET, MULTI, SINGLE, Graph, graph, normalize
 
 
 def cycle(n):
@@ -170,14 +176,267 @@ def test_catalog_load_errors(tmp_path):
 
 
 def test_embedding_search_leaves_no_reference_cycles():
-    import gc
-
     k4, w5 = base_graph("k4"), base_graph("w5")
+    cat = default_catalog()
+    rim_cut = w5.without_edge(1, 2)
     gc.collect()
     gc.disable()
     try:
         assert find_embedding(k4, k4) is not None
         assert find_embedding(k4, w5) is None
+        # planned searches: the link tables and the screen's member plans
+        assert are_linked(rim_cut, 1, 2, cat) is not None
+        assert are_linked(cycle(6), 0, 3, cat) is None
+        assert find_forbidden_subgraph(w5, cat) is not None
+        assert find_forbidden_subgraph(cycle(6), cat) is None
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- link tables: one search per automorphism orbit of oriented edges -------
+
+
+def _oriented_edges(H):
+    """are_linked's order before the orbit skip: each edge, then reversed."""
+    return [ends for v, w, _ in H.edges for ends in ((v, w), (w, v))]
+
+
+def _random_host(rng):
+    n = rng.randrange(6, 13)
+    p = rng.uniform(0.25, 0.75)
+    heavy = rng.choice((SINGLE, MULTI, GADGET))
+    raw = [
+        (u, v, heavy if rng.random() < 0.3 else SINGLE)
+        for u, v in itertools.combinations(range(n), 2)
+        if rng.random() < p
+    ]
+    return normalize(n, raw)
+
+
+def _full_loop(catalog):
+    """are_linked without the orbit skip: every member, every edge, both
+    orientations, each a search of the member minus that edge.  The
+    patterns and their plans are made once per catalog."""
+    members = []
+    for e in sorted(catalog.entries, key=lambda e: e.graph.n):
+        cuts = []
+        for v, w, _ in e.graph.edges:
+            patt = e.graph.without_edge(v, w)
+            for ends in ((v, w), (w, v)):
+                cuts.append(((v, w), ends, patt, search_plan(patt, ends)))
+        members.append((e.name, cuts))
+
+    def linked(G, s, t):
+        for name, cuts in members:
+            for edge, (pv, pw), patt, plan in cuts:
+                m = find_embedding(patt, G, {pv: s, pw: t}, plan)
+                if m is not None:
+                    return LinkWitness(name, edge, m)
+        return None
+
+    return linked
+
+
+def _greedy_order(pattern, fixed):
+    """The matching order rule as the unplanned search wrote it out on every
+    call: the anchored vertices, then the most placed neighbours, then the
+    highest degree, then the smallest id."""
+    order = list(fixed)
+    placed = set(order)
+    while len(order) < pattern.n:
+        rest = [p for p in range(pattern.n) if p not in placed]
+        p = max(rest, key=lambda q: (sum(1 for r in pattern.adj[q] if r in placed),
+                                     len(pattern.adj[q]), -q))
+        order.append(p)
+        placed.add(p)
+    return order
+
+
+def _reference_embedding(pattern, host, anchor=None):
+    """The search before plans existed, kept as the reference: it derives
+    the order on every call and checks adjacency edge record by record."""
+    if pattern.n > host.n:
+        return None
+    anchor = dict(anchor or {})
+    if len(set(anchor.values())) != len(anchor):
+        return None
+    for p, h in anchor.items():
+        if len(pattern.adj[p]) > len(host.adj[h]):
+            return None
+    fixed = sorted(anchor)
+    order = _greedy_order(pattern, fixed)
+    mapping = dict(anchor)
+    used = set(anchor.values())
+    for p, q in itertools.combinations(fixed, 2):
+        if pattern.kind_of(p, q) is not None and host.kind_of(anchor[p], anchor[q]) is None:
+            return None
+
+    def extend(i):
+        if i == len(order):
+            return True
+        p = order[i]
+        req = [q for q in pattern.adj[p] if q in mapping]
+        if req:
+            pivot = min(req, key=lambda q: len(host.adj[mapping[q]]))
+            cands = host.adj[mapping[pivot]]
+        else:
+            cands = range(host.n)
+        for h in cands:
+            if h in used or len(host.adj[h]) < len(pattern.adj[p]):
+                continue
+            if any(host.kind_of(mapping[q], h) is None for q in req):
+                continue
+            mapping[p] = h
+            used.add(h)
+            if extend(i + 1):
+                return True
+            del mapping[p]
+            used.discard(h)
+        return False
+
+    try:
+        found = extend(len(fixed))
+    finally:
+        del extend
+    return dict(mapping) if found else None
+
+
+def test_search_plans_follow_the_greedy_rule():
+    for entry in default_catalog().entries:
+        H = entry.graph
+        assert entry.plan == search_plan(H)
+        cases = [(H, ())] + [(H.without_edge(*sorted(ends)), ends) for ends in _oriented_edges(H)]
+        for patt, ends in cases:
+            plan = search_plan(patt, ends)
+            assert list(plan.order) == _greedy_order(patt, sorted(ends))
+            assert plan.anchored == tuple(sorted(ends))
+            for i, p in enumerate(plan.order):
+                assert plan.placed[i] == tuple(q for q in patt.adj[p] if q in plan.order[:i])
+            assert plan.degree == tuple(len(a) for a in patt.adj)
+        for link in entry.links:
+            assert link.plan == search_plan(link.pattern, link.ends)
+
+
+def test_planned_search_matches_the_reference():
+    # same first embedding, mapping included, for the screen's and the link
+    # tables' plans, and for the unplanned call
+    rng = random.Random(31)
+    found = 0
+    for _ in range(150):
+        G = _random_host(rng)
+        for entry in default_catalog().entries:
+            want = _reference_embedding(entry.graph, G)
+            assert find_embedding(entry.graph, G, plan=entry.plan) == want
+            assert find_embedding(entry.graph, G) == want
+            found += want is not None
+            for link in entry.links:
+                s, t = rng.sample(range(G.n), 2)
+                anchor = dict(zip(link.ends, (s, t)))
+                want = _reference_embedding(link.pattern, G, anchor)
+                assert find_embedding(link.pattern, G, anchor, link.plan) == want
+                found += want is not None
+    assert found >= 500
+
+
+def test_link_table_sizes():
+    cat = default_catalog()
+    assert tuple(len(e.links) for e in cat.entries) == (1, 3, 6, 5, 6, 9)
+    for e in cat.entries:
+        H = e.graph
+        for link in e.links:
+            assert link.edge == tuple(sorted(link.ends))
+            assert link.pattern == H.without_edge(*link.edge)
+
+
+def _is_automorphism(H, sigma):
+    edges = {frozenset((v, w)) for v, w, _ in H.edges}
+    return (
+        sorted(sigma) == sorted(sigma.values()) == list(range(H.n))
+        and {frozenset(sigma[x] for x in e) for e in edges} == edges
+    )
+
+
+def test_skipped_edges_are_images_of_earlier_kept_ones():
+    for entry in default_catalog().entries:
+        H = entry.graph
+        oriented = _oriented_edges(H)
+        kept = [link.ends for link in entry.links]
+        assert kept == [ends for ends in oriented if ends in kept]  # today's order
+        for i, (pv, pw) in enumerate(oriented):
+            earlier = [q for q in oriented[:i] if q in kept]
+            images = []
+            for qv, qw in earlier:
+                # a map of H into itself sending the earlier edge onto this one
+                sigma = find_embedding(H, H, {qv: pv, qw: pw})
+                if sigma is not None:
+                    assert _is_automorphism(H, sigma)
+                    images.append((qv, qw))
+            if (pv, pw) in kept:
+                assert images == [], (entry.name, (pv, pw))
+            else:
+                assert images, (entry.name, (pv, pw))
+
+
+def test_unlinked_pair_searches_each_orbit_once(monkeypatch):
+    cat = default_catalog()
+    G = cycle(6)
+    G.adj  # noqa: B018 - the host's views, built outside the count
+    calls = {"embed": 0, "graph": 0}
+    search = forbidden.find_embedding
+
+    def counted_search(*args, **kwargs):
+        calls["embed"] += 1
+        return search(*args, **kwargs)
+
+    made = Graph.__post_init__
+
+    def counted_graph(self):
+        calls["graph"] += 1
+        made(self)
+
+    monkeypatch.setattr(forbidden, "find_embedding", counted_search)
+    monkeypatch.setattr(Graph, "__post_init__", counted_graph)
+    assert are_linked(G, 0, 3, cat) is None
+    # 30 = 1 + 3 + 6 + 5 + 6 + 9; the full loop makes 144 searches and 72 copies
+    assert calls == {"embed": 30, "graph": 0}
+
+
+def test_are_linked_matches_the_full_loop():
+    rng = random.Random(909)
+    catalogs = [(cat, _full_loop(cat)) for cat in (default_catalog(), default_catalog().restrict(("k4", "m7")))]
+    linked = unlinked = 0
+    for _ in range(300):
+        G = _random_host(rng)
+        for s, t in itertools.permutations(range(G.n), 2):
+            for cat, full_loop in catalogs:
+                want = full_loop(G, s, t)
+                assert are_linked(G, s, t, cat) == want, (G, s, t, cat.names())
+                if want is None:
+                    unlinked += 1
+                else:
+                    linked += 1
+    assert linked >= 1000 and unlinked >= 1000
+
+
+def test_link_tables_survive_round_trip_and_restrict(tmp_path):
+    cat = default_catalog()
+    save_catalog(cat, tmp_path / "cat")
+    back = load_catalog(tmp_path / "cat")
+    small = cat.restrict(("k4", "m7"))
+    for a, b in zip(cat.entries, back.entries):
+        assert a.links == b.links and a.plan == b.plan
+    assert [e.links for e in small.entries] == [cat.member(n).links for n in ("k4", "m7")]
+    rng = random.Random(4)
+    for _ in range(40):
+        G = _random_host(rng)
+        s, t = rng.sample(range(G.n), 2)
+        assert are_linked(G, s, t, back) == are_linked(G, s, t, cat)
+        assert are_linked(G, s, t, small) == are_linked(G, s, t, back.restrict(("k4", "m7")))
+
+
+def test_plan_must_match_the_anchor():
+    entry = default_catalog().member("w5")
+    link = entry.links[0]
+    with pytest.raises(ValueError):
+        find_embedding(link.pattern, entry.graph, {0: 0}, link.plan)

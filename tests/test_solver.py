@@ -485,6 +485,21 @@ def test_scan_witness_is_canonical():
     assert in_band >= 80
 
 
+@pytest.mark.parametrize("to_hyper, band", [
+    (hypergraph_for_rho_m, solver._MULTI_BAND),
+    (hypergraph_for_rho_s, solver._SIMPLE_BAND),
+], ids=["rho_m", "rho_s"])
+def test_scan_refuses_a_vertex_of_potential_zero(to_hyper, band):
+    # an independent-tagged vertex has potential 0, so its singleton's bound
+    # would fall in band; the peel removes such vertices before any scan
+    G = normalize(5, [(0, 1, SINGLE), (1, 2, SINGLE), (2, 3, SINGLE), (3, 4, SINGLE), (4, 0, SINGLE)],
+                  [UNCOLORED, IP, UNCOLORED, FP, UNCOLORED])
+    H = to_hyper(G)
+    assert H.vertex_weights[1] == 0
+    with pytest.raises(ValueError):
+        solver._scan(H, G.n, band)
+
+
 def _random_cubic(seed, n):
     """A Hamiltonian cycle through a random vertex order plus a random
     perfect matching on it, retried until no chord doubles a cycle edge."""
