@@ -8,19 +8,25 @@ its weight equals rho(W) plus the total hyperedge weight, so a max-flow
 computation finds a minimizer of rho.
 
 All arithmetic is integer: denominators are cleared once per hypergraph, and
-a Fraction is built only for the value handed back to the caller.  Extremal
-cardinality among minimizers comes from an exact integer perturbation: scale
-all weights by n + 1 so that one unit of cardinality can never outweigh one
-unit of potential, then make each vertex one unit dearer inside W (SMALLEST)
-or one unit dearer outside it (LARGEST).  Under SMALLEST every s->v arc gains
-one.  Under LARGEST every
-positive s->v arc loses one; a zero-weight vertex's s->v arc cannot, so its
-v->t arc gets capacity one instead, which is cut exactly when v is outside W.
-The cut is then (n + 1) * (rho(W) + total edge weight), minus |W| under
-LARGEST or plus |W| under SMALLEST, plus a constant.  So the perturbed
-minimizer is unique: the union of two minimizers is a minimizer too (the
-lattice), and equal perturbed cuts mean equal rho and equal |W|, so the
-union is each of the two.
+a Fraction is built only for the value handed back to the caller.
+
+The nodes that can reach t in the residual graph of any maximum flow form
+the smallest sink side of a minimum cut, which is the intersection of all
+minimum cuts' sink sides (Picard & Queyranne, Math. Prog. Study 13, 1980).
+Every minimizer of rho is the vertex part of some minimum cut, and every
+minimum cut's vertex part is a minimizer, so these nodes give the
+intersection of all minimizers: the unique SMALLEST set, read off the
+plain network with no perturbation.  The union, for LARGEST, comes from an
+exact integer perturbation instead: scale all weights by n + 1 so that one
+unit of cardinality can never outweigh one unit of potential, then make
+each vertex one unit dearer outside W.  Every positive s->v arc loses one;
+a zero-weight vertex's s->v arc cannot, so its v->t arc gets capacity one
+instead, which is cut exactly when v is outside W.  The cut is then
+(n + 1) * (rho(W) + total edge weight) - |W| plus a constant.  So the
+perturbed minimizer is unique: the union of two minimizers is a minimizer
+too (the lattice), and equal perturbed cuts mean equal rho and equal |W|,
+so the union is each of the two.  The SMALLEST network is the one of mode
+None; the perturbation is LARGEST's alone.
 
 Membership constraints are terminal arcs.  Besides its s->v arc, every vertex
 has a v->t arc (capacity zero but for the nudge above).  Banning v raises its
@@ -61,14 +67,25 @@ maximum flow.  The cached flow saturates nearly every source arc, so a
 constrained instance can only gain paths through the arcs it changed, and
 levels from t reach s through them after labelling a few nodes near them.
 
+Each phase starts from the open terminal arcs: the residual arcs out of s
+and into t, listed once per max_flow call.  An augmenting path is simple,
+so it never enters s or leaves t, and it can only lower these residuals;
+an arc closed once stays closed for the rest of the call.  Each phase drops
+the arcs the last one closed, seeds its BFS from t's list and starts its
+blocking-flow search at s from s's list, in head order, so labels, blocking
+flows and the final residual graph are the ones full scans of head[s] and
+head[t] give.  On the scan networks t has an arc from every vertex and every
+hyperedge, and after the warm flow only a few of them still have capacity.
+
 W is read off the residual graph of the max flow, from two node sets that
 are the same for every maximum flow.  The nodes s reaches form the
 smallest source side of a minimum cut, so their complement gives the union
 of all minimizers; the nodes that reach t form the smallest sink side, the
-intersection.  In an extremal mode the minimizer is unique, so both give
-it, and W comes from the labels of the last, failing BFS, which max_flow has
-already paid for; no second search runs.  Without a mode W is the union, so
-the nodes s reaches are searched once more.
+intersection.  Under SMALLEST the intersection is the answer, and under
+LARGEST the perturbed minimizer is unique, so both give it; W comes from
+the labels of the last, failing BFS, which max_flow has already paid for,
+and no second search runs.  Without a mode W is the union, so the nodes s
+reaches are searched once more.
 
 Cardinality windows m1 <= |W| <= n - m2 are searched best first over
 branches (F, B), the subsets that contain F and miss B.  One flow solves a
@@ -145,14 +162,25 @@ class FlowNetwork:
 
     def _levels(self, s: int, t: int) -> list[int]:
         """Residual distances to t, by BFS from t over reversed arcs: arc idx
-        in head[u] leads into u with residual capacity cap[idx ^ 1].  Stops
-        once s is labelled, so only nodes nearer to t than s are complete.
-        If s stays unlabelled (-1) the labels are complete: exactly the
-        nodes that can still reach t are labelled."""
+        in head[u] leads into u with residual capacity cap[idx ^ 1].  t's own
+        arcs come from `open_into_t`, which max_flow keeps: the arcs into t
+        that still have residual capacity, in head order, so the labels are
+        the ones a scan of head[t] gives.  Stops once s is labelled, so only
+        nodes nearer to t than s are complete.  If s stays unlabelled (-1)
+        the labels are complete: exactly the nodes that can still reach t
+        are labelled."""
         head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
         level[t] = 0
-        queue = [t]
+        queue = []
+        into_t = self.open_into_t = [idx for idx in self.open_into_t if cap[idx ^ 1]]
+        for idx in into_t:
+            v = to[idx]
+            if level[v] < 0:
+                level[v] = 1
+                if v == s:
+                    return level
+                queue.append(v)
         for u in queue:
             nxt = level[u] + 1
             for idx in head[u]:
@@ -171,14 +199,24 @@ class FlowNetwork:
         shortest one.  It keeps its path on an explicit stack, so path length
         is not bounded by the interpreter's recursion limit.  The labels of
         the last phase, whose BFS finds no path, stay in `sink_levels`: the
-        nodes that can reach t in the final residual graph."""
+        nodes that can reach t in the final residual graph.
+
+        The residual arcs out of s and into t are listed once per call, those
+        with capacity left, and each phase drops the ones it saturated.  An
+        augmenting path is simple, so it never enters s or leaves t: it only
+        lowers these residuals, and an arc left off a list never reopens
+        during the call.  Each phase therefore scans the same open arcs, in
+        the same order, as a scan of head[s] and head[t] would."""
         head, to, cap = self.head, self.to, self.cap
+        out_of_s = [a for a in head[s] if cap[a]]
+        self.open_into_t = [idx for idx in head[t] if cap[idx ^ 1]]
         total = 0
         while True:
             level = self._levels(s, t)
             if level[s] < 0:
                 self.sink_levels = level
                 return total
+            out_of_s = [a for a in out_of_s if cap[a]]
             it = [0] * self.n
             path: list[int] = []  # arcs from s to u
             u = s
@@ -194,7 +232,7 @@ class FlowNetwork:
                     del path[k:]
                     u = to[path[-1]] if path else s
                     continue
-                arcs = head[u]
+                arcs = head[u] if path else out_of_s  # u is s exactly when the path is empty
                 i, end = it[u], len(arcs)
                 nxt = level[u] - 1
                 while i < end:
@@ -231,13 +269,15 @@ class AuxNetwork:
     """The cut network for one hypergraph: a minimum source-side cut picks
     out a minimum-potential subset, offset by the total edge weight.
 
-    Weights are cleared of denominators by `scale`; in an extremal mode the
-    capacities are those integers times n + 1, nudged by one per vertex
-    (SMALLEST: every s->v arc gains one; LARGEST: every positive s->v arc
-    loses one, and each zero-weight vertex's v->t arc gets capacity one).
-    The perturbed minimizer is then unique, and W is read from the last BFS
-    of the max flow.  Without a mode W is the union of the minimizers, read
-    from the nodes s reaches."""
+    Weights are cleared of denominators by `scale`.  Under LARGEST the
+    capacities are those integers times n + 1, and every positive s->v arc
+    loses one while each zero-weight vertex's v->t arc gets capacity one, so
+    the perturbed minimizer is unique.  Without a mode and under SMALLEST
+    the capacities are the integers themselves.  Under LARGEST and SMALLEST
+    W is read from the last BFS of the max flow: the nodes that reach t,
+    the intersection of the minimizers, which under LARGEST is the only
+    one.  Without a mode W is the union of the minimizers, read from the
+    nodes s reaches."""
 
     flow: FlowNetwork
     source: int
@@ -257,9 +297,10 @@ class AuxNetwork:
         return sum(self.weights[v] for v in W) - sum(w for members, w in self.edges if members <= W)
 
     def sink_side(self, net: FlowNetwork) -> frozenset[int]:
-        """Vertices on the sink side of the minimum cut of `net`, a flowed
-        copy of this network: the largest sink side, which in an extremal
-        mode is the only one."""
+        """Vertices on a sink side of a minimum cut of `net`, a flowed copy
+        of this network: the smallest one (the intersection of the
+        minimizers) in an extremal mode, which under LARGEST is the only
+        one, and the largest one (their union) without a mode."""
         if self.extremal:
             reach = net.sink_levels
             return frozenset(v for v, node in enumerate(self.vertex_node) if reach[node] >= 0)
@@ -274,19 +315,18 @@ def _denominator_scale(H: WeightedHypergraph) -> int:
 
 
 def build_aux_network(H: WeightedHypergraph, extremal: str | None = None) -> AuxNetwork:
-    """H's network before any flow, with the perturbation of `extremal`; no
-    terminal arc is raised."""
+    """H's network before any flow; no terminal arc is raised.  Only
+    LARGEST perturbs the capacities: SMALLEST reads the intersection of the
+    minimizers off the plain network, which is also mode None's."""
     L = _denominator_scale(H)
     n = H.n
-    M = n + 1 if extremal else 1
+    M = n + 1 if extremal == LARGEST else 1
     weights = tuple(int(w * L) for w in H.vertex_weights)
     edges = tuple((members, int(w * L)) for members, w in H.edges)
     caps_v = [w * M for w in weights]
     caps_t = [0] * n
-    for v, c in enumerate(caps_v):
-        if extremal == SMALLEST:
-            caps_v[v] += 1
-        elif extremal == LARGEST:
+    if extremal == LARGEST:
+        for v, c in enumerate(caps_v):
             if c > 0:
                 caps_v[v] -= 1
             else:

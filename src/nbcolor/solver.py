@@ -49,7 +49,12 @@ neighbours.  None of these flows starts from zero: min_potential solves the
 level's hypergraph once without constraints, and each forced and banned
 instance starts from the previous instance's max flow, releasing the two
 pins it drops and raising the two it adds, which gives the same subsets a
-flow from zero would.
+flow from zero would.  The sweep asks each pair only for its minimum value,
+on the unperturbed SMALLEST network; a pair whose value lies in the band is
+asked again under LARGEST for its witness, so every in-band answer is the
+largest, then lexicographically smallest, window minimizer.  Above the band
+the floor is the least pair value, or a LARGEST singleton's value plus one,
+and callers only compare it to the band.
 
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
@@ -83,7 +88,7 @@ from .graph_core import (
     normalize,
     validate_coloring,
 )
-from .min_potential import LARGEST, min_potential_constrained, min_potential_pinned
+from .min_potential import LARGEST, SMALLEST, min_potential_constrained, min_potential_pinned
 from .oracle import DEFAULT_THRESHOLD, brute_nb_color
 from .peel import Rule, Spec, peel
 from .potential import (
@@ -255,32 +260,41 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     of the forced one, and each flow starts from the one before it
     (min_potential chains them) and moves only what those two pins change.
 
+    The sweep asks each pair under SMALLEST, whose network carries no
+    perturbation, for the pair's minimum val; the value is the same in every
+    mode.  A pair with val above the band enters as the floor val.  Only a
+    pair with val in the band is asked again, under LARGEST, for its
+    witness; these second flows chain among themselves after the sweep.  A
+    LARGEST singleton winner enters as the bound val+1: by the
+    largest-cardinality tie-break no larger set of its family ties it.
+
     Returns (m, W): an in-band witness (m <= band_top, W its exact minimum
     set, the largest, then lexicographically smallest, window minimizer) or
-    (m, None) with m a certified floor above the band.  A singleton winner
-    enters as the bound value+1: by the largest-cardinality tie-break no
-    larger set ties it, and singleton potentials keep that bound out of
-    every band this module uses (the peel removes every independent-tagged
-    vertex, the only kind of potential 0, before a level scans).  So an
-    in-band answer is the same for every cyclic order: each largest window
-    minimizer X lies in some flow's family, whose LARGEST set contains X at
-    the same value and so is X.  A vertex of potential 0 would put its
-    singleton's bound 1 in band and make the answer depend on the order, so
-    it is refused with ValueError.
+    (m, None) with m a certified floor above the band.  Above the band m is
+    a lower bound on the window minimum, not always the largest one the
+    flows prove: callers only compare it to the band.  Singleton potentials
+    keep the bound val+1 out of every band this module uses (the peel
+    removes every independent-tagged vertex, the only kind of potential 0,
+    before a level scans).  So an in-band answer is the same for every
+    cyclic order: each largest window minimizer X lies in some flow's
+    family, whose LARGEST set contains X at the same value and so is X.  A
+    vertex of potential 0 would put its singleton's bound 1 in band and make
+    the answer depend on the order, so it is refused with ValueError.
     """
     if any(w == 0 for w in H.vertex_weights):
         raise ValueError("the level scan needs every vertex potential nonzero")
     if n < 3:
         return band_top + 1, None
     order = _sweep_order(H, n)
+    pairs = [(v, order[(i + 1) % n]) for i, v in enumerate(order)]
+    vals = [_exact_int(min_potential_pinned(H, force=[v], ban=[u], extremal=SMALLEST)[1]) for v, u in pairs]
     results: list[tuple[int, frozenset[int] | None]] = []
-    for i, v in enumerate(order):
-        W, r = min_potential_pinned(H, force=[v], ban=[order[(i + 1) % n]], extremal=LARGEST)
-        val = _exact_int(r)
-        if len(W) >= 2:
-            results.append((val, W))
-        else:
-            results.append((val + 1, None))
+    for (v, u), val in zip(pairs, vals):
+        if val > band_top:
+            results.append((val, None))
+            continue
+        W, _ = min_potential_pinned(H, force=[v], ban=[u], extremal=LARGEST)
+        results.append((val, W) if len(W) >= 2 else (val + 1, None))
     m = min(val for val, _ in results)
     if m > band_top:
         return m, None

@@ -510,3 +510,185 @@ def test_zero_weight_vertices_join_the_largest_minimizer():
     assert got == _pinned_oracle(H, [2], [0], LARGEST) == (frozenset({2, 4}), 0)
     # the smallest minimizer leaves both out
     assert min_potential_constrained(H, extremal=SMALLEST) == (frozenset({0, 1}), -1)
+
+
+# -- the Dinic kernel against its form before the terminal lists -----------
+#
+# Kept as the reference: every phase scans all of head[t] in its BFS and all
+# of head[s] in its blocking-flow search.
+
+
+def _reference_levels(net, s, t):
+    head, to, cap = net.head, net.to, net.cap
+    level = [-1] * net.n
+    level[t] = 0
+    queue = [t]
+    for u in queue:
+        nxt = level[u] + 1
+        for idx in head[u]:
+            v = to[idx]
+            if cap[idx ^ 1] and level[v] < 0:
+                level[v] = nxt
+                if v == s:
+                    return level
+                queue.append(v)
+    return level
+
+
+def _reference_max_flow(net, s, t):
+    head, to, cap = net.head, net.to, net.cap
+    total = 0
+    while True:
+        level = _reference_levels(net, s, t)
+        if level[s] < 0:
+            net.sink_levels = level
+            return total
+        it = [0] * net.n
+        path = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                total += pushed
+                k = next(i for i, a in enumerate(path) if not cap[a])
+                del path[k:]
+                u = to[path[-1]] if path else s
+                continue
+            arcs = head[u]
+            i, end = it[u], len(arcs)
+            nxt = level[u] - 1
+            while i < end:
+                a = arcs[i]
+                if cap[a] and level[to[a]] == nxt:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(a)
+                u = to[a]
+            elif path:
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+            else:
+                break
+
+
+def _same_flow_as_reference(net, s, t, kernel=FlowNetwork.max_flow):
+    """Runs the kernel on net and the reference on a copy; both must add the
+    same amount and leave the same residual capacities and final labels."""
+    ref = net.copy()
+    expected = _reference_max_flow(ref, s, t)
+    got = kernel(net, s, t)
+    assert got == expected
+    assert net.cap == ref.cap
+    assert net.sink_levels == ref.sink_levels
+    return got
+
+
+def test_kernel_matches_the_reference_on_random_networks():
+    # random arcs, so s has in-arcs, t has out-arcs, and arcs run in
+    # parallel or carry no capacity; each flow then restarts warm from
+    # raised arcs, as every constrained instance does
+    rng = random.Random(5151)
+    for _ in range(60):
+        n = rng.randint(2, 120)
+        net, _ = _random_network(rng, n, rng.randint(n, 5 * n))
+        s, t = rng.sample(range(n), 2)
+        _same_flow_as_reference(net, s, t)
+        for _ in range(3):
+            for idx in rng.sample(range(0, len(net.to), 2), min(4, len(net.to) // 2)):
+                net.cap[idx] += rng.randint(1, 60)
+            _same_flow_as_reference(net, s, t)
+
+
+def test_kernel_matches_the_reference_on_chained_instances(monkeypatch):
+    # every flow of chained pinned sequences, the warm flows included, in all
+    # three modes and on hypergraphs with zero-weight vertices
+    flows = 0
+
+    def checked(self, s, t):
+        nonlocal flows
+        flows += 1
+        return _same_flow_as_reference(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", checked)
+    rng = random.Random(6262)
+    for _ in range(16):
+        n = rng.randint(3, 12)
+        weights = [rng.choice((0, rng.randint(1, 12), rng.randint(1, 12))) for _ in range(n)]
+        edges = [
+            (rng.sample(range(n), rng.randint(1, 3)), rng.randint(1, 12))
+            for _ in range(rng.randint(n, 3 * n))
+        ]
+        H = hypergraph(n, weights, edges)
+        for mode in (None, LARGEST, SMALLEST):
+            order = rng.sample(range(n), n)
+            for i, v in enumerate(order):
+                got = min_potential_pinned(H, [v], [order[(i + 1) % n]], extremal=mode)
+                assert got == _pinned_oracle(H, [v], [order[(i + 1) % n]], mode)
+            for _ in range(10):
+                picked = rng.sample(range(n), rng.randint(1, min(4, n)))
+                k = rng.randint(0, len(picked))
+                force, ban = picked[:k], picked[k:]
+                assert min_potential_pinned(H, force, ban, extremal=mode) == _pinned_oracle(H, force, ban, mode)
+    assert flows >= 16 * 3 * 10
+
+
+def test_terminal_arcs_are_listed_once_per_flow(monkeypatch):
+    # head[s] and head[t] are read once per max_flow call, when their open
+    # arcs are listed, however many phases the flow takes
+    rng = random.Random(77)
+    phases = 0
+    levels = FlowNetwork._levels
+
+    def counted_levels(self, s, t):
+        nonlocal phases
+        phases += 1
+        return levels(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "_levels", counted_levels)
+    for _ in range(10):
+        n = rng.randint(20, 80)
+        net, _ = _random_network(rng, n, 4 * n)
+        reads = [0] * n
+
+        class CountingHead(list):
+            def __getitem__(self, u):
+                reads[u] += 1
+                return list.__getitem__(self, u)
+
+        net.head = CountingHead(net.head)
+        net.max_flow(0, n - 1)
+        assert reads[0] == reads[n - 1] == 1
+    assert phases >= 30
+
+
+def test_smallest_network_carries_no_perturbation():
+    # the nodes that reach t in any max flow are the intersection of the
+    # minimizers, so SMALLEST reads its set off the plain network; zero-weight
+    # vertices included, since they tie inside and outside every minimizer
+    rng = random.Random(3131)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        weights = [Fraction(rng.choice((0, 0, rng.randint(1, 12))), rng.choice((1, 1, 2))) for _ in range(n)]
+        edges = [
+            (rng.sample(range(n), rng.randint(1, min(3, n))), Fraction(rng.randint(1, 12), rng.choice((1, 2))))
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        H = hypergraph(n, weights, edges)
+        plain, smallest = build_aux_network(H), build_aux_network(H, SMALLEST)
+        assert smallest.flow.to == plain.flow.to
+        assert smallest.flow.cap == plain.flow.cap
+        assert smallest.infinite == plain.infinite
+        for m1, m2 in itertools.product(range(3), repeat=2):
+            if m1 <= n - m2:
+                got = min_potential_constrained(H, m1, m2, SMALLEST)
+                assert got == min_potential_enum(H, m1, m2, SMALLEST)
+        for _ in range(8):
+            picked = rng.sample(range(n), rng.randint(0, min(3, n)))
+            k = rng.randint(0, len(picked))
+            force, ban = picked[:k], picked[k:]
+            assert min_potential_pinned(H, force, ban, extremal=SMALLEST) == _pinned_oracle(H, force, ban, SMALLEST)

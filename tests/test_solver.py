@@ -31,7 +31,7 @@ from nbcolor.graph_core import (
     normalize,
     validate_coloring,
 )
-from nbcolor.min_potential import LARGEST, FlowNetwork, min_potential_enum, min_potential_pinned
+from nbcolor.min_potential import LARGEST, SMALLEST, FlowNetwork, min_potential_enum, min_potential_pinned
 from nbcolor.oracle import brute_nb_color, enumerate_nb_colorings
 from nbcolor.potential import KindError, hypergraph_for_rho_m, hypergraph_for_rho_s, rho_m, rho_s
 from nbcolor.solver import (
@@ -513,21 +513,9 @@ def _random_cubic(seed, n):
             return normalize(n, [(*sorted(e), SINGLE) for e in ring | chords])
 
 
-@pytest.mark.parametrize(
-    "to_hyper, band, bound",
-    [
-        (hypergraph_for_rho_m, solver._MULTI_BAND, 170_000),
-        (hypergraph_for_rho_s, solver._SIMPLE_BAND, 15_000),
-    ],
-    ids=["rho_m", "rho_s"],
-)
-def test_scan_search_work(monkeypatch, to_hyper, band, bound):
-    # Nodes expanded by every residual search of one scan: each expansion is
-    # one head lookup.  With the sweep in vertex-id order, every flow started
-    # from the warm flow and W taken from a second search from s, this graph
-    # took 208,908 (rho_m) and 47,205 (rho_s) lookups; chained flows along a
-    # depth-first sweep, with W read off each flow's last search, take about
-    # 140,000 and 7,100.
+def _scan_lookups(monkeypatch, to_hyper, band):
+    """Nodes expanded by every residual search of one above-band scan of a
+    fixed 120-vertex cubic graph: each expansion is one head lookup."""
     G = _random_cubic(1, 120)
     H = to_hyper(G)
     min_potential_pinned(H)  # the warm flow, built outside the count
@@ -554,7 +542,100 @@ def test_scan_search_work(monkeypatch, to_hyper, band, bound):
         monkeypatch.setattr(FlowNetwork, name, counted(getattr(FlowNetwork, name)))
     m, W = solver._scan(H, G.n, band)
     assert m > band and W is None
-    assert lookups <= bound
+    return lookups
+
+
+@pytest.mark.parametrize(
+    "to_hyper, band, bound",
+    [
+        (hypergraph_for_rho_m, solver._MULTI_BAND, 170_000),
+        (hypergraph_for_rho_s, solver._SIMPLE_BAND, 15_000),
+    ],
+    ids=["rho_m", "rho_s"],
+)
+def test_scan_search_work(monkeypatch, to_hyper, band, bound):
+    # With the sweep in vertex-id order, every flow started from the warm
+    # flow and W taken from a second search from s, this graph took 208,908
+    # (rho_m) and 47,205 (rho_s) lookups; chained flows along a depth-first
+    # sweep, with W read off each flow's last search, take about 140,000 and
+    # 7,100.
+    assert _scan_lookups(monkeypatch, to_hyper, band) <= bound
+
+
+@pytest.mark.parametrize(
+    "to_hyper, band, bound",
+    [
+        (hypergraph_for_rho_m, solver._MULTI_BAND, 70_000),
+        (hypergraph_for_rho_s, solver._SIMPLE_BAND, 6_600),
+    ],
+    ids=["rho_m", "rho_s"],
+)
+def test_scan_search_work_unperturbed(monkeypatch, to_hyper, band, bound):
+    # The sweep's flows run on the SMALLEST network, which carries no
+    # perturbation, and no BFS scans head[t]: about 49,400 (rho_m) and 6,100
+    # (rho_s) lookups.  The LARGEST sweep took 139,864 and 7,123.
+    assert _scan_lookups(monkeypatch, to_hyper, band) <= bound
+
+
+def _asking(monkeypatch):
+    """Records each (extremal, force, ban, value) the scan asks for."""
+    asked = []
+
+    def pinned(H, force=(), ban=(), extremal=LARGEST):
+        W, r = min_potential_pinned(H, force, ban, extremal)
+        asked.append((extremal, tuple(force), tuple(ban), r))
+        return W, r
+
+    monkeypatch.setattr(solver, "min_potential_pinned", pinned)
+    return asked
+
+
+@pytest.mark.parametrize("to_hyper, band", [
+    (hypergraph_for_rho_m, solver._MULTI_BAND),
+    (hypergraph_for_rho_s, solver._SIMPLE_BAND),
+], ids=["rho_m", "rho_s"])
+def test_above_band_scan_asks_only_smallest(monkeypatch, to_hyper, band):
+    G = _random_cubic(1, 120)
+    H = to_hyper(G)
+    asked = _asking(monkeypatch)
+    m, W = solver._scan(H, G.n, band)
+    assert m > band and W is None
+    assert [mode for mode, *_ in asked] == [SMALLEST] * G.n
+
+
+def test_in_band_scan_asks_largest_only_for_in_band_pins(monkeypatch):
+    # each pin pair is asked once under SMALLEST; exactly the pairs whose
+    # value lies in the band are asked again under LARGEST, after the sweep
+    asked = _asking(monkeypatch)
+    rng = random.Random(99)
+    in_band = skipped = 0
+    for trial in range(120):
+        if trial % 2 == 0:
+            heavy, to_hyper, band = MULTI, hypergraph_for_rho_m, solver._MULTI_BAND
+        else:
+            heavy, to_hyper, band = GADGET, hypergraph_for_rho_s, solver._SIMPLE_BAND
+        n = rng.randrange(3, 10)
+        p = rng.uniform(0.2, 0.7)
+        raw = [
+            (u, v, heavy if rng.random() < 0.15 else SINGLE)
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < p
+        ]
+        G = normalize(n, raw, [FP if rng.random() < 0.3 else UNCOLORED for _ in range(n)])
+        H = to_hyper(G)
+        asked.clear()
+        m, W = solver._scan(H, n, band)
+        modes = [mode for mode, *_ in asked]
+        assert modes == [SMALLEST] * n + [LARGEST] * (len(asked) - n)
+        sweep = {(f, b): r for mode, f, b, r in asked if mode == SMALLEST}
+        assert len(sweep) == n
+        again = [(f, b) for mode, f, b, _ in asked if mode == LARGEST]
+        assert again == [pair for pair, r in sweep.items() if r <= band]
+        assert all(r == sweep[f, b] for mode, f, b, r in asked if mode == LARGEST)
+        if m <= band:
+            in_band += 1
+            skipped += len(again) < n
+    assert in_band >= 40 and skipped >= 10
 
 
 def test_closure_absorbs_within_its_room():
