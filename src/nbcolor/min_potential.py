@@ -11,52 +11,44 @@ All arithmetic is integer: denominators are cleared once per hypergraph, and
 a Fraction is built only for the value handed back to the caller.
 
 The nodes that can reach t in the residual graph of any maximum flow form
-the smallest sink side of a minimum cut, which is the intersection of all
-minimum cuts' sink sides (Picard & Queyranne, Math. Prog. Study 13, 1980).
-Every minimizer of rho is the vertex part of some minimum cut, and every
-minimum cut's vertex part is a minimizer, so these nodes give the
-intersection of all minimizers: the unique SMALLEST set, read off the
-plain network with no perturbation.  The union, for LARGEST, comes from an
-exact integer perturbation instead: scale all weights by n + 1 so that one
-unit of cardinality can never outweigh one unit of potential, then make
-each vertex one unit dearer outside W.  Every positive s->v arc loses one;
-a zero-weight vertex's s->v arc cannot, so its v->t arc gets capacity one
-instead, which is cut exactly when v is outside W.  The cut is then
-(n + 1) * (rho(W) + total edge weight) - |W| plus a constant.  So the
-perturbed minimizer is unique: the union of two minimizers is a minimizer
-too (the lattice), and equal perturbed cuts mean equal rho and equal |W|,
-so the union is each of the two.  The SMALLEST network is the one of mode
-None; the perturbation is LARGEST's alone.
+the smallest sink side of a minimum cut, and the nodes s cannot reach form
+the largest one; minimum cuts form a lattice, and these two are its bottom
+and top (Picard & Queyranne, Math. Prog. Study 13, 1980).  Every minimizer
+of rho is the vertex part of some minimum cut, and every minimum cut's
+vertex part is a minimizer, so the two node sets give the intersection and
+the union of all minimizers: the unique SMALLEST and LARGEST sets.  So one
+plain network and one max flow serve every mode.
 
 Membership constraints are terminal arcs.  Besides its s->v arc, every vertex
-has a v->t arc (capacity zero but for the nudge above).  Banning v raises its
-s->v arc by the network's infinite capacity, so v stays on the source side;
-forcing v raises its v->t arc, so v stays on the sink side.  Infinite is one
-more than the sum of all finite capacities, so no minimum cut crosses a
-raised arc, and over the subsets that honour the constraints the cut weight
-is the unconstrained one plus a constant (the hyperedges through banned
-vertices).
+has a v->t arc of capacity zero.  Banning v raises its s->v arc by the
+network's infinite capacity, so v stays on the source side; forcing v raises
+its v->t arc, so v stays on the sink side.  Infinite is one more than the
+sum of all finite capacities, so no minimum cut crosses a raised arc, and
+over the subsets that honour the constraints the cut weight is the
+unconstrained one plus a constant (the hyperedges through banned vertices).
 
 Warm start (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): the network
-of a hypergraph and its unconstrained max flow are built once per extremal
-mode and memoised in a one-entry cache, and never changed afterwards.  A
-constrained instance starts from the max flow of the latest instance on the
-same network, or from the cached flow if there is none, and augments from
-there.  Raising the arcs it adds keeps that flow feasible.  Releasing an arc
-the previous instance raised lowers its capacity by infinite, and its flow
-may then exceed the capacity; the excess is cancelled along paths s->v->t
-and s->v->e->t.  v's only in-arc is s->v, so a released v->t carries no more
-than s->v does, and lowering both by the excess keeps v balanced.  A
-released s->v carried no more than v's out-arcs (v->t and the arcs v->e)
-carry together, so the excess can be taken off those, and each unit taken
-off v->e is also taken off e->t, whose flow is the sum over e's in-arcs.
-Every other capacity only rose, so the flow is feasible again, and
-augmenting it until no path is left gives a max flow of the new instance.
-The latest instance's flow is published in one step as a network that is
-never changed again; each caller copies it, so threads sharing the memo
-(`batch --jobs`) never see a half-updated flow.  Nothing read from the flow
-depends on which max flow it is, as below, so every W, value and flow count
-is the one a flow from zero would give.
+of a hypergraph, its unconstrained max flow, and the union and intersection
+that flow cuts out are built once for every mode, memoised in a one-entry
+cache, and never changed afterwards.  A constrained instance starts from the
+max flow of the latest instance on the same network, or from the cached flow
+if there is none, and augments from there.  Raising the arcs it adds keeps
+that flow feasible.  Releasing an arc the previous instance raised lowers
+its capacity by infinite, and its flow may then exceed the capacity; the
+excess is cancelled along paths s->v->t and s->v->e->t.  v's only in-arc is
+s->v, so a released v->t carries no more than s->v does, and lowering both
+by the excess keeps v balanced.  A released s->v carried no more than v's
+out-arcs (v->t and the arcs v->e) carry together, so the excess can be taken
+off those, and each unit taken off v->e is also taken off e->t, whose flow
+is the sum over e's in-arcs.  Every other capacity only rose, so the flow is
+feasible again, and augmenting it until no path is left gives a max flow of
+the new instance.  The latest instance's flow is published in one step as a
+network that is never changed again; each caller copies it, so threads
+sharing the memo (`batch --jobs`) never see a half-updated flow.  An
+instance with the latest instance's pins needs no flow: its set, in any
+mode, is read off the published network, which nobody changes.  Nothing read
+from the flow depends on which max flow it is, as below, so every W and
+value is the one a flow from zero would give.
 
 Dinic's level graph is measured from the sink (the distance labels of
 Goldberg & Tarjan, J. ACM 1988): each phase labels nodes by their residual
@@ -81,11 +73,10 @@ W is read off the residual graph of the max flow, from two node sets that
 are the same for every maximum flow.  The nodes s reaches form the
 smallest source side of a minimum cut, so their complement gives the union
 of all minimizers; the nodes that reach t form the smallest sink side, the
-intersection.  Under SMALLEST the intersection is the answer, and under
-LARGEST the perturbed minimizer is unique, so both give it; W comes from
-the labels of the last, failing BFS, which max_flow has already paid for,
-and no second search runs.  Without a mode W is the union, so the nodes s
-reaches are searched once more.
+intersection.  Under SMALLEST W is the intersection, read from the labels of
+the last, failing BFS, which max_flow has already paid for.  Under LARGEST
+and without a mode W is the union, so the nodes s reaches are searched once
+more.
 
 Cardinality windows m1 <= |W| <= n - m2 are searched best first over
 branches (F, B), the subsets that contain F and miss B.  One flow solves a
@@ -269,15 +260,8 @@ class AuxNetwork:
     """The cut network for one hypergraph: a minimum source-side cut picks
     out a minimum-potential subset, offset by the total edge weight.
 
-    Weights are cleared of denominators by `scale`.  Under LARGEST the
-    capacities are those integers times n + 1, and every positive s->v arc
-    loses one while each zero-weight vertex's v->t arc gets capacity one, so
-    the perturbed minimizer is unique.  Without a mode and under SMALLEST
-    the capacities are the integers themselves.  Under LARGEST and SMALLEST
-    W is read from the last BFS of the max flow: the nodes that reach t,
-    the intersection of the minimizers, which under LARGEST is the only
-    one.  Without a mode W is the union of the minimizers, read from the
-    nodes s reaches."""
+    Weights are cleared of denominators by `scale`, and the capacities are
+    those integers in every mode."""
 
     flow: FlowNetwork
     source: int
@@ -290,18 +274,18 @@ class AuxNetwork:
     source_arc: tuple[int, ...]     # s->v of each vertex, raised to ban v
     sink_arc: tuple[int, ...]       # v->t of each vertex, raised to force v
     infinite: int                   # above every finite cut
-    extremal: str | None
 
     def rho_scaled(self, W) -> int:
         """rho(W) * scale."""
         return sum(self.weights[v] for v in W) - sum(w for members, w in self.edges if members <= W)
 
-    def sink_side(self, net: FlowNetwork) -> frozenset[int]:
+    def sink_side(self, net: FlowNetwork, extremal: str | None) -> frozenset[int]:
         """Vertices on a sink side of a minimum cut of `net`, a flowed copy
-        of this network: the smallest one (the intersection of the
-        minimizers) in an extremal mode, which under LARGEST is the only
-        one, and the largest one (their union) without a mode."""
-        if self.extremal:
+        of this network: under SMALLEST the smallest one (the intersection
+        of the minimizers), read from the last BFS of the max flow, and
+        otherwise the largest one (their union), read from the nodes s
+        reaches."""
+        if extremal == SMALLEST:
             reach = net.sink_levels
             return frozenset(v for v, node in enumerate(self.vertex_node) if reach[node] >= 0)
         reach = net.source_side(self.source)
@@ -314,36 +298,25 @@ def _denominator_scale(H: WeightedHypergraph) -> int:
     return lcm(*dens) if dens else 1
 
 
-def build_aux_network(H: WeightedHypergraph, extremal: str | None = None) -> AuxNetwork:
-    """H's network before any flow; no terminal arc is raised.  Only
-    LARGEST perturbs the capacities: SMALLEST reads the intersection of the
-    minimizers off the plain network, which is also mode None's."""
+def build_aux_network(H: WeightedHypergraph) -> AuxNetwork:
+    """H's network before any flow; no terminal arc is raised."""
     L = _denominator_scale(H)
     n = H.n
-    M = n + 1 if extremal == LARGEST else 1
     weights = tuple(int(w * L) for w in H.vertex_weights)
     edges = tuple((members, int(w * L)) for members, w in H.edges)
-    caps_v = [w * M for w in weights]
-    caps_t = [0] * n
-    if extremal == LARGEST:
-        for v, c in enumerate(caps_v):
-            if c > 0:
-                caps_v[v] -= 1
-            else:
-                caps_t[v] = 1
     total_e = sum(w for _, w in edges)
-    infinite = sum(caps_v) + sum(caps_t) + total_e * M + 1
+    infinite = sum(weights) + total_e + 1
     net = FlowNetwork(2 + n + len(edges))
     s, t = 0, 1
     vnode = tuple(2 + v for v in range(n))
-    source_arc = tuple(net.add_arc(s, vnode[v], caps_v[v]) for v in range(n))
-    sink_arc = tuple(net.add_arc(vnode[v], t, caps_t[v]) for v in range(n))
+    source_arc = tuple(net.add_arc(s, vnode[v], weights[v]) for v in range(n))
+    sink_arc = tuple(net.add_arc(vnode[v], t, 0) for v in range(n))
     for j, (members, w) in enumerate(edges):
         enode = 2 + n + j
-        net.add_arc(enode, t, w * M)  # first in head[enode]; _solve_device relies on it
+        net.add_arc(enode, t, w)  # first in head[enode]; _solve_device relies on it
         for v in sorted(members):
             net.add_arc(vnode[v], enode, infinite)
-    return AuxNetwork(net, s, t, vnode, L, total_e, weights, edges, source_arc, sink_arc, infinite, extremal)
+    return AuxNetwork(net, s, t, vnode, L, total_e, weights, edges, source_arc, sink_arc, infinite)
 
 
 def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
@@ -352,23 +325,24 @@ def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
     return value, aux.flow.source_side(aux.source)
 
 
-# (H, extremal, warm) of the latest call.  Keyed by identity: an lru_cache
-# would hash and compare H's Fraction weights on every call.
-_last_warm: tuple = (None, None, None)
+# (H, warm) of the latest call.  Keyed by identity: an lru_cache would hash
+# and compare H's Fraction weights on every call.
+_last_warm: tuple = (None, None)
 
 
-def _warm(H: WeightedHypergraph, extremal) -> tuple[AuxNetwork, frozenset[int]]:
+def _warm(H: WeightedHypergraph) -> tuple[AuxNetwork, dict]:
     """H's network after its unconstrained max flow, and the minimizer that
-    flow cuts out, memoised for the latest hypergraph.  Instances on H start
-    from this flow or from a later instance's, and callers in several
-    threads may share it, so it is never changed again."""
+    flow cuts out in each mode, memoised for the latest hypergraph.
+    Instances on H start from this flow or from a later instance's, and
+    callers in several threads may share it, so it is never changed again."""
     global _last_warm
-    last, mode, warm = _last_warm
-    if last is not H or mode != extremal:
-        aux = build_aux_network(H, extremal)
+    last, warm = _last_warm
+    if last is not H:
+        aux = build_aux_network(H)
         aux.flow.max_flow(aux.source, aux.sink)
-        warm = (aux, aux.sink_side(aux.flow))
-        _last_warm = (H, extremal, warm)
+        union = aux.sink_side(aux.flow, LARGEST)
+        warm = (aux, {None: union, LARGEST: union, SMALLEST: aux.sink_side(aux.flow, SMALLEST)})
+        _last_warm = (H, warm)
     return warm
 
 
@@ -396,18 +370,23 @@ def _lower(cap: list[int], a: int, by: int) -> int:
     return excess
 
 
-def _solve_device(warm, banned, forced) -> frozenset[int]:
+def _solve_device(warm, banned, forced, extremal) -> frozenset[int]:
     """One flow instance on the warm network `warm` with the vertices of
-    `banned` kept out and those of `forced` kept in.  Returns the minimizer W.
+    `banned` kept out and those of `forced` kept in.  Returns the minimizer W
+    of mode `extremal`.
 
-    Starts from the latest instance's max flow on the same network (from the
-    warm flow if there is none): raises the terminal arcs it adds, releases
-    the ones it drops, and augments.  See the module docstring."""
+    The latest instance's own pins are read off its published flow, with no
+    flow run.  Any other instance starts from that max flow on the same
+    network (from the warm flow if there is none): raises the terminal arcs
+    it adds, releases the ones it drops, and augments.  See the module
+    docstring."""
     global _last_flow
-    aux, W0 = warm
+    aux, warm_sets = warm
     if not banned and not forced:
-        return W0
+        return warm_sets[extremal]
     last, forced0, banned0, start = _last_flow
+    if last is aux and forced == forced0 and banned == banned0:
+        return aux.sink_side(start, extremal)
     if last is not aux:
         forced0 = banned0 = frozenset()
         start = aux.flow
@@ -436,7 +415,7 @@ def _solve_device(warm, banned, forced) -> frozenset[int]:
                 _take_back(cap, head[to[a]][0], d)
             excess -= d
     net.max_flow(aux.source, aux.sink)
-    W = aux.sink_side(net)
+    W = aux.sink_side(net, extremal)
     _last_flow = (aux, forced, banned, net)
     if forced and not (forced <= W):
         raise AssertionError("forcing device failed to pin its subset")
@@ -458,8 +437,8 @@ def _answer(aux: AuxNetwork, W: frozenset[int]) -> tuple[frozenset[int], Fractio
 
 def min_potential_subset(H: WeightedHypergraph) -> tuple[frozenset[int], Fraction]:
     """Unconstrained minimizer of rho over all subsets (the empty set counts)."""
-    aux, W = _warm(H, None)
-    return _answer(aux, W)
+    aux, warm_sets = _warm(H)
+    return _answer(aux, warm_sets[None])
 
 
 def min_potential_constrained(
@@ -482,9 +461,9 @@ def min_potential_constrained(
         raise ValueError(f"no subset satisfies {m1} <= |W| <= {n} - {m2}")
 
     # best first over branches (forced, banned); see the module docstring
-    warm = _warm(H, extremal)
-    aux, W0 = warm
-    heap = [(_rank_key(aux, W0, extremal), frozenset(), frozenset())]
+    warm = _warm(H)
+    aux, warm_sets = warm
+    heap = [(_rank_key(aux, warm_sets[extremal], extremal), frozenset(), frozenset())]
     seen = set()
     while True:
         key, forced, banned = heapq.heappop(heap)
@@ -500,7 +479,7 @@ def min_potential_constrained(
             if kid in seen:
                 continue
             seen.add(kid)
-            W_kid = _solve_device(warm, kid[1], kid[0])
+            W_kid = _solve_device(warm, kid[1], kid[0], extremal)
             heapq.heappush(heap, (_rank_key(aux, W_kid, extremal), *kid))
 
 
@@ -523,8 +502,8 @@ def min_potential_pinned(
     for v in fset | bset:
         if not 0 <= v < H.n:
             raise ValueError(f"vertex {v} out of range")
-    warm = _warm(H, extremal)
-    return _answer(warm[0], _solve_device(warm, bset, fset))
+    warm = _warm(H)
+    return _answer(warm[0], _solve_device(warm, bset, fset, extremal))
 
 
 # -- reference implementation by enumeration ------------------------------

@@ -49,12 +49,13 @@ neighbours.  None of these flows starts from zero: min_potential solves the
 level's hypergraph once without constraints, and each forced and banned
 instance starts from the previous instance's max flow, releasing the two
 pins it drops and raising the two it adds, which gives the same subsets a
-flow from zero would.  The sweep asks each pair only for its minimum value,
-on the unperturbed SMALLEST network; a pair whose value lies in the band is
-asked again under LARGEST for its witness, so every in-band answer is the
-largest, then lexicographically smallest, window minimizer.  Above the band
-the floor is the least pair value, or a LARGEST singleton's value plus one,
-and callers only compare it to the band.
+flow from zero would.  The sweep asks each pair for its minimum value under
+SMALLEST; a pair whose value lies in the band is asked again, on the same
+pins, under LARGEST for its witness, which min_potential reads off the flow
+it has just run.  So every in-band answer is the largest, then
+lexicographically smallest, window minimizer.  Above the band the floor is
+the least pair value, or a LARGEST singleton's value plus one, and callers
+only compare it to the band.
 
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
@@ -260,13 +261,13 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     of the forced one, and each flow starts from the one before it
     (min_potential chains them) and moves only what those two pins change.
 
-    The sweep asks each pair under SMALLEST, whose network carries no
-    perturbation, for the pair's minimum val; the value is the same in every
-    mode.  A pair with val above the band enters as the floor val.  Only a
-    pair with val in the band is asked again, under LARGEST, for its
-    witness; these second flows chain among themselves after the sweep.  A
-    LARGEST singleton winner enters as the bound val+1: by the
-    largest-cardinality tie-break no larger set of its family ties it.
+    The sweep asks each pair under SMALLEST for the pair's minimum val; the
+    value is the same in every mode.  A pair with val above the band enters
+    as the floor val.  Only a pair with val in the band is asked again, on
+    the same pins, under LARGEST, for its witness; min_potential reads that
+    union off the flow the SMALLEST ask ran, so the re-ask costs one search
+    and no flow.  A LARGEST singleton winner enters as the bound val+1: by
+    the largest-cardinality tie-break no larger set of its family ties it.
 
     Returns (m, W): an in-band witness (m <= band_top, W its exact minimum
     set, the largest, then lexicographically smallest, window minimizer) or
@@ -286,10 +287,10 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     if n < 3:
         return band_top + 1, None
     order = _sweep_order(H, n)
-    pairs = [(v, order[(i + 1) % n]) for i, v in enumerate(order)]
-    vals = [_exact_int(min_potential_pinned(H, force=[v], ban=[u], extremal=SMALLEST)[1]) for v, u in pairs]
     results: list[tuple[int, frozenset[int] | None]] = []
-    for (v, u), val in zip(pairs, vals):
+    for i, v in enumerate(order):
+        u = order[(i + 1) % n]
+        val = _exact_int(min_potential_pinned(H, force=[v], ban=[u], extremal=SMALLEST)[1])
         if val > band_top:
             results.append((val, None))
             continue
@@ -782,7 +783,9 @@ def discharge_classify(G: Graph) -> DischargeReport:
                 # gadgets receive a full unit from each endpoint, edges a half
                 ch_star[v] -= (2 * half) if G.kind_of(v, u) == GADGET else half
 
-    total = sum(ch, Fraction(0)) + e_dprime  # each gadget starts with charge one
+    # each gadget keeps the part of its debit that its two ends do not take
+    gadget_charge = RHO_S.edge[GADGET] - 2 * RHO_S.edge[SINGLE]
+    total = sum(ch, Fraction(0)) + gadget_charge * e_dprime
     if total != -rho_s(G, range(n)):
         raise AssertionError("discharge bookkeeping lost charge")
 

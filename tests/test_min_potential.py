@@ -221,9 +221,11 @@ def _pinned_oracle(H, force, ban, extremal):
 def test_pinned_warm_start_matches_enumeration():
     # Calls interleave over a pool of hypergraphs and all three modes, so the
     # memoised warm network is hit, missed and replaced; a hit must hand back
-    # the very network the previous call left, with its flow untouched.
+    # the very network the previous call left, with its flow untouched.  The
+    # memo is keyed by the hypergraph alone, so a change of mode hits it too.
     rng = random.Random(8128)
-    hits = misses = 0
+    hits = misses = mode_changes = 0
+    last_mode = None
     for _ in range(12):
         pool = []
         for _ in range(4):
@@ -241,27 +243,31 @@ def test_pinned_warm_start_matches_enumeration():
             k_force = rng.randint(0, min(3, H.n))
             force = order[:k_force]
             ban = order[k_force:k_force + rng.randint(0, min(3, H.n - k_force))]
-            last_H, last_mode, last_warm = min_potential._last_warm
+            last_H, last_warm = min_potential._last_warm
             snapshot = list(last_warm[0].flow.cap) if last_warm else None
             W, val = min_potential_pinned(H, force, ban, extremal=mode)
             assert (W, val) == _pinned_oracle(H, force, ban, mode)
-            warm = min_potential._last_warm[2]
-            if last_H is H and last_mode == mode:
+            warm = min_potential._last_warm[1]
+            if last_H is H:
                 hits += 1
+                mode_changes += mode != last_mode
                 assert warm is last_warm
                 assert warm[0].flow.cap == snapshot
             else:
                 misses += 1
                 assert warm is not last_warm
-    assert hits >= 10 and misses >= 100
+            last_mode = mode
+    assert hits >= 10 and mode_changes >= 10 and misses >= 100
 
 
 def test_warm_start_shared_across_threads():
     # batch --jobs solves in threads that share the one-entry memo, here on
-    # the same hypergraph objects: every thread must still get the answers
-    # of a serial run
+    # the same hypergraph objects and in all three modes, which the memo
+    # serves from one network: every thread must still get the answers of a
+    # serial run
     rng = random.Random(16)
     pool = [random_hypergraph(rng, max_n=12, max_edges=24) for _ in range(3)]
+    modes = (None, LARGEST, SMALLEST)
     queries = []
     for _ in range(6):
         qs = []
@@ -269,21 +275,26 @@ def test_warm_start_shared_across_threads():
             H = rng.choice(pool)
             order = rng.sample(range(H.n), H.n)
             k = rng.randint(0, 1)
-            qs.append((H, order[:k], order[k:k + rng.randint(0, 1)]))
+            qs.append((H, order[:k], order[k:k + rng.randint(0, 1)], rng.choice(modes)))
         queries.append(qs)
     # scan-shaped runs: force v, ban its successor, so each flow releases the
-    # pins of the one before it, on networks every thread shares
+    # pins of the one before it, on networks every thread shares; each pair
+    # is asked in every mode, so the later asks read the flow of the first
     for H in pool * 2:
         order = rng.sample(range(H.n), H.n)
-        queries.append([(H, [v], [order[(i + 1) % H.n]]) for i, v in enumerate(order)])
-    expected = [[min_potential_pinned(H, f, b) for H, f, b in qs] for qs in queries]
+        queries.append([
+            (H, [v], [order[(i + 1) % H.n]], mode)
+            for i, v in enumerate(order)
+            for mode in rng.sample(modes, 3)
+        ])
+    expected = [[min_potential_pinned(*q) for q in qs] for qs in queries]
     got = [[] for _ in queries]
     start = threading.Barrier(len(queries))
 
     def work(i):
         start.wait()
         for _ in range(5):
-            got[i].append([min_potential_pinned(H, f, b) for H, f, b in queries[i]])
+            got[i].append([min_potential_pinned(*q) for q in queries[i]])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -460,7 +471,7 @@ def test_chained_release_matches_enumeration():
         ]
         H = hypergraph(n, weights, edges)
         for mode in (None, LARGEST, SMALLEST):
-            aux = min_potential._warm(H, mode)[0]
+            aux = min_potential._warm(H)[0]
             snapshot = list(aux.flow.cap)
             force, ban = set(), set()
             for _ in range(40):
@@ -493,10 +504,12 @@ def test_chained_release_matches_enumeration():
             assert aux.flow.cap == snapshot
 
 
-# A zero-weight vertex's s->v arc cannot be nudged down, so under LARGEST its
-# v->t arc gets capacity one.  Vertex 4 is isolated; vertex 2 hangs off the
-# minimizer {0, 1} through the hyperedge {1, 2, 3}, which never closes since 3
-# is heavy.  rho is -1 on {0, 1} with or without either of them.
+# A zero-weight vertex ties inside and outside a minimizer, so it lies in the
+# union of the minimizers (LARGEST) and outside their intersection
+# (SMALLEST); no arc of the network marks it.  Vertex 4 is isolated; vertex 2
+# hangs off the minimizer {0, 1} through the hyperedge {1, 2, 3}, which never
+# closes since 3 is heavy.  rho is -1 on {0, 1} with or without either of
+# them.
 ZERO_WEIGHT = hypergraph(5, [1, 1, 0, 5, 0], [((0, 1), 3), ((1, 2, 3), 1)])
 
 
@@ -666,11 +679,24 @@ def test_terminal_arcs_are_listed_once_per_flow(monkeypatch):
     assert phases >= 30
 
 
-def test_smallest_network_carries_no_perturbation():
-    # the nodes that reach t in any max flow are the intersection of the
-    # minimizers, so SMALLEST reads its set off the plain network; zero-weight
-    # vertices included, since they tie inside and outside every minimizer
+def test_one_network_serves_every_mode(monkeypatch):
+    # one plain network per hypergraph: every s->v arc carries the vertex's
+    # weight, every v->t arc nothing, and the union and the intersection of
+    # the minimizers both come off its max flow.  All three entry points in
+    # all three modes match enumeration, zero-weight vertices included, and
+    # a mode change on the pins just solved reads that flow and runs none.
+    flows = 0
+    kernel = FlowNetwork.max_flow
+
+    def counted(self, s, t):
+        nonlocal flows
+        flows += 1
+        return kernel(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    modes = (None, LARGEST, SMALLEST)
     rng = random.Random(3131)
+    reads = 0
     for _ in range(40):
         n = rng.randint(1, 8)
         weights = [Fraction(rng.choice((0, 0, rng.randint(1, 12))), rng.choice((1, 1, 2))) for _ in range(n)]
@@ -679,16 +705,32 @@ def test_smallest_network_carries_no_perturbation():
             for _ in range(rng.randint(0, 3 * n))
         ]
         H = hypergraph(n, weights, edges)
-        plain, smallest = build_aux_network(H), build_aux_network(H, SMALLEST)
-        assert smallest.flow.to == plain.flow.to
-        assert smallest.flow.cap == plain.flow.cap
-        assert smallest.infinite == plain.infinite
-        for m1, m2 in itertools.product(range(3), repeat=2):
-            if m1 <= n - m2:
-                got = min_potential_constrained(H, m1, m2, SMALLEST)
-                assert got == min_potential_enum(H, m1, m2, SMALLEST)
+        aux = build_aux_network(H)
+        cap = aux.flow.cap
+        assert [cap[a] for a in aux.source_arc] == [int(w * aux.scale) for w in H.vertex_weights]
+        assert [cap[a] for a in aux.sink_arc] == [0] * n
+        assert aux.infinite == sum(aux.weights) + aux.total_edge_weight_scaled + 1
+        assert min_potential_subset(H) == _pinned_oracle(H, (), (), None)
+        for mode in rng.sample(modes, 3):
+            for m1, m2 in itertools.product(range(3), repeat=2):
+                if m1 <= n - m2:
+                    got = min_potential_constrained(H, m1, m2, mode)
+                    if mode is None:
+                        # the value is exact, the set one of the window's minimizers
+                        W, val = got
+                        assert val == min_potential_enum(H, m1, m2)[1] == rho_hyper(H, W)
+                        assert m1 <= len(W) <= n - m2
+                    else:
+                        assert got == min_potential_enum(H, m1, m2, mode)
         for _ in range(8):
             picked = rng.sample(range(n), rng.randint(0, min(3, n)))
             k = rng.randint(0, len(picked))
             force, ban = picked[:k], picked[k:]
-            assert min_potential_pinned(H, force, ban, extremal=SMALLEST) == _pinned_oracle(H, force, ban, SMALLEST)
+            first, *rest = rng.sample(modes, 3)
+            assert min_potential_pinned(H, force, ban, extremal=first) == _pinned_oracle(H, force, ban, first)
+            before = flows
+            for mode in rest:
+                assert min_potential_pinned(H, force, ban, extremal=mode) == _pinned_oracle(H, force, ban, mode)
+            assert flows == before
+            reads += bool(picked)
+    assert reads >= 150

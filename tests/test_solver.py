@@ -382,9 +382,21 @@ def test_discharge_on_pinned_instance():
 
 
 def test_discharge_identity():
-    for G in (instance_a(), instance_b(), instance_c()):
+    # each gadget keeps one unit of charge; the instances with B-B edges
+    # turned into gadgets exercise that unit
+    gadgets = 0
+    for G in (
+        instance_a(),
+        instance_b(),
+        instance_c(),
+        instance_a().set_kind(0, 1, GADGET),
+        instance_b().set_kind(8, 9, GADGET),
+        instance_c().set_kind(16, 17, GADGET).set_kind(18, 19, GADGET).set_kind(20, 21, GADGET),
+    ):
         rep = discharge_classify(G)
         assert sum(rep.ch) + rep.e_dprime_b == -rho_s(G, range(G.n))
+        gadgets += rep.e_dprime_b
+    assert gadgets == 5
 
 
 def test_discharge_rejects():
@@ -571,21 +583,32 @@ def test_scan_search_work(monkeypatch, to_hyper, band, bound):
     ids=["rho_m", "rho_s"],
 )
 def test_scan_search_work_unperturbed(monkeypatch, to_hyper, band, bound):
-    # The sweep's flows run on the SMALLEST network, which carries no
-    # perturbation, and no BFS scans head[t]: about 49,400 (rho_m) and 6,100
-    # (rho_s) lookups.  The LARGEST sweep took 139,864 and 7,123.
+    # The sweep's flows run on the plain network, read W under SMALLEST, and
+    # no BFS scans head[t]: about 49,400 (rho_m) and 6,100 (rho_s) lookups.
+    # A sweep on a LARGEST network perturbed by (n + 1) scaling took 139,864
+    # and 7,123.
     assert _scan_lookups(monkeypatch, to_hyper, band) <= bound
 
 
 def _asking(monkeypatch):
-    """Records each (extremal, force, ban, value) the scan asks for."""
+    """Records each (extremal, force, ban, value, flows run) the scan asks
+    for."""
     asked = []
+    flows = 0
+    kernel = FlowNetwork.max_flow
+
+    def counted(self, s, t):
+        nonlocal flows
+        flows += 1
+        return kernel(self, s, t)
 
     def pinned(H, force=(), ban=(), extremal=LARGEST):
+        before = flows
         W, r = min_potential_pinned(H, force, ban, extremal)
-        asked.append((extremal, tuple(force), tuple(ban), r))
+        asked.append((extremal, tuple(force), tuple(ban), r, flows - before))
         return W, r
 
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
     monkeypatch.setattr(solver, "min_potential_pinned", pinned)
     return asked
 
@@ -605,7 +628,8 @@ def test_above_band_scan_asks_only_smallest(monkeypatch, to_hyper, band):
 
 def test_in_band_scan_asks_largest_only_for_in_band_pins(monkeypatch):
     # each pin pair is asked once under SMALLEST; exactly the pairs whose
-    # value lies in the band are asked again under LARGEST, after the sweep
+    # value lies in the band are asked again under LARGEST, right after their
+    # own SMALLEST ask, and that re-ask reads the flow just run and runs none
     asked = _asking(monkeypatch)
     rng = random.Random(99)
     in_band = skipped = 0
@@ -625,13 +649,14 @@ def test_in_band_scan_asks_largest_only_for_in_band_pins(monkeypatch):
         H = to_hyper(G)
         asked.clear()
         m, W = solver._scan(H, n, band)
-        modes = [mode for mode, *_ in asked]
-        assert modes == [SMALLEST] * n + [LARGEST] * (len(asked) - n)
-        sweep = {(f, b): r for mode, f, b, r in asked if mode == SMALLEST}
-        assert len(sweep) == n
-        again = [(f, b) for mode, f, b, _ in asked if mode == LARGEST]
+        sweep = {(f, b): r for mode, f, b, r, _ in asked if mode == SMALLEST}
+        assert len(sweep) == n == sum(mode == SMALLEST for mode, *_ in asked)
+        for i, (mode, f, b, r, flows) in enumerate(asked):
+            if mode == LARGEST:
+                assert i > 0 and asked[i - 1][:4] == (SMALLEST, f, b, r)
+                assert flows == 0
+        again = [(f, b) for mode, f, b, *_ in asked if mode == LARGEST]
         assert again == [pair for pair, r in sweep.items() if r <= band]
-        assert all(r == sweep[f, b] for mode, f, b, r in asked if mode == LARGEST)
         if m <= band:
             in_band += 1
             skipped += len(again) < n
@@ -802,6 +827,59 @@ def test_agreement_with_oracle():
         else:
             raise AssertionError(f"unexpected outcome {out!r}")
     assert {"Colored", "CertLowPotential"} <= seen
+
+
+def _relabeled(G, perm):
+    """G with vertex v renamed perm[v], edge kinds and tags kept."""
+    tags = [None] * G.n
+    for v, tag in enumerate(G.precolor):
+        tags[perm[v]] = tag
+    return normalize(G.n, [(perm[u], perm[v], kind) for u, v, kind in G.edges], tags)
+
+
+def _check_outcome(kind, G, out):
+    """A coloring validates on G and a certificate verifies on G."""
+    if isinstance(out, Colored):
+        assert validate_coloring(G, out.coloring) is None
+    elif isinstance(out, CertLowPotential):
+        assert out.subset
+        assert (rho_m if kind == "multi" else rho_s)(G, out.subset) == out.rho < out.threshold
+    elif isinstance(out, CertForbidden):
+        assert find_embedding(base_graph(out.name), G, anchor=out.mapping) is not None
+    else:
+        assert isinstance(out, Diagnostic)
+
+
+def test_relabeling_keeps_the_outcome_class():
+    # Seeded sparse graphs, some tagged and some with a few extra edges so
+    # that certificates come up too, each solved as given and with its ids
+    # permuted.  The outcome class is the same whenever neither run reports a
+    # Diagnostic, and every answer checks out on its own graph.
+    rng = random.Random(1903)
+    compared = 0
+    seen = set()
+    for trial in range(64):
+        kind = ("multi", "simple")[trial % 2]
+        n = rng.randint(8, 14)
+        G = (random_sparse_multigraph if kind == "multi" else random_sparse_simple)(rng, n)
+        if trial % 4 == 1:
+            edges = {(u, v) for u, v, _ in G.edges}
+            extra = [p for p in itertools.combinations(range(n), 2) if p not in edges]
+            G = normalize(n, list(G.edges) + [(*p, SINGLE) for p in rng.sample(extra, 2)])
+        elif trial % 4 == 2:
+            G = normalize(n, G.edges, [rng.choice((UNCOLORED,) * 8 + (FP, IP)) for _ in range(n)])
+        perm = rng.sample(range(n), n)
+        P = _relabeled(G, perm)
+        drive = color_multigraph if kind == "multi" else color_simple
+        out, out_p = drive(G, brute_threshold=3), drive(P, brute_threshold=3)
+        _check_outcome(kind, G, out)
+        _check_outcome(kind, P, out_p)
+        if not isinstance(out, Diagnostic) and not isinstance(out_p, Diagnostic):
+            assert type(out) is type(out_p), (trial, out, out_p)
+            compared += 1
+            seen.add(type(out).__name__)
+    assert compared >= 56
+    assert seen == {"Colored", "CertLowPotential", "CertForbidden"}
 
 
 def test_trace_smoke():
