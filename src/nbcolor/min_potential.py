@@ -7,8 +7,11 @@ minimum s-t cut corresponds to the subset W of vertices on its sink side, and
 its weight equals rho(W) plus the total hyperedge weight, so a max-flow
 computation finds a minimizer of rho.
 
-All arithmetic is integer: denominators are cleared once per hypergraph, and
-a Fraction is built only for the value handed back to the caller.
+All arithmetic is integer.  The hypergraphs of the two graph potentials
+carry int weights, so their networks take the weights as they are (scale
+1); a hypergraph with Fraction weights has its denominators cleared once,
+when its network is built.  A Fraction is built only for the value handed
+back to the caller.
 
 The nodes that can reach t in the residual graph of any maximum flow form
 the smallest sink side of a minimum cut, and the nodes s cannot reach form
@@ -42,9 +45,13 @@ out-arcs (v->t and the arcs v->e) carry together, so the excess can be taken
 off those, and each unit taken off v->e is also taken off e->t, whose flow
 is the sum over e's in-arcs.  Every other capacity only rose, so the flow is
 feasible again, and augmenting it until no path is left gives a max flow of
-the new instance.  The latest instance's flow is published in one step as a
-network that is never changed again; each caller copies it, so threads
-sharing the memo (`batch --jobs`) never see a half-updated flow.  An
+the new instance.  potential hands back the same hypergraph object for
+repeated builds on one graph, so a driver's entry screen and the first level
+scan of a graph that does not peel share one warm network, and the scan's
+first instance starts from the screen's last max flow.  The latest
+instance's flow is published in one step as a network that is never changed
+again; each caller copies it, so threads sharing the memo (`batch --jobs`)
+never see a half-updated flow.  An
 instance with the latest instance's pins needs no flow: its set, in any
 mode, is read off the published network, which nobody changes.  Nothing read
 from the flow depends on which max flow it is, as below, so every W and
@@ -326,7 +333,7 @@ def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
 
 
 # (H, warm) of the latest call.  Keyed by identity: an lru_cache would hash
-# and compare H's Fraction weights on every call.
+# and compare all of H's weights and hyperedges on every call.
 _last_warm: tuple = (None, None)
 
 

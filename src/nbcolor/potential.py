@@ -13,9 +13,12 @@ RHO_S: a credit per precolor tag, a debit per edge kind, and the edge kind
 the potential refuses.  The hypergraph reductions and the drivers' peel read
 the same records, so each weight table is written once, here.
 
-Everything is exact: integers for the two graph potentials, Fractions for the
-hypergraph one.  rho_m refuses graphs with gadget records, rho_s refuses
-graphs with multi records.
+Everything is exact.  The two graph potentials are integers, and so are the
+weights of the hypergraphs built for them (hypergraph_for_rho_m/_s), which
+the flow code takes without clearing a denominator.  The generic
+constructor `hypergraph` and hypergraph_for_sparsity take rational weights
+as Fractions, and rho_hyper returns a Fraction.  rho_m refuses graphs with
+gadget records, rho_s refuses graphs with multi records.
 """
 
 from __future__ import annotations
@@ -81,9 +84,12 @@ def rho_s(G: Graph, W) -> int:
 
 @dataclass(frozen=True)
 class WeightedHypergraph:
+    """Vertex weights and weighted hyperedges: ints from the graph
+    potentials' builders, Fractions from `hypergraph`."""
+
     n: int
-    vertex_weights: tuple[Fraction, ...]
-    edges: tuple[tuple[frozenset[int], Fraction], ...]
+    vertex_weights: tuple[int | Fraction, ...]
+    edges: tuple[tuple[frozenset[int], int | Fraction], ...]
 
     def __post_init__(self):
         if len(self.vertex_weights) != self.n:
@@ -127,11 +133,31 @@ def rho_hyper(H: WeightedHypergraph, X) -> Fraction:
 # -- graph -> hypergraph reductions ---------------------------------------
 
 
+# (G, weights, H) of the latest build, published as one tuple so threads
+# sharing it never see a half-updated entry.  Keyed by identity: a driver's
+# entry screen and the first level scan of a graph that does not peel ask
+# for the same G's hypergraph, and handing back the same H lets
+# min_potential's warm network and latest flow serve both.
+_last_built: tuple = (None, None, None)
+
+
 def _hypergraph_for(G: Graph, weights: Weights) -> WeightedHypergraph:
+    """The hypergraph of `weights` on G, with int weights.  G.edges is sorted
+    and holds one record per pair, so its order is the canonical one that
+    `hypergraph` would give."""
+    global _last_built
+    last_G, last_weights, H = _last_built
+    if last_G is G and last_weights is weights:
+        return H
     weights.check(G)
-    vw = [weights.tag[t] for t in G.precolor]
-    he = [((u, v), weights.edge[kind]) for u, v, kind in G.edges]
-    return hypergraph(G.n, vw, he)
+    tag, edge = weights.tag, weights.edge
+    H = WeightedHypergraph(
+        G.n,
+        tuple([tag[t] for t in G.precolor]),
+        tuple([(frozenset((u, v)), edge[kind]) for u, v, kind in G.edges]),
+    )
+    _last_built = (G, weights, H)
+    return H
 
 
 def hypergraph_for_rho_m(G: Graph) -> WeightedHypergraph:

@@ -49,10 +49,13 @@ neighbours.  None of these flows starts from zero: min_potential solves the
 level's hypergraph once without constraints, and each forced and banned
 instance starts from the previous instance's max flow, releasing the two
 pins it drops and raising the two it adds, which gives the same subsets a
-flow from zero would.  The sweep asks each pair for its minimum value under
-SMALLEST; a pair whose value lies in the band is asked again, on the same
-pins, under LARGEST for its witness, which min_potential reads off the flow
-it has just run.  So every in-band answer is the largest, then
+flow from zero would.  On a graph that neither splits nor peels, the
+level-0 scan gets the entry screen's hypergraph object back (potential
+memoises its latest build), so it reuses the screen's warm network and its
+first instance starts from the screen's last flow.  The sweep asks each
+pair for its minimum value under SMALLEST; a pair whose value lies in the
+band is asked again, on the same pins, under LARGEST for its witness, which
+min_potential reads off the flow it has just run.  So every in-band answer is the largest, then
 lexicographically smallest, window minimizer.  Above the band the floor is
 the least pair value, or a LARGEST singleton's value plus one, and callers
 only compare it to the band.

@@ -22,8 +22,8 @@ from nbcolor.min_potential import (
     min_potential_pinned,
     min_potential_subset,
 )
-from nbcolor.graph_core import SINGLE, normalize
-from nbcolor.potential import hypergraph, hypergraph_for_rho_s, rho_hyper
+from nbcolor.graph_core import FP, SINGLE, UNCOLORED, normalize
+from nbcolor.potential import hypergraph, hypergraph_for_rho_m, hypergraph_for_rho_s, rho_hyper
 
 
 # worked example: six vertices u..z with the two-triangle-plus-tail shape
@@ -308,6 +308,57 @@ def test_warm_start_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got == [[exp] * 5 for exp in expected]
+
+
+def test_hypergraph_memo_shared_across_threads():
+    # Threads alternate graphs and both potentials through potential's
+    # one-entry hypergraph memo and min_potential's warm network, the way a
+    # driver's entry screen and level-0 scan use them: each thread must get
+    # its own graph's hypergraph under its own potential, and the screen's
+    # and scan-shaped answers of a serial run.  An equal graph that is
+    # another object is in the pool too.
+    rng = random.Random(2718)
+    graphs = []
+    for _ in range(3):
+        n = rng.randint(5, 12)
+        raw = [(u, v, SINGLE) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.35]
+        graphs.append(normalize(n, raw, [FP if rng.random() < 0.3 else UNCOLORED for _ in range(n)]))
+    graphs.append(normalize(graphs[0].n, graphs[0].edges, graphs[0].precolor))
+    jobs = [(G, to_hyper) for G in graphs for to_hyper in (hypergraph_for_rho_m, hypergraph_for_rho_s)]
+
+    def run(G, to_hyper):
+        H = to_hyper(G)
+        answers = [H, min_potential_constrained(H, m1=1, m2=0, extremal=LARGEST)]
+        H = to_hyper(G)
+        answers.append(H)
+        for i in range(G.n):
+            answers.append(min_potential_pinned(H, [i], [(i + 1) % G.n], extremal=SMALLEST))
+        return answers
+
+    expected = [run(*job) for job in jobs]
+    got = [[] for _ in range(8)]
+    start = threading.Barrier(len(got))
+
+    def work(t):
+        start.wait()
+        for k in random.Random(t).choices(range(len(jobs)), k=6 * len(jobs)):
+            got[t].append((k, run(*jobs[k])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(got))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for answers in got:
+        assert len(answers) == 6 * len(jobs)
+        for k, answer in answers:
+            assert answer == expected[k]
 
 
 def _random_network(rng, n, arcs):

@@ -1,13 +1,18 @@
 """Potential functions: the two graph potentials and the hypergraph form."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from nbcolor import potential
 from nbcolor.families import base_graph, gen_gk, gen_hk
-from nbcolor.graph_core import graph
+from nbcolor.graph_core import FP, GADGET, IP, MULTI, SINGLE, UNCOLORED, graph, normalize
+from nbcolor.min_potential import build_aux_network
 from nbcolor.potential import (
+    RHO_M,
+    RHO_S,
     KindError,
     hypergraph,
     hypergraph_for_rho_m,
@@ -139,3 +144,86 @@ def test_hypergraph_for_sparsity():
     assert rho_hyper(H, {1, 2}) == Fraction(3) - 2
     assert rho_hyper(H, {2, 3}) == Fraction(3) - 1
     assert rho_hyper(H, range(4)) == Fraction(6) - 4
+
+
+def _canonical(G, weights):
+    """The hypergraph of `weights` on G through the generic constructor."""
+    return hypergraph(
+        G.n,
+        [weights.tag[t] for t in G.precolor],
+        [((u, v), weights.edge[kind]) for u, v, kind in G.edges],
+    )
+
+
+def _random_tagged(rng, heavy, n):
+    """A random graph on n vertices with every tag and SINGLE or `heavy`
+    edges."""
+    raw = [
+        (u, v, heavy if rng.random() < 0.3 else SINGLE)
+        for u, v in itertools.combinations(range(n), 2)
+        if rng.random() < 0.4
+    ]
+    return normalize(n, raw, [rng.choice((UNCOLORED, FP, IP)) for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "to_hyper, weights, heavy",
+    [(hypergraph_for_rho_m, RHO_M, MULTI), (hypergraph_for_rho_s, RHO_S, GADGET)],
+    ids=["rho_m", "rho_s"],
+)
+def test_integer_hypergraph_matches_the_canonical_one(to_hyper, weights, heavy):
+    # the graph potentials' hypergraphs are built straight from G.edges with
+    # int weights; they must equal the generic constructor's in n, edge order
+    # and weight values, and give the same network with no scaling
+    rng = random.Random(1203)
+    kinds = set()
+    tags = set()
+    for _ in range(80):
+        G = _random_tagged(rng, heavy, rng.randint(0, 14))
+        kinds.update(kind for _, _, kind in G.edges)
+        tags.update(G.precolor)
+        H = to_hyper(G)
+        ref = _canonical(G, weights)
+        assert H.n == ref.n == G.n
+        assert H.vertex_weights == ref.vertex_weights
+        assert [members for members, _ in H.edges] == [members for members, _ in ref.edges]
+        assert [w for _, w in H.edges] == [w for _, w in ref.edges]
+        assert all(type(w) is int for w in H.vertex_weights)
+        assert all(type(w) is int for _, w in H.edges)
+        net, ref_net = build_aux_network(H), build_aux_network(ref)
+        assert net.scale == ref_net.scale == 1
+        assert net.flow.head == ref_net.flow.head
+        assert net.flow.to == ref_net.flow.to
+        assert net.flow.cap == ref_net.flow.cap
+    assert kinds == {SINGLE, heavy}
+    assert tags == {UNCOLORED, FP, IP}
+
+
+def test_hypergraph_memo_keeps_graphs_and_potentials_apart():
+    # the memo is keyed by the identity of (G, weights): the same G under the
+    # other potential, and an equal graph that is another object, each get
+    # their own build; only the same pair again gets the same object back
+    G = graph(5, singles=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)], fp=[2], ip=[4])
+    H_m = hypergraph_for_rho_m(G)
+    assert hypergraph_for_rho_m(G) is H_m
+    H_s = hypergraph_for_rho_s(G)
+    assert H_s is not H_m
+    assert H_s == _canonical(G, RHO_S)
+    assert hypergraph_for_rho_s(G) is H_s
+    H_m2 = hypergraph_for_rho_m(G)
+    assert H_m2 == H_m == _canonical(G, RHO_M)
+    assert H_m2 != H_s
+
+    twin = graph(5, singles=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)], fp=[2], ip=[4])
+    assert twin == G and twin is not G
+    H_twin = hypergraph_for_rho_m(twin)
+    assert H_twin is not H_m2 and H_twin == H_m2
+    assert potential._last_built[0] is twin
+
+    # a graph the potential refuses is refused also right after a build of
+    # the same graph under the other potential
+    mixed = graph(4, singles=[(0, 1)], gadgets=[(2, 3)])
+    hypergraph_for_rho_s(mixed)
+    with pytest.raises(KindError):
+        hypergraph_for_rho_m(mixed)
+    assert hypergraph_for_rho_s(mixed) == _canonical(mixed, RHO_S)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nbcolor import solver
+from nbcolor import min_potential, solver
 from nbcolor.families import (
     base_graph,
     gen_gk,
@@ -31,9 +31,25 @@ from nbcolor.graph_core import (
     normalize,
     validate_coloring,
 )
-from nbcolor.min_potential import LARGEST, SMALLEST, FlowNetwork, min_potential_enum, min_potential_pinned
+from nbcolor.min_potential import (
+    LARGEST,
+    SMALLEST,
+    FlowNetwork,
+    min_potential_constrained,
+    min_potential_enum,
+    min_potential_pinned,
+)
 from nbcolor.oracle import brute_nb_color, enumerate_nb_colorings
-from nbcolor.potential import KindError, hypergraph_for_rho_m, hypergraph_for_rho_s, rho_m, rho_s
+from nbcolor.potential import (
+    RHO_M,
+    RHO_S,
+    KindError,
+    hypergraph,
+    hypergraph_for_rho_m,
+    hypergraph_for_rho_s,
+    rho_m,
+    rho_s,
+)
 from nbcolor.solver import (
     Blocked,
     CertForbidden,
@@ -661,6 +677,76 @@ def test_in_band_scan_asks_largest_only_for_in_band_pins(monkeypatch):
             in_band += 1
             skipped += len(again) < n
     assert in_band >= 40 and skipped >= 10
+
+
+def _fresh_hypergraph(G, weights):
+    """An equal hypergraph for G that no memo holds."""
+    return hypergraph(
+        G.n,
+        [weights.tag[t] for t in G.precolor],
+        [((u, v), weights.edge[kind]) for u, v, kind in G.edges],
+    )
+
+
+def test_level_zero_scan_continues_from_the_entry_screen(monkeypatch):
+    # On a graph that neither splits nor peels, the worker's scan gets the
+    # entry screen's hypergraph back, so it reuses the screen's warm network
+    # and its first instance starts from the screen's last flow.  That scan
+    # must give what a scan of an equal, fresh hypergraph gives from an
+    # empty memo: the value and the witness.
+    rng = random.Random(5150)
+    multi = (hypergraph_for_rho_m, RHO_M, solver._MULTI_BAND)
+    simple = (hypergraph_for_rho_s, RHO_S, solver._SIMPLE_BAND)
+    cases = [(random_sparse_multigraph(rng, rng.randint(6, 14)), *multi) for _ in range(12)]
+    cases += [(random_sparse_simple(rng, rng.randint(6, 14)), *simple) for _ in range(12)]
+    for seed in range(6):
+        G = _random_cubic(seed, 2 * rng.randint(4, 10))
+        cases += [(G, *multi), (G, *simple)]
+    handed = in_band = 0
+    for G, to_hyper, weights, band in cases:
+        H = to_hyper(G)
+        min_potential_constrained(H, m1=1, m2=0, extremal=LARGEST)
+        aux = min_potential._last_warm[1][0]
+        handed += min_potential._last_flow[0] is aux
+        assert to_hyper(G) is H
+        shared = solver._scan(H, G.n, band)
+        assert min_potential._last_warm[1][0] is aux
+
+        fresh = _fresh_hypergraph(G, weights)
+        assert fresh == H and fresh is not H
+        monkeypatch.setattr(min_potential, "_last_warm", (None, None))
+        monkeypatch.setattr(min_potential, "_last_flow", (None, frozenset(), frozenset(), None))
+        assert solver._scan(fresh, G.n, band) == shared
+        in_band += shared[1] is not None
+    # the screen ran constrained flows, whose last one the scan starts from,
+    # on every cubic graph under rho_s and on some of the others
+    assert handed >= 15 and in_band >= 8
+
+
+@pytest.mark.parametrize("driver", [color_multigraph, color_simple])
+def test_unpeeled_graph_builds_one_network(monkeypatch, driver):
+    # a cubic graph neither splits nor peels, so the entry screen and the
+    # level-0 scan ask for the same G's hypergraph: one network is built
+    # for it, and the scan runs on the screen's hypergraph object
+    G = _random_cubic(8, 24)
+    built, scanned = [], []
+    build, scan = min_potential.build_aux_network, solver._scan
+
+    def counting_build(H):
+        built.append(H)
+        return build(H)
+
+    def recording_scan(H, n, band_top):
+        scanned.append(H)
+        return scan(H, n, band_top)
+
+    monkeypatch.setattr(min_potential, "build_aux_network", counting_build)
+    monkeypatch.setattr(solver, "_scan", recording_scan)
+    out = driver(G)
+    assert isinstance(out, Colored)
+    weights = RHO_M if driver is color_multigraph else RHO_S
+    assert sum(H == _fresh_hypergraph(G, weights) for H in built) == 1
+    assert scanned and scanned[0] is built[0]
 
 
 def test_closure_absorbs_within_its_room():
