@@ -333,7 +333,7 @@ def verify_member(cand: Graph, catalog: "Catalog | None" = None) -> bool:
             return True
     if cand.n > MEMBER_VERTEX_CAP or cand.n > DEFAULT_THRESHOLD:
         return False
-    _, floor = min_potential_constrained(hypergraph_for_rho_s(cand), m1=1)
+    _, floor = min_potential_constrained(hypergraph_for_rho_s(cand), m1=1, below=MEMBER_POTENTIAL_FLOOR)
     if floor < MEMBER_POTENTIAL_FLOOR:
         return False
     if not is_nb_critical(cand):

@@ -112,6 +112,21 @@ mirror image, with W the intersection of the minimizers.  Without a mode W
 is still the union of the branch's minimizers, so the value is exact, but the
 tuple tie-break sees only the branches taken: W is an in-window minimizer
 that can differ from the enumeration's.
+
+A caller that only compares the minimum to a threshold passes it as `below`,
+and the search stops at the first branch it takes whose value is at least
+`below`, returning no set and that value.  The value is a certified lower
+bound on the window minimum: every window set not yet taken lies in some
+open branch, whose value is at most its rho, and the branch taken has the
+least value of all open ones.  The cutoff never changes an answer below the
+threshold: if the window minimum is rho(X) < below, every branch taken up to
+and including the answer ranks no higher than the answer, so its value is at
+most rho(X) < below, and the search takes the same branches and returns the
+same W as without the cutoff.  A screen for a nonempty set below a negative
+floor (both drivers' floors are) runs the warm flow alone.  The root's value
+is the unconstrained minimum.  If it is below the floor, the root's set is
+not empty, since rho(empty set) = 0, so it lies in the window and is the
+answer.  Otherwise the search stops at the root.
 """
 
 from __future__ import annotations
@@ -453,13 +468,19 @@ def min_potential_constrained(
     m1: int = 0,
     m2: int = 0,
     extremal: str | None = None,
-) -> tuple[frozenset[int], Fraction]:
+    below: int | Fraction | None = None,
+) -> tuple[frozenset[int] | None, Fraction]:
     """Minimize rho over subsets with m1 <= |W| <= n - m2.
 
     Under LARGEST or SMALLEST, ties on rho go to the extremal cardinality,
     then to the lexicographically smallest vertex tuple over every subset in
     the window: W is min_potential_enum's.  With no mode the value is exact
     and W is one of the window's minimizers.
+
+    With `below` set, a caller that only asks whether some window set has
+    rho < below gets the same (W, rho) when one does, and otherwise
+    (None, v) with below <= v <= the window minimum: the search stops at
+    the first branch whose value reaches `below` (module docstring).
     """
     n = H.n
     if extremal not in EXTREMAL_MODES:
@@ -474,6 +495,8 @@ def min_potential_constrained(
     seen = set()
     while True:
         key, forced, banned = heapq.heappop(heap)
+        if below is not None and key[0] >= below * aux.scale:
+            return None, Fraction(key[0], aux.scale)
         W = frozenset(key[2])
         if m1 <= len(W) <= n - m2:
             return _answer(aux, W)

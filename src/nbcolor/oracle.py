@@ -187,7 +187,7 @@ def check_sparse(G: Graph, a, b) -> tuple[bool, frozenset[int] | None]:
             return True, None
         return False, frozenset(v for v in range(G.n) if best >> v & 1)
     H = hypergraph_for_sparsity(G, a)
-    W, val = min_potential_constrained(H, m1=1)
+    W, val = min_potential_constrained(H, m1=1, below=b)
     if val >= b:
         return True, None
     return False, W

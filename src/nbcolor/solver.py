@@ -10,6 +10,11 @@ validated coloring or reports why it cannot:
   CertForbidden      an embedded catalog member
   Diagnostic         a structural dead end with the step that hit it
 
+The potential screen asks only whether some nonempty subset beats the
+floor, so min_potential stops its search at the floor (`below`): one max
+flow per screen, and the same subset as the exact minimum whenever the
+screen fires.
+
 Workers assume the screened invariants (potential floor on every nonempty
 subset, no catalog member) and re-establish them for every recursive call by
 construction; a breach at any point turns into a Diagnostic, never a wrong
@@ -49,16 +54,16 @@ neighbours.  None of these flows starts from zero: min_potential solves the
 level's hypergraph once without constraints, and each forced and banned
 instance starts from the previous instance's max flow, releasing the two
 pins it drops and raising the two it adds, which gives the same subsets a
-flow from zero would.  On a graph that neither splits nor peels, the
-level-0 scan gets the entry screen's hypergraph object back (potential
-memoises its latest build), so it reuses the screen's warm network and its
-first instance starts from the screen's last flow.  The sweep asks each
-pair for its minimum value under SMALLEST; a pair whose value lies in the
-band is asked again, on the same pins, under LARGEST for its witness, which
-min_potential reads off the flow it has just run.  So every in-band answer is the largest, then
-lexicographically smallest, window minimizer.  Above the band the floor is
-the least pair value, or a LARGEST singleton's value plus one, and callers
-only compare it to the band.
+flow from zero would.  On a graph that neither splits nor peels, the level-0
+scan gets the entry screen's hypergraph object back (potential memoises its
+latest build), so it reuses the screen's warm network and its first instance
+starts from the warm flow, the only flow the screen runs.  The sweep asks
+each pair for its minimum value under SMALLEST; a pair whose value lies in
+the band is asked again, on the same pins, under LARGEST for its witness,
+which min_potential reads off the flow it has just run.  So every in-band
+answer is the largest, then lexicographically smallest, window minimizer.
+Above the band the floor is the least pair value, or a LARGEST singleton's
+value plus one, and callers only compare it to the band.
 
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
@@ -1372,7 +1377,7 @@ def _simple_tight_route(G: Graph, H, ctx: _Ctx, depth: int, W, step: str) -> Out
     W2 = _closure(G, W, GADGET, n - 2)
     if len(W2) == n - 1:
         # the size bound for contraction asks for two outside vertices
-        W3, r3 = min_potential_constrained(H, m1=2, m2=2, extremal=LARGEST)
+        W3, r3 = min_potential_constrained(H, m1=2, m2=2, extremal=LARGEST, below=_SIMPLE_BAND + 1)
         if _exact_int(r3) > _SIMPLE_BAND:
             ctx.note(depth, f"{step} tight set fills the graph, smaller sets are clean")
             return None
@@ -1690,10 +1695,14 @@ def color_simple(
 def _drive(G: Graph, ctx: _Ctx, hyper, floor: int, worker) -> Outcome:
     """The empty graph, the potential screen over all nonempty subsets of
     `hyper(G)`, the catalog screen, the worker, and a final validation of a
-    coloring against the driver's own input (step "final")."""
+    coloring against the driver's own input (step "final").
+
+    The screen passes the floor as `below`, so it runs the warm flow alone.
+    When r beats the floor, W is the exact query's set; otherwise W is None
+    and r only a bound at least the floor (min_potential module docstring)."""
     if G.n == 0:
         return Colored(Coloring(()))
-    W, r = min_potential_constrained(hyper(G), m1=1, m2=0, extremal=LARGEST)
+    W, r = min_potential_constrained(hyper(G), m1=1, m2=0, extremal=LARGEST, below=floor)
     if r < floor:
         return CertLowPotential(W, _exact_int(r), floor)
     hit = find_forbidden_subgraph(G, ctx.catalog)

@@ -444,6 +444,48 @@ def test_window_matches_enum_tiebreak():
             assert rho_hyper(H, W) == val
 
 
+def _fraction_hypergraph(rng, max_n):
+    n = rng.randint(1, max_n)
+    weights = [Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(n)]
+    edges = [
+        (rng.sample(range(n), rng.randint(1, min(3, n))), Fraction(rng.randint(1, 12), rng.choice((1, 2))))
+        for _ in range(rng.randint(0, 2 * n))
+    ]
+    return hypergraph(n, weights, edges)
+
+
+def test_cutoff_matches_enumeration():
+    # below= stops the search at the first branch whose value reaches the
+    # threshold.  A window minimum below the threshold comes back exactly as
+    # the uncut query gives it, set included; otherwise no set comes back,
+    # and the value lies between the threshold and the window minimum
+    rng = random.Random(1313)
+    kept = cut = early = 0
+    for trial in range(48):
+        H = _fraction_hypergraph(rng, 8) if trial % 3 == 2 else random_hypergraph(rng, max_n=8, max_edges=16)
+        root = min_potential_subset(H)[1]
+        windows = [(m1, m2) for m1, m2 in itertools.product(range(3), repeat=2) if m1 <= H.n - m2]
+        for m1, m2 in rng.sample(windows, min(3, len(windows))):
+            for mode in (None, LARGEST, SMALLEST):
+                uncut = min_potential_constrained(H, m1, m2, mode)
+                low = min_potential_enum(H, m1, m2, mode)[1]
+                assert uncut[1] == low
+                between = (root + low) / 2
+                for below in (low - 1, between, low, low + Fraction(1, 3), low + 1, int(low) + 4):
+                    W, v = min_potential_constrained(H, m1, m2, mode, below=below)
+                    if low < below:
+                        assert (W, v) == uncut
+                        kept += 1
+                    else:
+                        assert W is None
+                        assert below <= v <= low
+                        cut += 1
+                        early += v < low
+    # half the thresholds lie above the minimum; some cuts stop before the
+    # search reaches the window minimum
+    assert kept == cut >= 1000 and early >= 50
+
+
 # 12 vertices, 20 edges, minimum degree three: rho_s is lowest on the whole
 # vertex set (-4), and every set that misses two vertices has rho_s above 0
 WINDOW_GRAPH_EDGES = [

@@ -690,8 +690,11 @@ def _fresh_hypergraph(G, weights):
 
 def test_level_zero_scan_continues_from_the_entry_screen(monkeypatch):
     # On a graph that neither splits nor peels, the worker's scan gets the
-    # entry screen's hypergraph back, so it reuses the screen's warm network
-    # and its first instance starts from the screen's last flow.  That scan
+    # entry screen's hypergraph back, so it reuses the screen's warm network.
+    # The drivers' screen stops at its floor after the warm flow, so their
+    # scan's first instance starts from that flow.  Here the nonempty query
+    # runs uncut, and on many of these graphs it runs constrained flows, so
+    # the scan starts from the last of them instead.  Either way the scan
     # must give what a scan of an equal, fresh hypergraph gives from an
     # empty memo: the value and the witness.
     rng = random.Random(5150)
@@ -718,8 +721,8 @@ def test_level_zero_scan_continues_from_the_entry_screen(monkeypatch):
         monkeypatch.setattr(min_potential, "_last_flow", (None, frozenset(), frozenset(), None))
         assert solver._scan(fresh, G.n, band) == shared
         in_band += shared[1] is not None
-    # the screen ran constrained flows, whose last one the scan starts from,
-    # on every cubic graph under rho_s and on some of the others
+    # the uncut query ran constrained flows, whose last one the scan starts
+    # from, on every cubic graph under rho_s and on some of the others
     assert handed >= 15 and in_band >= 8
 
 
@@ -727,7 +730,8 @@ def test_level_zero_scan_continues_from_the_entry_screen(monkeypatch):
 def test_unpeeled_graph_builds_one_network(monkeypatch, driver):
     # a cubic graph neither splits nor peels, so the entry screen and the
     # level-0 scan ask for the same G's hypergraph: one network is built
-    # for it, and the scan runs on the screen's hypergraph object
+    # for it, and the scan runs on the screen's hypergraph object, starting
+    # from the screen's warm flow, the only flow the screen runs
     G = _random_cubic(8, 24)
     built, scanned = [], []
     build, scan = min_potential.build_aux_network, solver._scan
@@ -747,6 +751,79 @@ def test_unpeeled_graph_builds_one_network(monkeypatch, driver):
     weights = RHO_M if driver is color_multigraph else RHO_S
     assert sum(H == _fresh_hypergraph(G, weights) for H in built) == 1
     assert scanned and scanned[0] is built[0]
+
+
+def _entry_screen_flows(monkeypatch):
+    """The flows of each nonempty-set query (m1=1, m2=0), in call order; in
+    the drivers only the entry screen asks one."""
+    flows = 0
+    screens = []
+    run, query = FlowNetwork.max_flow, solver.min_potential_constrained
+
+    def counted(self, s, t):
+        nonlocal flows
+        flows += 1
+        return run(self, s, t)
+
+    def recording(H, m1=0, m2=0, extremal=None, below=None):
+        before = flows
+        out = query(H, m1, m2, extremal, below)
+        if (m1, m2) == (1, 0):
+            screens.append(flows - before)
+        return out
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    monkeypatch.setattr(solver, "min_potential_constrained", recording)
+    return screens
+
+
+def _cycle(n):
+    return graph(n, singles=[(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("driver, to_hyper", [
+    (color_multigraph, hypergraph_for_rho_m),
+    (color_simple, hypergraph_for_rho_s),
+])
+def test_entry_screen_runs_one_flow(monkeypatch, driver, to_hyper):
+    # A cubic graph neither splits nor peels, and a long cycle peels away.
+    # On a cycle, and on a cubic graph under rho_s, every nonempty set has
+    # positive potential, so the union of minimizers is empty and the exact
+    # nonempty minimum forces each vertex in turn.  The screen only asks
+    # for a set below the floor and stops after the warm flow.
+    screens = _entry_screen_flows(monkeypatch)
+    limit = sys.getrecursionlimit()
+    for G in (_random_cubic(11, 60), _cycle(5000)):
+        assert isinstance(driver(G), Colored)
+        assert screens == [1]
+        screens.clear()
+    assert sys.getrecursionlimit() == limit
+    solver.min_potential_constrained(to_hyper(_cycle(60)), m1=1, m2=0, extremal=LARGEST)
+    assert screens[0] > 60
+
+
+def test_entry_screen_certificate_is_the_exact_minimizer():
+    # Below the floor the screen's cutoff never fires, so its certificate
+    # is the uncut query's set: the largest, then lexicographically
+    # smallest, nonempty minimizer.
+    multi = (color_multigraph, hypergraph_for_rho_m, solver.MULTI_FLOOR)
+    simple = (color_simple, hypergraph_for_rho_s, solver.SIMPLE_FLOOR)
+    cases = [(gen_gk(k), *multi) for k in (1, 2, 3, 4)]
+    cases += [(gen_hk(k), *kind) for k in (1, 2, 3) for kind in (multi, simple)]
+    rng = random.Random(2718)
+    seeded = 0
+    while seeded < 40:
+        kind, G = _random_instance(rng)
+        driver, to_hyper, floor = multi if kind == "multi" else simple
+        if min_potential_constrained(to_hyper(G), m1=1, m2=0, extremal=LARGEST)[1] < floor:
+            cases.append((G, driver, to_hyper, floor))
+            seeded += 1
+    for G, driver, to_hyper, floor in cases:
+        out = driver(G)
+        W, r = min_potential_constrained(to_hyper(G), m1=1, m2=0, extremal=LARGEST)
+        assert r < floor
+        assert isinstance(out, CertLowPotential)
+        assert (out.subset, out.rho, out.threshold) == (W, r, floor)
 
 
 def test_closure_absorbs_within_its_room():
