@@ -79,6 +79,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
+
+
 def _fail(message: str) -> int:
     print(f"nbcolor: {message}", file=sys.stderr)
     return USAGE
@@ -183,9 +190,7 @@ def _cmd_minpot(args) -> int:
 def _cmd_check(args) -> int:
     G = load_nbg(args.input)
     if args.what == "sparse":
-        a = Fraction(args.a)
-        b = Fraction(args.b)
-        ok, witness = check_sparse(G, a, b)
+        ok, witness = check_sparse(G, args.a, args.b)
         if ok:
             _emit({"check": "sparse", "ok": True})
             return OK
@@ -315,8 +320,8 @@ def _build_parser() -> _Parser:
     cp = sub.add_parser("check", help="brute-force checks on small graphs")
     csub = cp.add_subparsers(dest="what", required=True)
     cs = csub.add_parser("sparse", help="density check over all nonempty subsets")
-    cs.add_argument("--a", required=True, help="slope, 'p/q' or decimal")
-    cs.add_argument("--b", required=True, help="offset, 'p/q' or decimal")
+    cs.add_argument("--a", type=_fraction, required=True, help="slope, 'p/q' or decimal")
+    cs.add_argument("--b", type=_fraction, required=True, help="offset, 'p/q' or decimal")
     cs.add_argument("input")
     cs.set_defaults(func=_cmd_check)
     cc = csub.add_parser("critical", help="nb-criticality by enumeration")

@@ -28,14 +28,16 @@ network's infinite capacity, so v stays on the source side; forcing v raises
 its v->t arc, so v stays on the sink side.  Infinite is one more than the
 sum of all finite capacities, so no minimum cut crosses a raised arc, and
 over the subsets that honour the constraints the cut weight is the
-unconstrained one plus a constant (the hyperedges through banned vertices).
+unconstrained one, rho(W) plus the total hyperedge weight: a raised arc is
+never cut, and a hyperedge through a banned vertex stays on the source side
+and is cut, as it is whenever it is not inside W.
 
 Warm start (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): the network
 of a hypergraph, its unconstrained max flow, and the union and intersection
 that flow cuts out are built once for every mode, memoised in a one-entry
 cache, and never changed afterwards.  A constrained instance starts from the
-max flow of the latest instance on the same network, or from the cached flow
-if there is none, and augments from there.  Raising the arcs it adds keeps
+flow of the latest instance on the same network, or from the cached flow if
+there is none, and augments from there.  Raising the arcs it adds keeps
 that flow feasible.  Releasing an arc the previous instance raised lowers
 its capacity by infinite, and its flow may then exceed the capacity; the
 excess is cancelled along paths s->v->t and s->v->e->t.  v's only in-arc is
@@ -48,14 +50,14 @@ feasible again, and augmenting it until no path is left gives a max flow of
 the new instance.  potential hands back the same hypergraph object for
 repeated builds on one graph, so a driver's entry screen and the first level
 scan of a graph that does not peel share one warm network, and the scan's
-first instance starts from the screen's last max flow.  The latest
-instance's flow is published in one step as a network that is never changed
-again; each caller copies it, so threads sharing the memo (`batch --jobs`)
-never see a half-updated flow.  An
-instance with the latest instance's pins needs no flow: its set, in any
-mode, is read off the published network, which nobody changes.  Nothing read
-from the flow depends on which max flow it is, as below, so every W and
-value is the one a flow from zero would give.
+first instance starts from the screen's last flow.  The latest instance's
+flow is published in one step, as a network that is never changed again
+together with its value and whether it is maximal; each caller copies it,
+so threads sharing the memo (`batch --jobs`) never see a half-updated flow.
+An instance with the latest instance's pins needs no flow when that flow is
+maximal: its set, in any mode, is read off the published network, which
+nobody changes.  Nothing read from the flow depends on which max flow it
+is, as below, so every W and value is the one a flow from zero would give.
 
 Dinic's level graph is measured from the sink (the distance labels of
 Goldberg & Tarjan, J. ACM 1988): each phase labels nodes by their residual
@@ -127,6 +129,32 @@ floor (both drivers' floors are) runs the warm flow alone.  The root's value
 is the unconstrained minimum.  If it is below the floor, the root's set is
 not empty, since rho(empty set) = 0, so it lies in the window and is the
 answer.  Otherwise the search stops at the root.
+
+A pinned instance takes `below` too, and its flow stops as soon as its value
+reaches the cut of a set of potential `below`: ceil(below * scale) plus the
+total hyperedge weight.  Cut values are integers, and a Fraction threshold
+need not lie on the scaled grid, hence the ceiling.  By weak duality the
+value of any feasible flow is at most the minimum cut, so the instance's
+minimum is then at least `below`, and the answer is exactly (None, below),
+however far the flow got.  The same clamp applies whenever the minimum is at
+least `below`, a flow read off or run to its maximum included, so the
+answer depends on the hypergraph, the pins and `below` alone, never on the
+flow the instance started from.  An instance whose minimum lies below the
+threshold never reaches the target, so its flow runs to a maximum one and W
+is the uncut one.  max_flow checks the target before its first BFS and after
+each augmenting path, and the flow value travels with the published flow: a
+raise moves no flow, and each release cancels its excess along an s-t path,
+so it lowers the value by the excess (re-summing the sink's arcs instead
+would cost a pass over every vertex and hyperedge per instance).  A stopped
+flow is feasible, which is all the release argument above needs, so the
+next instance starts from it as from a maximum flow.  Its residual graph
+gives no minimizer, though, so a set is read off a published flow only when
+the flow is maximal; an instance on a stopped flow's own pins augments that
+flow further.  The window search passes `below` to every branch's flow, and
+a branch whose flow stops enters the heap at rank below * scale.  That rank
+is no more than the branch's minimum, so the search still returns a lower
+bound on the window minimum, and every branch taken up to an answer below
+the threshold ranks below it, so such answers are unchanged.
 """
 
 from __future__ import annotations
@@ -134,7 +162,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 from .potential import WeightedHypergraph
 
@@ -205,7 +233,7 @@ class FlowNetwork:
                     queue.append(v)
         return level
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
         """Augments the current flow to a maximum one and returns the amount
         added.  Each phase's blocking-flow search walks from s and takes an
         arc only to a node one level nearer t, so every path it augments is a
@@ -213,6 +241,11 @@ class FlowNetwork:
         is not bounded by the interpreter's recursion limit.  The labels of
         the last phase, whose BFS finds no path, stay in `sink_levels`: the
         nodes that can reach t in the final residual graph.
+
+        With `limit` set, the call stops as soon as it has added at least
+        `limit`, checked before each phase's BFS and after each augmenting
+        path.  A flow stopped there is feasible but need not be maximum, and
+        `sink_levels` is then None.
 
         The residual arcs out of s and into t are listed once per call, those
         with capacity left, and each phase drops the ones it saturated.  An
@@ -223,8 +256,9 @@ class FlowNetwork:
         head, to, cap = self.head, self.to, self.cap
         out_of_s = [a for a in head[s] if cap[a]]
         self.open_into_t = [idx for idx in head[t] if cap[idx ^ 1]]
+        stop = float("inf") if limit is None else limit
         total = 0
-        while True:
+        while total < stop:
             level = self._levels(s, t)
             if level[s] < 0:
                 self.sink_levels = level
@@ -240,6 +274,8 @@ class FlowNetwork:
                         cap[a] -= pushed
                         cap[a ^ 1] += pushed
                     total += pushed
+                    if total >= stop:
+                        break
                     # resume from the tail of the first saturated arc
                     k = next(i for i, a in enumerate(path) if not cap[a])
                     del path[k:]
@@ -262,6 +298,8 @@ class FlowNetwork:
                     u = to[path.pop() ^ 1]
                 else:
                     break
+        self.sink_levels = None
+        return total
 
     def source_side(self, s: int) -> set[int]:
         """Nodes reachable from s in the residual graph; call after max_flow."""
@@ -300,6 +338,12 @@ class AuxNetwork:
     def rho_scaled(self, W) -> int:
         """rho(W) * scale."""
         return sum(self.weights[v] for v in W) - sum(w for members, w in self.edges if members <= W)
+
+    def cut_target(self, below) -> int:
+        """The least cut value of any set with rho >= below: a flow that
+        reaches it proves that every set the instance admits has rho >= below.
+        Cut values are integers, hence the ceiling."""
+        return ceil(below * self.scale) + self.total_edge_weight_scaled
 
     def sink_side(self, net: FlowNetwork, extremal: str | None) -> frozenset[int]:
         """Vertices on a sink side of a minimum cut of `net`, a flowed copy
@@ -352,26 +396,30 @@ def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
 _last_warm: tuple = (None, None)
 
 
-def _warm(H: WeightedHypergraph) -> tuple[AuxNetwork, dict]:
-    """H's network after its unconstrained max flow, and the minimizer that
-    flow cuts out in each mode, memoised for the latest hypergraph.
-    Instances on H start from this flow or from a later instance's, and
-    callers in several threads may share it, so it is never changed again."""
+def _warm(H: WeightedHypergraph) -> tuple[AuxNetwork, dict, tuple]:
+    """H's network after its unconstrained max flow, the minimizer that flow
+    cuts out in each mode, and the flow as (network, value, maximal),
+    memoised for the latest hypergraph.  Instances on H start from this flow
+    or from a later instance's, and callers in several threads may share it,
+    so it is never changed again."""
     global _last_warm
     last, warm = _last_warm
     if last is not H:
         aux = build_aux_network(H)
-        aux.flow.max_flow(aux.source, aux.sink)
+        value = aux.flow.max_flow(aux.source, aux.sink)
         union = aux.sink_side(aux.flow, LARGEST)
-        warm = (aux, {None: union, LARGEST: union, SMALLEST: aux.sink_side(aux.flow, SMALLEST)})
+        sets = {None: union, LARGEST: union, SMALLEST: aux.sink_side(aux.flow, SMALLEST)}
+        warm = (aux, sets, (aux.flow, value, True))
         _last_warm = (H, warm)
     return warm
 
 
-# (aux, forced, banned, net) of the latest instance solved on a warm network:
-# `net` holds its max flow, from which the next instance on `aux` starts.
-# Published whole once the flow is done and never changed afterwards; a
-# caller copies net before touching it, so threads can share it.
+# (aux, forced, banned, (net, value, maximal)) of the latest instance solved
+# on a warm network: `net` holds its flow, of the given value, from which the
+# next instance on `aux` starts; `maximal` is False when the flow stopped at
+# its caller's cutoff.  Published whole once the flow is done and never
+# changed afterwards; a caller copies net before touching it, so threads can
+# share it.
 _last_flow: tuple = (None, frozenset(), frozenset(), None)
 
 
@@ -392,26 +440,31 @@ def _lower(cap: list[int], a: int, by: int) -> int:
     return excess
 
 
-def _solve_device(warm, banned, forced, extremal) -> frozenset[int]:
+def _solve_device(warm, banned, forced, extremal, below=None) -> frozenset[int] | None:
     """One flow instance on the warm network `warm` with the vertices of
     `banned` kept out and those of `forced` kept in.  Returns the minimizer W
-    of mode `extremal`.
+    of mode `extremal`, or None when `below` is set and the instance's
+    minimum is at least `below`.
 
     The latest instance's own pins are read off its published flow, with no
-    flow run.  Any other instance starts from that max flow on the same
-    network (from the warm flow if there is none): raises the terminal arcs
-    it adds, releases the ones it drops, and augments.  See the module
+    flow run, when that flow is maximal.  Any other instance starts from that
+    flow on the same network (from the warm flow if there is none): raises
+    the terminal arcs it adds, releases the ones it drops, and augments,
+    stopping once the flow value reaches `below`'s cut.  See the module
     docstring."""
     global _last_flow
-    aux, warm_sets = warm
+    aux, warm_sets, warm_flow = warm
+    # no flow reaches `infinite`: the set of the forced vertices has a finite cut
+    target = aux.infinite if below is None else aux.cut_target(below)
     if not banned and not forced:
-        return warm_sets[extremal]
-    last, forced0, banned0, start = _last_flow
-    if last is aux and forced == forced0 and banned == banned0:
-        return aux.sink_side(start, extremal)
+        return None if warm_flow[1] >= target else warm_sets[extremal]
+    last, forced0, banned0, flow = _last_flow
     if last is not aux:
         forced0 = banned0 = frozenset()
-        start = aux.flow
+        flow = warm_flow
+    start, value, maximal = flow
+    if maximal and forced == forced0 and banned == banned0:
+        return None if value >= target else aux.sink_side(start, extremal)
     net = start.copy()
     cap, head, to, inf = net.cap, net.head, net.to, aux.infinite
     for v in banned - banned0:
@@ -423,9 +476,11 @@ def _solve_device(warm, banned, forced, extremal) -> frozenset[int]:
         excess = _lower(cap, aux.sink_arc[v], inf)
         if excess:
             _take_back(cap, aux.source_arc[v], excess)
+            value -= excess
     for v in banned0 - banned:
         # take the excess back off v's out-arcs, and off e->t behind v->e
         excess = _lower(cap, aux.source_arc[v], inf)
+        value -= excess
         for a in head[aux.vertex_node[v]]:
             if not excess:
                 break
@@ -436,9 +491,12 @@ def _solve_device(warm, banned, forced, extremal) -> frozenset[int]:
             if to[a] != aux.sink:
                 _take_back(cap, head[to[a]][0], d)
             excess -= d
-    net.max_flow(aux.source, aux.sink)
+    value += net.max_flow(aux.source, aux.sink, target - value)
+    stopped = value >= target
+    _last_flow = (aux, forced, banned, (net, value, not stopped))
+    if stopped:
+        return None
     W = aux.sink_side(net, extremal)
-    _last_flow = (aux, forced, banned, net)
     if forced and not (forced <= W):
         raise AssertionError("forcing device failed to pin its subset")
     return W
@@ -459,7 +517,7 @@ def _answer(aux: AuxNetwork, W: frozenset[int]) -> tuple[frozenset[int], Fractio
 
 def min_potential_subset(H: WeightedHypergraph) -> tuple[frozenset[int], Fraction]:
     """Unconstrained minimizer of rho over all subsets (the empty set counts)."""
-    aux, warm_sets = _warm(H)
+    aux, warm_sets, _ = _warm(H)
     return _answer(aux, warm_sets[None])
 
 
@@ -480,7 +538,9 @@ def min_potential_constrained(
     With `below` set, a caller that only asks whether some window set has
     rho < below gets the same (W, rho) when one does, and otherwise
     (None, v) with below <= v <= the window minimum: the search stops at
-    the first branch whose value reaches `below` (module docstring).
+    the first branch whose value reaches `below`, and each branch's flow
+    stops once it proves the branch's minimum reaches `below` (module
+    docstring).
     """
     n = H.n
     if extremal not in EXTREMAL_MODES:
@@ -490,12 +550,13 @@ def min_potential_constrained(
 
     # best first over branches (forced, banned); see the module docstring
     warm = _warm(H)
-    aux, warm_sets = warm
+    aux, warm_sets, _ = warm
+    cut_rank = None if below is None else below * aux.scale
     heap = [(_rank_key(aux, warm_sets[extremal], extremal), frozenset(), frozenset())]
     seen = set()
     while True:
         key, forced, banned = heapq.heappop(heap)
-        if below is not None and key[0] >= below * aux.scale:
+        if below is not None and key[0] >= cut_rank:
             return None, Fraction(key[0], aux.scale)
         W = frozenset(key[2])
         if m1 <= len(W) <= n - m2:
@@ -509,8 +570,9 @@ def min_potential_constrained(
             if kid in seen:
                 continue
             seen.add(kid)
-            W_kid = _solve_device(warm, kid[1], kid[0], extremal)
-            heapq.heappush(heap, (_rank_key(aux, W_kid, extremal), *kid))
+            W_kid = _solve_device(warm, kid[1], kid[0], extremal, below)
+            kid_key = (cut_rank, 0, ()) if W_kid is None else _rank_key(aux, W_kid, extremal)
+            heapq.heappush(heap, (kid_key, *kid))
 
 
 def min_potential_pinned(
@@ -518,11 +580,17 @@ def min_potential_pinned(
     force=(),
     ban=(),
     extremal: str | None = LARGEST,
-) -> tuple[frozenset[int], Fraction]:
+    below: int | Fraction | None = None,
+) -> tuple[frozenset[int] | None, Fraction]:
     """Minimize rho over subsets that contain every vertex of `force` and
     avoid every vertex of `ban`.  One flow instance, warm-started from H's
     unconstrained flow; membership constraints are exact (infinite terminal
-    arcs)."""
+    arcs).
+
+    With `below` set, a pinned minimum below it comes back as without the
+    cutoff, and any other as exactly (None, Fraction(below)): the flow stops
+    once its value proves the minimum is at least `below` (module
+    docstring)."""
     fset = frozenset(force)
     bset = frozenset(ban)
     if extremal not in EXTREMAL_MODES:
@@ -533,7 +601,10 @@ def min_potential_pinned(
         if not 0 <= v < H.n:
             raise ValueError(f"vertex {v} out of range")
     warm = _warm(H)
-    return _answer(warm[0], _solve_device(warm, bset, fset, extremal))
+    W = _solve_device(warm, bset, fset, extremal, below)
+    if W is None:
+        return None, Fraction(below)
+    return _answer(warm[0], W)
 
 
 # -- reference implementation by enumeration ------------------------------

@@ -58,12 +58,14 @@ flow from zero would.  On a graph that neither splits nor peels, the level-0
 scan gets the entry screen's hypergraph object back (potential memoises its
 latest build), so it reuses the screen's warm network and its first instance
 starts from the warm flow, the only flow the screen runs.  The sweep asks
-each pair for its minimum value under SMALLEST; a pair whose value lies in
-the band is asked again, on the same pins, under LARGEST for its witness,
-which min_potential reads off the flow it has just run.  So every in-band
-answer is the largest, then lexicographically smallest, window minimizer.
-Above the band the floor is the least pair value, or a LARGEST singleton's
-value plus one, and callers only compare it to the band.
+each pair for its minimum value under SMALLEST, with the band's top plus one
+as the cutoff (`below`), so a pair above the band stops its flow as soon as
+the flow's value proves it; a pair whose value lies in the band is asked
+again, on the same pins, under LARGEST for its witness, which min_potential
+reads off the flow it has just run to its maximum.  So every in-band answer
+is the largest, then lexicographically smallest, window minimizer.  Above
+the band the scan returns the band's top plus one, and callers only compare
+it to the band.
 
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
@@ -270,18 +272,20 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     (min_potential chains them) and moves only what those two pins change.
 
     The sweep asks each pair under SMALLEST for the pair's minimum val; the
-    value is the same in every mode.  A pair with val above the band enters
-    as the floor val.  Only a pair with val in the band is asked again, on
-    the same pins, under LARGEST, for its witness; min_potential reads that
-    union off the flow the SMALLEST ask ran, so the re-ask costs one search
-    and no flow.  A LARGEST singleton winner enters as the bound val+1: by
-    the largest-cardinality tie-break no larger set of its family ties it.
+    value is the same in every mode.  The ask passes band_top + 1 as its
+    cutoff, so the flow of a pair above the band stops once its value proves
+    that, and the pair enters as the floor band_top + 1.  Only a pair with
+    val in the band is asked again, on the same pins, under LARGEST, for its
+    witness; its flow ran to its maximum, and min_potential reads that union
+    off it, so the re-ask costs one search and no flow.  A LARGEST singleton
+    winner enters as the bound val+1: by the largest-cardinality tie-break no
+    larger set of its family ties it.
 
     Returns (m, W): an in-band witness (m <= band_top, W its exact minimum
     set, the largest, then lexicographically smallest, window minimizer) or
     (m, None) with m a certified floor above the band.  Above the band m is
-    a lower bound on the window minimum, not always the largest one the
-    flows prove: callers only compare it to the band.  Singleton potentials
+    band_top + 1, a lower bound on the window minimum: callers only compare
+    it to the band.  Singleton potentials
     keep the bound val+1 out of every band this module uses (the peel
     removes every independent-tagged vertex, the only kind of potential 0,
     before a level scans).  So an in-band answer is the same for every
@@ -298,7 +302,7 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     results: list[tuple[int, frozenset[int] | None]] = []
     for i, v in enumerate(order):
         u = order[(i + 1) % n]
-        val = _exact_int(min_potential_pinned(H, force=[v], ban=[u], extremal=SMALLEST)[1])
+        val = _exact_int(min_potential_pinned(H, force=[v], ban=[u], extremal=SMALLEST, below=band_top + 1)[1])
         if val > band_top:
             results.append((val, None))
             continue

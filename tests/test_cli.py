@@ -81,6 +81,16 @@ def test_check_sparse(tmp_path, capsys):
     assert payload["ok"] is False and payload["witness"]
 
 
+@pytest.mark.parametrize("a, b", [("1/0", "1"), ("1", "2/0"), ("x", "1"), ("1", "")])
+def test_check_sparse_rejects_a_bad_fraction(tmp_path, capsys, a, b):
+    # a zero denominator or a malformed number is a usage error, not a
+    # traceback, and the input is never read
+    path = write_graph(tmp_path, "tri.nbg", graph(3, singles=[(0, 1), (1, 2), (0, 2)]))
+    code, out, err = run(capsys, "check", "sparse", "--a", a, "--b", b, path)
+    assert code == USAGE and out == ""
+    assert ("--a" if a != "1" else "--b") in err and "Traceback" not in err
+
+
 def test_check_critical(tmp_path, capsys):
     path = write_graph(tmp_path, "k4.nbg", base_graph("k4"))
     code, out, _ = run(capsys, "check", "critical", path)

@@ -264,10 +264,15 @@ def test_warm_start_shared_across_threads():
     # batch --jobs solves in threads that share the one-entry memo, here on
     # the same hypergraph objects and in all three modes, which the memo
     # serves from one network: every thread must still get the answers of a
-    # serial run
+    # serial run.  Some asks carry a threshold, so flows stop at their cutoff
+    # and later instances start from the stopped flows.
     rng = random.Random(16)
     pool = [random_hypergraph(rng, max_n=12, max_edges=24) for _ in range(3)]
     modes = (None, LARGEST, SMALLEST)
+
+    def below(H):
+        return rng.choice((None, min_potential_subset(H)[1] + rng.randint(0, 24)))
+
     queries = []
     for _ in range(6):
         qs = []
@@ -275,15 +280,16 @@ def test_warm_start_shared_across_threads():
             H = rng.choice(pool)
             order = rng.sample(range(H.n), H.n)
             k = rng.randint(0, 1)
-            qs.append((H, order[:k], order[k:k + rng.randint(0, 1)], rng.choice(modes)))
+            qs.append((H, order[:k], order[k:k + rng.randint(0, 1)], rng.choice(modes), below(H)))
         queries.append(qs)
     # scan-shaped runs: force v, ban its successor, so each flow releases the
     # pins of the one before it, on networks every thread shares; each pair
     # is asked in every mode, so the later asks read the flow of the first
+    # when it is maximal
     for H in pool * 2:
         order = rng.sample(range(H.n), H.n)
         queries.append([
-            (H, [v], [order[(i + 1) % H.n]], mode)
+            (H, [v], [order[(i + 1) % H.n]], mode, below(H))
             for i, v in enumerate(order)
             for mode in rng.sample(modes, 3)
         ])
@@ -486,6 +492,88 @@ def test_cutoff_matches_enumeration():
     assert kept == cut >= 1000 and early >= 50
 
 
+def _pinned_cut_oracle(H, force, ban, mode, below):
+    """min_potential_pinned's answer by enumeration: the uncut one when the
+    pinned minimum lies below the threshold, and otherwise (None, below)."""
+    W, low = _pinned_oracle(H, force, ban, mode)
+    if below is None or low < below:
+        return W, low
+    return None, Fraction(below)
+
+
+def _thresholds(low, fractional):
+    """Thresholds below, at and above a pinned minimum; off the weights'
+    grid (denominators 1, 2, 3) when `fractional`."""
+    if fractional:
+        return [low - 1, low - Fraction(1, 7), low, low + Fraction(1, 7), low + Fraction(5, 7)]
+    return [low - 1, low, low + 1, low + 3]
+
+
+def test_pinned_cutoff_matches_enumeration(monkeypatch):
+    # below= stops a pinned flow once its value proves the pinned minimum is
+    # at least the threshold.  A minimum below the threshold comes back as
+    # the uncut query gives it, set included, and any other as exactly
+    # (None, below), whatever flow the instance starts from: the asks on
+    # each hypergraph run in a shuffled order, so flows start from stopped
+    # ones as often as from maximal ones
+    rng = random.Random(1414)
+    kept = cut = stopped = 0
+    for trial in range(48):
+        fractional = trial % 3 == 2
+        H = _fraction_hypergraph(rng, 8) if fractional else random_hypergraph(rng, max_n=8, max_edges=16)
+        asks = []
+        for _ in range(4):
+            picked = rng.sample(range(H.n), rng.randint(1, min(3, H.n)))
+            k = rng.randint(0, len(picked))
+            force, ban = picked[:k], picked[k:]
+            for mode in (None, LARGEST, SMALLEST):
+                low = _pinned_oracle(H, force, ban, mode)[1]
+                asks += [(force, ban, mode, below) for below in _thresholds(low, fractional)]
+        rng.shuffle(asks)
+        for force, ban, mode, below in asks:
+            got = min_potential_pinned(H, force, ban, mode, below=below)
+            assert got == _pinned_cut_oracle(H, force, ban, mode, below), (trial, force, ban, mode, below)
+            if got[0] is None:
+                cut += 1
+                assert type(got[1]) is Fraction
+                stopped += not min_potential._last_flow[3][2]
+            else:
+                kept += 1
+    assert kept >= 1000 and cut >= 1200 and stopped >= 900
+
+    # One run per hypergraph mixing cut asks, uncut asks and re-asks on the
+    # pins just solved: a re-ask must not read a set off a stopped flow, and
+    # every answer must be the one an empty memo gives
+    def fresh(H, force, ban, mode, below):
+        monkeypatch.setattr(min_potential, "_last_warm", (None, None))
+        monkeypatch.setattr(min_potential, "_last_flow", (None, frozenset(), frozenset(), None))
+        return min_potential_pinned(H, force, ban, mode, below)
+
+    after_stop = 0
+    for trial in range(24):
+        fractional = trial % 3 == 2
+        H = _fraction_hypergraph(rng, 8) if fractional else random_hypergraph(rng, max_n=8, max_edges=16)
+        force = ban = ()
+        run = []
+        for _ in range(40):
+            if not run or rng.random() < 0.6:
+                v = rng.randrange(H.n)
+                force, ban = [v], [] if H.n == 1 else [(v + rng.randint(1, H.n - 1)) % H.n]
+            mode = rng.choice((None, LARGEST, SMALLEST))
+            low = _pinned_oracle(H, force, ban, mode)[1]
+            below = rng.choice([None, *_thresholds(low, fractional)])
+            run.append((H, force, ban, mode, below))
+        expected = [fresh(*q) for q in run]
+        assert expected == [_pinned_cut_oracle(*q) for q in run]
+        fresh(H, (), (), None, None)
+        for q, want in zip(run, expected):
+            last = min_potential._last_flow
+            if last[0] is not None and last[1:3] == (frozenset(q[1]), frozenset(q[2])):
+                after_stop += not last[3][2]
+            assert min_potential_pinned(*q) == want, (trial, q)
+    assert after_stop >= 80
+
+
 # 12 vertices, 20 edges, minimum degree three: rho_s is lowest on the whole
 # vertex set (-4), and every set that misses two vertices has rho_s above 0
 WINDOW_GRAPH_EDGES = [
@@ -502,10 +590,10 @@ def test_window_query_flow_count(monkeypatch):
     flows = 0
     run = FlowNetwork.max_flow
 
-    def counted(self, s, t):
+    def counted(self, s, t, limit=None):
         nonlocal flows
         flows += 1
-        return run(self, s, t)
+        return run(self, s, t, limit)
 
     monkeypatch.setattr(FlowNetwork, "max_flow", counted)
     got = min_potential_constrained(H, 2, 2, LARGEST)
@@ -714,11 +802,14 @@ def test_kernel_matches_the_reference_on_chained_instances(monkeypatch):
     # every flow of chained pinned sequences, the warm flows included, in all
     # three modes and on hypergraphs with zero-weight vertices
     flows = 0
+    run = FlowNetwork.max_flow
 
-    def checked(self, s, t):
+    def checked(self, s, t, limit=None):
+        # no query here has a cutoff, so whatever limit a flow is given must
+        # not stop it short of the reference's maximum
         nonlocal flows
         flows += 1
-        return _same_flow_as_reference(self, s, t)
+        return _same_flow_as_reference(self, s, t, kernel=lambda net, s, t: run(net, s, t, limit))
 
     monkeypatch.setattr(FlowNetwork, "max_flow", checked)
     rng = random.Random(6262)
@@ -781,10 +872,10 @@ def test_one_network_serves_every_mode(monkeypatch):
     flows = 0
     kernel = FlowNetwork.max_flow
 
-    def counted(self, s, t):
+    def counted(self, s, t, limit=None):
         nonlocal flows
         flows += 1
-        return kernel(self, s, t)
+        return kernel(self, s, t, limit)
 
     monkeypatch.setattr(FlowNetwork, "max_flow", counted)
     modes = (None, LARGEST, SMALLEST)
