@@ -23,8 +23,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 from .families import base_graph, base_names, gen_gk, gen_hk
 from .forbidden import (
@@ -287,11 +287,15 @@ def _cmd_batch(args) -> int:
         for name in os.listdir(args.dir)
         if name.endswith(".nbg")
     )
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda p: _batch_one(p, args, catalog), files))
+    solve = partial(_batch_one, args=args, catalog=catalog)
+    workers = min(args.jobs, len(files))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(solve, files))
     else:
-        reports = [_batch_one(p, args, catalog) for p in files]
+        reports = [solve(p) for p in files]
     _emit(reports)
     return OK
 

@@ -32,39 +32,38 @@ unconstrained one, rho(W) plus the total hyperedge weight: a raised arc is
 never cut, and a hyperedge through a banned vertex stays on the source side
 and is cut, as it is whenever it is not inside W.
 
-Warm start (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): the network
-of a hypergraph, its unconstrained max flow, and the union and intersection
-that flow cuts out are built once for every mode, memoised in a one-entry
-cache, and never changed afterwards.  A constrained instance starts from the
-flow of the latest instance on the same network, or from the cached flow if
-there is none, and augments from there.  Raising the arcs it adds keeps
-that flow feasible.  Releasing an arc the previous instance raised lowers
-its capacity by infinite, and its flow may then exceed the capacity; the
-excess is cancelled along paths s->v->t and s->v->e->t.  v's only in-arc is
-s->v, so a released v->t carries no more than s->v does, and lowering both
-by the excess keeps v balanced.  A released s->v carried no more than v's
-out-arcs (v->t and the arcs v->e) carry together, so the excess can be taken
-off those, and each unit taken off v->e is also taken off e->t, whose flow
-is the sum over e's in-arcs.  Every other capacity only rose, so the flow is
+Warm start (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): each thread
+keeps one record, for the latest hypergraph it solved on: its network, the
+value and minimizers of its unconstrained max flow (the warm flow), which
+answer every unpinned ask, and the pins and value of the flow the network
+holds now.  A pinned instance changes that flow in place, and the next one
+starts from the flow it leaves.  Raising the arcs it adds keeps the flow
+feasible.  Releasing an arc the previous instance raised lowers its
+capacity by infinite, and its flow may then exceed the capacity; the excess
+is cancelled along paths s->v->t and s->v->e->t.  v's only in-arc is s->v,
+so a released v->t carries no more than s->v does, and lowering both by the
+excess keeps v balanced.  A released s->v carried no more than v's out-arcs
+(v->t and the arcs v->e) carry together, so the excess can be taken off
+those, and each unit taken off v->e is also taken off e->t, whose flow is
+the sum over e's in-arcs.  Every other capacity only rose, so the flow is
 feasible again, and augmenting it until no path is left gives a max flow of
 the new instance.  potential hands back the same hypergraph object for
 repeated builds on one graph, so a driver's entry screen and the first level
-scan of a graph that does not peel share one warm network, and the scan's
-first instance starts from the screen's last flow.  The latest instance's
-flow is published in one step, as a network that is never changed again
-together with its value and whether it is maximal; each caller copies it,
-so threads sharing the memo (`batch --jobs`) never see a half-updated flow.
-An instance with the latest instance's pins needs no flow when that flow is
-maximal: its set, in any mode, is read off the published network, which
-nobody changes.  Nothing read from the flow depends on which max flow it
-is, as below, so every W and value is the one a flow from zero would give.
+scan of a graph that does not peel share one record, and the scan's first
+instance starts from the screen's last flow.  An instance on the pins of a
+maximal flow runs none: its set, in any mode, is read off the network.
+Nothing read from the flow depends on which max flow it is, as below, so
+every W and value is the one a flow from zero would give.  An instance
+empties its thread's memo while it changes the network, so one cut short
+(an exception, an interrupt) leaves no record that disagrees with its
+network, and the next ask builds the network afresh.
 
 Dinic's level graph is measured from the sink (the distance labels of
 Goldberg & Tarjan, J. ACM 1988): each phase labels nodes by their residual
 distance d to t, and the blocking-flow search follows only arcs u->v with
 d(v) = d(u) - 1.  Every path it finds has d(s) arcs, a shortest s-t path, and
 a blocking flow raises d(s), so this is still Dinic and still ends at a
-maximum flow.  The cached flow saturates nearly every source arc, so a
+maximum flow.  The warm flow saturates nearly every source arc, so a
 constrained instance can only gain paths through the arcs it changed, and
 levels from t reach s through them after labelling a few nodes near them.
 
@@ -142,14 +141,14 @@ answer depends on the hypergraph, the pins and `below` alone, never on the
 flow the instance started from.  An instance whose minimum lies below the
 threshold never reaches the target, so its flow runs to a maximum one and W
 is the uncut one.  max_flow checks the target before its first BFS and after
-each augmenting path, and the flow value travels with the published flow: a
+each augmenting path, and the record keeps the flow's value up to date: a
 raise moves no flow, and each release cancels its excess along an s-t path,
 so it lowers the value by the excess (re-summing the sink's arcs instead
 would cost a pass over every vertex and hyperedge per instance).  A stopped
 flow is feasible, which is all the release argument above needs, so the
 next instance starts from it as from a maximum flow.  Its residual graph
-gives no minimizer, though, so a set is read off a published flow only when
-the flow is maximal; an instance on a stopped flow's own pins augments that
+gives no minimizer, though, so a set is read off the network only when its
+flow is maximal; an instance on a stopped flow's own pins augments that
 flow further.  The window search passes `below` to every branch's flow, and
 a branch whose flow stops enters the heap at rank below * scale.  That rank
 is no more than the branch's minimum, so the search still returns a lower
@@ -160,6 +159,7 @@ the threshold ranks below it, so such answers are unchanged.
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
@@ -191,15 +191,6 @@ class FlowNetwork:
         self.to.append(u)
         self.cap.append(0)
         return idx
-
-    def copy(self) -> FlowNetwork:
-        """A network on the same arcs with its own residual capacities; the
-        arc lists are shared, so add no arc to either afterwards."""
-        net = FlowNetwork.__new__(FlowNetwork)
-        net.n, net.head, net.to = self.n, self.head, self.to
-        net.cap = self.cap.copy()
-        net.sink_levels = None
-        return net
 
     def _levels(self, s: int, t: int) -> list[int]:
         """Residual distances to t, by BFS from t over reversed arcs: arc idx
@@ -345,16 +336,15 @@ class AuxNetwork:
         Cut values are integers, hence the ceiling."""
         return ceil(below * self.scale) + self.total_edge_weight_scaled
 
-    def sink_side(self, net: FlowNetwork, extremal: str | None) -> frozenset[int]:
-        """Vertices on a sink side of a minimum cut of `net`, a flowed copy
-        of this network: under SMALLEST the smallest one (the intersection
-        of the minimizers), read from the last BFS of the max flow, and
-        otherwise the largest one (their union), read from the nodes s
-        reaches."""
+    def sink_side(self, extremal: str | None) -> frozenset[int]:
+        """Vertices on a sink side of a minimum cut, after a max flow: under
+        SMALLEST the smallest one (the intersection of the minimizers), read
+        from the last BFS of the max flow, and otherwise the largest one
+        (their union), read from the nodes s reaches."""
         if extremal == SMALLEST:
-            reach = net.sink_levels
+            reach = self.flow.sink_levels
             return frozenset(v for v, node in enumerate(self.vertex_node) if reach[node] >= 0)
-        reach = net.source_side(self.source)
+        reach = self.flow.source_side(self.source)
         return frozenset(v for v, node in enumerate(self.vertex_node) if node not in reach)
 
 
@@ -391,36 +381,36 @@ def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
     return value, aux.flow.source_side(aux.source)
 
 
-# (H, warm) of the latest call.  Keyed by identity: an lru_cache would hash
-# and compare all of H's weights and hyperedges on every call.
-_last_warm: tuple = (None, None)
+@dataclass(eq=False)
+class _Warm:
+    """A thread's warm record.  `forced`, `banned` and `value` describe the
+    flow aux.flow holds; `maximal` is False when it stopped at a cutoff."""
+
+    H: WeightedHypergraph
+    aux: AuxNetwork
+    sets: dict
+    root_value: int
+    forced: frozenset[int]
+    banned: frozenset[int]
+    value: int
+    maximal: bool
 
 
-def _warm(H: WeightedHypergraph) -> tuple[AuxNetwork, dict, tuple]:
-    """H's network after its unconstrained max flow, the minimizer that flow
-    cuts out in each mode, and the flow as (network, value, maximal),
-    memoised for the latest hypergraph.  Instances on H start from this flow
-    or from a later instance's, and callers in several threads may share it,
-    so it is never changed again."""
-    global _last_warm
-    last, warm = _last_warm
-    if last is not H:
+# `record`: this thread's _Warm, keyed by H's identity
+_memo = threading.local()
+
+
+def _warm(H: WeightedHypergraph) -> _Warm:
+    """This thread's warm record for H, built anew unless it already is
+    H's."""
+    rec = getattr(_memo, "record", None)
+    if rec is None or rec.H is not H:
         aux = build_aux_network(H)
         value = aux.flow.max_flow(aux.source, aux.sink)
-        union = aux.sink_side(aux.flow, LARGEST)
-        sets = {None: union, LARGEST: union, SMALLEST: aux.sink_side(aux.flow, SMALLEST)}
-        warm = (aux, sets, (aux.flow, value, True))
-        _last_warm = (H, warm)
-    return warm
-
-
-# (aux, forced, banned, (net, value, maximal)) of the latest instance solved
-# on a warm network: `net` holds its flow, of the given value, from which the
-# next instance on `aux` starts; `maximal` is False when the flow stopped at
-# its caller's cutoff.  Published whole once the flow is done and never
-# changed afterwards; a caller copies net before touching it, so threads can
-# share it.
-_last_flow: tuple = (None, frozenset(), frozenset(), None)
+        union = aux.sink_side(LARGEST)
+        sets = {None: union, LARGEST: union, SMALLEST: aux.sink_side(SMALLEST)}
+        rec = _memo.record = _Warm(H, aux, sets, value, frozenset(), frozenset(), value, True)
+    return rec
 
 
 def _take_back(cap: list[int], a: int, amount: int) -> None:
@@ -440,32 +430,28 @@ def _lower(cap: list[int], a: int, by: int) -> int:
     return excess
 
 
-def _solve_device(warm, banned, forced, extremal, below=None) -> frozenset[int] | None:
-    """One flow instance on the warm network `warm` with the vertices of
-    `banned` kept out and those of `forced` kept in.  Returns the minimizer W
-    of mode `extremal`, or None when `below` is set and the instance's
-    minimum is at least `below`.
+def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset[int] | None:
+    """One flow instance on `rec`'s network with the vertices of `banned`
+    kept out and those of `forced` kept in.  Returns the minimizer W of mode
+    `extremal`, or None when `below` is set and the instance's minimum is at
+    least `below`.
 
-    The latest instance's own pins are read off its published flow, with no
-    flow run, when that flow is maximal.  Any other instance starts from that
-    flow on the same network (from the warm flow if there is none): raises
-    the terminal arcs it adds, releases the ones it drops, and augments,
-    stopping once the flow value reaches `below`'s cut.  See the module
-    docstring."""
-    global _last_flow
-    aux, warm_sets, warm_flow = warm
+    Unpinned instances read the warm flow's record, and the pins of a
+    maximal current flow are read off the network.  Any other instance
+    changes the flow in place: raises the arcs of the pins it adds, releases
+    those of the pins it drops, and augments, stopping once the value
+    reaches `below`'s cut.  The memo is empty until `rec` is up to date
+    again.  See the module docstring."""
+    aux = rec.aux
     # no flow reaches `infinite`: the set of the forced vertices has a finite cut
     target = aux.infinite if below is None else aux.cut_target(below)
     if not banned and not forced:
-        return None if warm_flow[1] >= target else warm_sets[extremal]
-    last, forced0, banned0, flow = _last_flow
-    if last is not aux:
-        forced0 = banned0 = frozenset()
-        flow = warm_flow
-    start, value, maximal = flow
-    if maximal and forced == forced0 and banned == banned0:
-        return None if value >= target else aux.sink_side(start, extremal)
-    net = start.copy()
+        return None if rec.root_value >= target else rec.sets[extremal]
+    forced0, banned0, value = rec.forced, rec.banned, rec.value
+    if rec.maximal and forced == forced0 and banned == banned0:
+        return None if value >= target else aux.sink_side(extremal)
+    _memo.record = None
+    net = aux.flow
     cap, head, to, inf = net.cap, net.head, net.to, aux.infinite
     for v in banned - banned0:
         cap[aux.source_arc[v]] += inf
@@ -493,10 +479,11 @@ def _solve_device(warm, banned, forced, extremal, below=None) -> frozenset[int] 
             excess -= d
     value += net.max_flow(aux.source, aux.sink, target - value)
     stopped = value >= target
-    _last_flow = (aux, forced, banned, (net, value, not stopped))
+    rec.forced, rec.banned, rec.value, rec.maximal = forced, banned, value, not stopped
+    _memo.record = rec
     if stopped:
         return None
-    W = aux.sink_side(net, extremal)
+    W = aux.sink_side(extremal)
     if forced and not (forced <= W):
         raise AssertionError("forcing device failed to pin its subset")
     return W
@@ -517,8 +504,8 @@ def _answer(aux: AuxNetwork, W: frozenset[int]) -> tuple[frozenset[int], Fractio
 
 def min_potential_subset(H: WeightedHypergraph) -> tuple[frozenset[int], Fraction]:
     """Unconstrained minimizer of rho over all subsets (the empty set counts)."""
-    aux, warm_sets, _ = _warm(H)
-    return _answer(aux, warm_sets[None])
+    rec = _warm(H)
+    return _answer(rec.aux, rec.sets[None])
 
 
 def min_potential_constrained(
@@ -549,10 +536,10 @@ def min_potential_constrained(
         raise ValueError(f"no subset satisfies {m1} <= |W| <= {n} - {m2}")
 
     # best first over branches (forced, banned); see the module docstring
-    warm = _warm(H)
-    aux, warm_sets, _ = warm
+    rec = _warm(H)
+    aux = rec.aux
     cut_rank = None if below is None else below * aux.scale
-    heap = [(_rank_key(aux, warm_sets[extremal], extremal), frozenset(), frozenset())]
+    heap = [(_rank_key(aux, rec.sets[extremal], extremal), frozenset(), frozenset())]
     seen = set()
     while True:
         key, forced, banned = heapq.heappop(heap)
@@ -570,7 +557,7 @@ def min_potential_constrained(
             if kid in seen:
                 continue
             seen.add(kid)
-            W_kid = _solve_device(warm, kid[1], kid[0], extremal, below)
+            W_kid = _solve_device(rec, kid[1], kid[0], extremal, below)
             kid_key = (cut_rank, 0, ()) if W_kid is None else _rank_key(aux, W_kid, extremal)
             heapq.heappush(heap, (kid_key, *kid))
 
@@ -583,9 +570,9 @@ def min_potential_pinned(
     below: int | Fraction | None = None,
 ) -> tuple[frozenset[int] | None, Fraction]:
     """Minimize rho over subsets that contain every vertex of `force` and
-    avoid every vertex of `ban`.  One flow instance, warm-started from H's
-    unconstrained flow; membership constraints are exact (infinite terminal
-    arcs).
+    avoid every vertex of `ban`.  One flow instance, warm-started from the
+    latest instance's flow on H; membership constraints are exact (infinite
+    terminal arcs).
 
     With `below` set, a pinned minimum below it comes back as without the
     cutoff, and any other as exactly (None, Fraction(below)): the flow stops
@@ -600,11 +587,11 @@ def min_potential_pinned(
     for v in fset | bset:
         if not 0 <= v < H.n:
             raise ValueError(f"vertex {v} out of range")
-    warm = _warm(H)
-    W = _solve_device(warm, bset, fset, extremal, below)
+    rec = _warm(H)
+    W = _solve_device(rec, bset, fset, extremal, below)
     if W is None:
         return None, Fraction(below)
-    return _answer(warm[0], W)
+    return _answer(rec.aux, W)
 
 
 # -- reference implementation by enumeration ------------------------------

@@ -133,11 +133,11 @@ def rho_hyper(H: WeightedHypergraph, X) -> Fraction:
 # -- graph -> hypergraph reductions ---------------------------------------
 
 
-# (G, weights, H) of the latest build, published as one tuple so threads
-# sharing it never see a half-updated entry.  Keyed by identity: a driver's
-# entry screen and the first level scan of a graph that does not peel ask
-# for the same G's hypergraph, and handing back the same H lets
-# min_potential's warm network and latest flow serve both.
+# (G, weights, H) of the latest build, replaced whole and never changed, so
+# threads may share it.  Keyed by identity: a driver's entry screen and the
+# first level scan of a graph that does not peel ask for the same G's
+# hypergraph, and handing back the same H lets min_potential's warm record
+# for it serve both.
 _last_built: tuple = (None, None, None)
 
 

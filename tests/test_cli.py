@@ -1,6 +1,11 @@
 """Command-line interface: payloads, exit codes, and determinism."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +256,63 @@ def test_batch_parallel_matches_serial(tmp_path, capsys):
     assert by_name["a.nbg"]["kind"] == "cert-forbidden"
     assert by_name["b.nbg"]["kind"] == "colored"
     assert by_name["c.nbg"]["kind"] == "cert-low-potential"
+
+
+def test_batch_caps_the_worker_count(tmp_path, capsys, monkeypatch):
+    # a stub executor stands in for the process pool: it records its worker
+    # count and solves in this process, so no process is started
+    built = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    d = tmp_path / "graphs"
+    d.mkdir()
+    for k in range(4):
+        save_nbg(graph(k + 2, singles=[(v, v + 1) for v in range(k + 1)]), d / f"p{k}.nbg")
+    results = []
+    for jobs in ("64", "1"):
+        code, out, _ = run(capsys, "batch", "--mode", "brute", "--jobs", jobs, str(d))
+        assert code == OK
+        reports = json.loads(out)
+        for r in reports:
+            r.pop("wall_time")
+        results.append(reports)
+    assert built == [4]
+    assert results[0] == results[1] and len(results[0]) == 4
+    one = tmp_path / "one"
+    one.mkdir()
+    save_nbg(graph(2, singles=[(0, 1)]), one / "p.nbg")
+    code, out, _ = run(capsys, "batch", "--mode", "brute", "--jobs", "64", str(one))
+    assert code == OK and len(json.loads(out)) == 1
+    assert built == [4]
+
+
+def test_cli_import_loads_no_process_machinery():
+    # the process pool behind batch --jobs is imported only when a batch
+    # runs in parallel, so every other command starts without it
+    import nbcolor
+
+    src = str(Path(nbcolor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, nbcolor.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

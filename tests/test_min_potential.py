@@ -218,11 +218,16 @@ def _pinned_oracle(H, force, ban, extremal):
     return frozenset(v for v in range(H.n) if pick >> v & 1), Fraction(best, L)
 
 
+def _record():
+    """This thread's warm record, or None when its memo is empty."""
+    return getattr(min_potential._memo, "record", None)
+
+
 def test_pinned_warm_start_matches_enumeration():
     # Calls interleave over a pool of hypergraphs and all three modes, so the
-    # memoised warm network is hit, missed and replaced; a hit must hand back
-    # the very network the previous call left, with its flow untouched.  The
-    # memo is keyed by the hypergraph alone, so a change of mode hits it too.
+    # memoised warm record is hit, missed and replaced; a hit must hand back
+    # the very record the previous call left.  The memo is keyed by the
+    # hypergraph alone, so a change of mode hits it too.
     rng = random.Random(8128)
     hits = misses = mode_changes = 0
     last_mode = None
@@ -243,29 +248,28 @@ def test_pinned_warm_start_matches_enumeration():
             k_force = rng.randint(0, min(3, H.n))
             force = order[:k_force]
             ban = order[k_force:k_force + rng.randint(0, min(3, H.n - k_force))]
-            last_H, last_warm = min_potential._last_warm
-            snapshot = list(last_warm[0].flow.cap) if last_warm else None
+            last = _record()
             W, val = min_potential_pinned(H, force, ban, extremal=mode)
             assert (W, val) == _pinned_oracle(H, force, ban, mode)
-            warm = min_potential._last_warm[1]
-            if last_H is H:
+            rec = _record()
+            assert rec.H is H
+            if last is not None and last.H is H:
                 hits += 1
                 mode_changes += mode != last_mode
-                assert warm is last_warm
-                assert warm[0].flow.cap == snapshot
+                assert rec is last
             else:
                 misses += 1
-                assert warm is not last_warm
+                assert rec is not last
             last_mode = mode
     assert hits >= 10 and mode_changes >= 10 and misses >= 100
 
 
 def test_warm_start_shared_across_threads():
-    # batch --jobs solves in threads that share the one-entry memo, here on
-    # the same hypergraph objects and in all three modes, which the memo
-    # serves from one network: every thread must still get the answers of a
-    # serial run.  Some asks carry a threshold, so flows stop at their cutoff
-    # and later instances start from the stopped flows.
+    # Threads ask on the same hypergraph objects and in all three modes, each
+    # through its own warm record, whose one network serves every mode: every
+    # thread must get the answers of a serial run.  Some asks carry a
+    # threshold, so flows stop at their cutoff and later instances start
+    # from the stopped flows.
     rng = random.Random(16)
     pool = [random_hypergraph(rng, max_n=12, max_edges=24) for _ in range(3)]
     modes = (None, LARGEST, SMALLEST)
@@ -283,7 +287,7 @@ def test_warm_start_shared_across_threads():
             qs.append((H, order[:k], order[k:k + rng.randint(0, 1)], rng.choice(modes), below(H)))
         queries.append(qs)
     # scan-shaped runs: force v, ban its successor, so each flow releases the
-    # pins of the one before it, on networks every thread shares; each pair
+    # pins of the one before it, on the thread's own network; each pair
     # is asked in every mode, so the later asks read the flow of the first
     # when it is maximal
     for H in pool * 2:
@@ -318,7 +322,7 @@ def test_warm_start_shared_across_threads():
 
 def test_hypergraph_memo_shared_across_threads():
     # Threads alternate graphs and both potentials through potential's
-    # one-entry hypergraph memo and min_potential's warm network, the way a
+    # one-entry hypergraph memo and their own warm records, the way a
     # driver's entry screen and level-0 scan use them: each thread must get
     # its own graph's hypergraph under its own potential, and the screen's
     # and scan-shaped answers of a serial run.  An equal graph that is
@@ -382,6 +386,16 @@ def _random_network(rng, n, arcs):
     return net, G
 
 
+def _twin(net):
+    """A network on net's arcs, added in net's order, with net's residual
+    capacities: its head lists are net's, and its flow is net's."""
+    twin = FlowNetwork(net.n)
+    for a in range(0, len(net.to), 2):
+        twin.add_arc(net.to[a ^ 1], net.to[a], 0)
+    twin.cap = list(net.cap)
+    return twin
+
+
 def _check_against_networkx(net, G, s, t, value):
     cut_value, (source_part, _) = nx.minimum_cut(G, s, t)
     assert value == cut_value
@@ -399,16 +413,14 @@ def test_max_flow_matches_networkx():
         net, G = _random_network(rng, n, rng.randint(n, 4 * n))
         value = net.max_flow(0, n - 1)
         _check_against_networkx(net, G, 0, n - 1, value)
-        # warm start: raise some arcs of a copy and augment from the flow
-        flowed = list(net.cap)
-        warm = net.copy()
+        # warm start: raise some arcs of a twin and augment from the flow
+        warm = _twin(net)
         for idx in rng.sample(range(0, len(warm.to), 2), min(5, len(warm.to) // 2)):
             extra = rng.randint(1, 60)
             warm.cap[idx] += extra
             G[warm.to[idx ^ 1]][warm.to[idx]]["capacity"] += extra
         added = warm.max_flow(0, n - 1)
         _check_against_networkx(warm, G, 0, n - 1, value + added)
-        assert net.cap == flowed  # the copy left the original's flow alone
 
 
 def test_max_flow_long_path_is_iterative():
@@ -536,7 +548,7 @@ def test_pinned_cutoff_matches_enumeration(monkeypatch):
             if got[0] is None:
                 cut += 1
                 assert type(got[1]) is Fraction
-                stopped += not min_potential._last_flow[3][2]
+                stopped += not _record().maximal
             else:
                 kept += 1
     assert kept >= 1000 and cut >= 1200 and stopped >= 900
@@ -545,8 +557,7 @@ def test_pinned_cutoff_matches_enumeration(monkeypatch):
     # pins just solved: a re-ask must not read a set off a stopped flow, and
     # every answer must be the one an empty memo gives
     def fresh(H, force, ban, mode, below):
-        monkeypatch.setattr(min_potential, "_last_warm", (None, None))
-        monkeypatch.setattr(min_potential, "_last_flow", (None, frozenset(), frozenset(), None))
+        monkeypatch.setattr(min_potential, "_memo", threading.local())
         return min_potential_pinned(H, force, ban, mode, below)
 
     after_stop = 0
@@ -567,11 +578,73 @@ def test_pinned_cutoff_matches_enumeration(monkeypatch):
         assert expected == [_pinned_cut_oracle(*q) for q in run]
         fresh(H, (), (), None, None)
         for q, want in zip(run, expected):
-            last = min_potential._last_flow
-            if last[0] is not None and last[1:3] == (frozenset(q[1]), frozenset(q[2])):
-                after_stop += not last[3][2]
+            rec = _record()
+            if (rec.forced, rec.banned) == (frozenset(q[1]), frozenset(q[2])):
+                after_stop += not rec.maximal
             assert min_potential_pinned(*q) == want, (trial, q)
     assert after_stop >= 80
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_interrupted_instance_leaves_no_stale_memo(monkeypatch):
+    # An instance cut short inside its flow leaves the network half changed:
+    # its pins raised and released, part of a flow augmented.  Scan-shaped
+    # runs (force v, ban its successor, mixed thresholds) are cut at their
+    # k-th flow for every k, and every later ask, the one before the cut
+    # and the cut one included, must give what it gives from an empty memo
+    kernel = FlowNetwork.max_flow
+    flows, cut_at = 0, None
+
+    def cut(self, s, t, limit=None):
+        nonlocal flows
+        flows += 1
+        if flows == cut_at:
+            kernel(self, s, t, 1)
+            raise _Interrupted
+        return kernel(self, s, t, limit)
+
+    def empty_memo():
+        monkeypatch.setattr(min_potential, "_memo", threading.local())
+
+    def fresh(q):
+        empty_memo()
+        return min_potential_pinned(*q)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", cut)
+    rng = random.Random(4711)
+    modes = (None, LARGEST, SMALLEST)
+    cut_short = checked = 0
+    for trial in range(18):
+        fractional = trial % 3 == 2
+        H = _fraction_hypergraph(rng, 8) if fractional else random_hypergraph(rng, max_n=8, max_edges=16)
+        order = rng.sample(range(H.n), H.n)
+        run = []
+        for i, v in enumerate(order):
+            force, ban = [v], [] if H.n == 1 else [order[(i + 1) % H.n]]
+            for mode in rng.sample(modes, 2):
+                low = _pinned_oracle(H, force, ban, mode)[1]
+                run.append((H, force, ban, mode, rng.choice([None, *_thresholds(low, fractional)])))
+        expected = [fresh(q) for q in run]
+        assert expected == [_pinned_cut_oracle(*q) for q in run]
+        empty_memo()
+        flows = 0
+        assert [min_potential_pinned(*q) for q in run] == expected
+        # flow 1 builds H's warm record; every later one is a pinned instance
+        for k in range(1, flows + 1):
+            empty_memo()
+            flows, cut_at = 0, k
+            with pytest.raises(_Interrupted):
+                for i, q in enumerate(run):
+                    assert min_potential_pinned(*q) == expected[i]
+            cut_at = None
+            cut_short += k > 1
+            for q, want in zip(run[max(i - 1, 0):], expected[max(i - 1, 0):]):
+                assert min_potential_pinned(*q) == want, (trial, k, q)
+                checked += 1
+    assert cut_short >= 140 and checked >= 1300
 
 
 # 12 vertices, 20 edges, minimum degree three: rho_s is lowest on the whole
@@ -641,7 +714,7 @@ def test_chained_release_matches_enumeration():
     # Long runs on one hypergraph, so every instance starts from the one
     # before it: pins are added, swapped (ban -> force, force -> ban) and
     # released, and each release must cancel the flow its arc carries above
-    # the lowered capacity.  The warm network itself is never changed.
+    # the lowered capacity.  Every ask hits the one warm record of H.
     rng = random.Random(2024)
     for trial in range(24):
         n = rng.randint(3, 9)
@@ -652,8 +725,7 @@ def test_chained_release_matches_enumeration():
         ]
         H = hypergraph(n, weights, edges)
         for mode in (None, LARGEST, SMALLEST):
-            aux = min_potential._warm(H)[0]
-            snapshot = list(aux.flow.cap)
+            rec = min_potential._warm(H)
             force, ban = set(), set()
             for _ in range(40):
                 free = [v for v in range(n) if v not in force and v not in ban]
@@ -679,10 +751,9 @@ def test_chained_release_matches_enumeration():
                     force, ban = {v}, {(v + 1) % n}
                 got = min_potential_pinned(H, sorted(force), sorted(ban), extremal=mode)
                 assert got == _pinned_oracle(H, force, ban, mode), (trial, mode, force, ban)
+                assert _record() is rec
                 if force or ban:
-                    last = min_potential._last_flow
-                    assert last[0] is aux and last[1:3] == (force, ban)
-            assert aux.flow.cap == snapshot
+                    assert (rec.forced, rec.banned) == (force, ban)
 
 
 # A zero-weight vertex ties inside and outside a minimizer, so it lies in the
@@ -771,9 +842,9 @@ def _reference_max_flow(net, s, t):
 
 
 def _same_flow_as_reference(net, s, t, kernel=FlowNetwork.max_flow):
-    """Runs the kernel on net and the reference on a copy; both must add the
+    """Runs the kernel on net and the reference on a twin; both must add the
     same amount and leave the same residual capacities and final labels."""
-    ref = net.copy()
+    ref = _twin(net)
     expected = _reference_max_flow(ref, s, t)
     got = kernel(net, s, t)
     assert got == expected

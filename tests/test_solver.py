@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -692,7 +693,7 @@ def _fresh_hypergraph(G, weights):
 
 def test_level_zero_scan_continues_from_the_entry_screen(monkeypatch):
     # On a graph that neither splits nor peels, the worker's scan gets the
-    # entry screen's hypergraph back, so it reuses the screen's warm network.
+    # entry screen's hypergraph back, so it reuses the screen's warm record.
     # The drivers' screen stops at its floor after the warm flow, so their
     # scan's first instance starts from that flow.  Here the nonempty query
     # runs uncut, and on many of these graphs it runs constrained flows, so
@@ -711,16 +712,15 @@ def test_level_zero_scan_continues_from_the_entry_screen(monkeypatch):
     for G, to_hyper, weights, band in cases:
         H = to_hyper(G)
         min_potential_constrained(H, m1=1, m2=0, extremal=LARGEST)
-        aux = min_potential._last_warm[1][0]
-        handed += min_potential._last_flow[0] is aux
+        rec = min_potential._memo.record
+        handed += bool(rec.forced or rec.banned)
         assert to_hyper(G) is H
         shared = solver._scan(H, G.n, band)
-        assert min_potential._last_warm[1][0] is aux
+        assert min_potential._memo.record is rec
 
         fresh = _fresh_hypergraph(G, weights)
         assert fresh == H and fresh is not H
-        monkeypatch.setattr(min_potential, "_last_warm", (None, None))
-        monkeypatch.setattr(min_potential, "_last_flow", (None, frozenset(), frozenset(), None))
+        monkeypatch.setattr(min_potential, "_memo", threading.local())
         assert solver._scan(fresh, G.n, band) == shared
         in_band += shared[1] is not None
     # the uncut query ran constrained flows, whose last one the scan starts
