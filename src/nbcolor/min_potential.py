@@ -58,24 +58,40 @@ empties its thread's memo while it changes the network, so one cut short
 (an exception, an interrupt) leaves no record that disagrees with its
 network, and the next ask builds the network afresh.
 
-Dinic's level graph is measured from the sink (the distance labels of
-Goldberg & Tarjan, J. ACM 1988): each phase labels nodes by their residual
-distance d to t, and the blocking-flow search follows only arcs u->v with
-d(v) = d(u) - 1.  Every path it finds has d(s) arcs, a shortest s-t path, and
-a blocking flow raises d(s), so this is still Dinic and still ends at a
-maximum flow.  The warm flow saturates nearly every source arc, so a
-constrained instance can only gain paths through the arcs it changed, and
-levels from t reach s through them after labelling a few nodes near them.
+A flow from zero, the warm flow, is Dinic's algorithm, with its level graph
+measured from the sink (the distance labels of Goldberg & Tarjan, J. ACM
+1988): each phase labels nodes by their residual distance d to t, and the
+blocking-flow search follows only arcs u->v with d(v) = d(u) - 1.  Every
+path it finds has d(s) arcs, a shortest s-t path, and a blocking flow raises
+d(s), so this is still Dinic and still ends at a maximum flow.  The open
+terminal arcs, the residual arcs out of s and into t, are listed once per
+call; an augmenting path never reopens one (below), so each phase only drops
+the arcs the last one closed.  Augmenting the warm flow one path at a time
+instead would be quadratic on a long cycle.
 
-Each phase starts from the open terminal arcs: the residual arcs out of s
-and into t, listed once per max_flow call.  An augmenting path is simple,
-so it never enters s or leaves t, and it can only lower these residuals;
-an arc closed once stays closed for the rest of the call.  Each phase drops
-the arcs the last one closed, seeds its BFS from t's list and starts its
-blocking-flow search at s from s's list, in head order, so labels, blocking
-flows and the final residual graph are the ones full scans of head[s] and
-head[t] give.  On the scan networks t has an arc from every vertex and every
-hyperedge, and after the warm flow only a few of them still have capacity.
+A pinned instance repairs the flow it starts from instead of running Dinic
+over the whole network (compare Goldberg, Hed, Kaplan, Tarjan & Werneck, ESA
+2011, and Kohli & Torr, IEEE TPAMI 2007).  The record keeps open-arc sets, a
+superset of the terminal arcs with residual capacity: the warm flow's open
+ones, listed when the first pinned instance runs, plus every terminal arc an
+instance opens.  An instance opens the s->u arcs of the vertices it bans and
+the v->t arcs of those it forces, and a release opens the arcs it takes flow
+back off: s->v, e->t (through head[e][0]) and v->t.  An augmenting path is
+simple, so it never enters s or leaves t: it lowers the residual of its
+first and last arcs and reopens no terminal arc, so the sets stay a
+superset, and a search drops the arcs it finds closed.  Every augmenting
+path starts on an open s-arc and ends on an open t-arc, so a breadth-first
+search seeded from the sets finds one whenever one exists.  The flow is
+augmented one path at a time, each path adding at least one unit of integer
+capacity, until no path is left or the cutoff below is reached.  The search
+runs from both ends and meets in the middle, labelling the nodes near the
+arcs it starts from, not the whole network.  On the simple driver's networks
+about a quarter of the source arcs stay open after the warm flow, so a set
+larger than the other side's and than _SEED_CAP is not scanned once per
+path: the search runs from the other side alone, and meets s or t by an O(1)
+check of each labelled node's own terminal arc.  Once no path is left, one
+full BFS from t labels the nodes that reach t for the reads below; only
+flows that end at their maximum get there.
 
 W is read off the residual graph of the max flow, from two node sets that
 are the same for every maximum flow.  The nodes s reaches form the
@@ -140,7 +156,7 @@ least `below`, a flow read off or run to its maximum included, so the
 answer depends on the hypergraph, the pins and `below` alone, never on the
 flow the instance started from.  An instance whose minimum lies below the
 threshold never reaches the target, so its flow runs to a maximum one and W
-is the uncut one.  max_flow checks the target before its first BFS and after
+is the uncut one.  max_flow checks the target before each search and after
 each augmenting path, and the record keeps the flow's value up to date: a
 raise moves no flow, and each release cancels its excess along an s-t path,
 so it lowers the value by the excess (re-summing the sink's arcs instead
@@ -171,9 +187,31 @@ SMALLEST = "smallest"
 EXTREMAL_MODES = (None, LARGEST, SMALLEST)
 
 
+@dataclass(eq=False)
+class OpenArcs:
+    """A superset of a network's open terminal arcs, kept by the caller
+    across max_flow calls: the arcs out of s and the arcs into t that may
+    still have residual capacity.  Whoever raises a terminal arc, or takes
+    flow back off one, adds it.  `arc_from_s[x]` and `arc_to_t[x]` are node
+    x's own arc from s and to t, or -1.  The repair search needs s to have
+    no in-arcs, t no out-arcs, and each node at most one arc from s and one
+    to t, as in the hypergraph networks."""
+
+    out_of_s: set[int]
+    into_t: set[int]
+    arc_from_s: list[int]
+    arc_to_t: list[int]
+
+
+# a repair search seeds a side from its open-arc set when the set is no
+# larger than this, or no larger than the other side's
+_SEED_CAP = 32
+
+
 class FlowNetwork:
-    """Dinic's algorithm over integer capacities, with each phase's level
-    graph measured as residual distance to the sink."""
+    """Integer capacities.  A flow from zero is Dinic's algorithm, with each
+    phase's level graph measured as residual distance to the sink; a flow
+    repaired from a caller's open-arc sets augments one path at a time."""
 
     def __init__(self, num_nodes: int):
         self.n = num_nodes
@@ -195,12 +233,12 @@ class FlowNetwork:
     def _levels(self, s: int, t: int) -> list[int]:
         """Residual distances to t, by BFS from t over reversed arcs: arc idx
         in head[u] leads into u with residual capacity cap[idx ^ 1].  t's own
-        arcs come from `open_into_t`, which max_flow keeps: the arcs into t
-        that still have residual capacity, in head order, so the labels are
-        the ones a scan of head[t] gives.  Stops once s is labelled, so only
-        nodes nearer to t than s are complete.  If s stays unlabelled (-1)
-        the labels are complete: exactly the nodes that can still reach t
-        are labelled."""
+        arcs come from `open_into_t`, which max_flow sets: a superset of the
+        arcs into t that still have residual capacity, in head order on a
+        flow from zero, so the labels are the ones a scan of head[t] gives.
+        Stops once s is labelled, so only nodes nearer to t than s are
+        complete.  If s stays unlabelled (-1) the labels are complete:
+        exactly the nodes that can still reach t are labelled."""
         head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
         level[t] = 0
@@ -224,30 +262,39 @@ class FlowNetwork:
                     queue.append(v)
         return level
 
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+    def max_flow(self, s: int, t: int, limit: int | None = None, open_arcs: OpenArcs | None = None) -> int:
         """Augments the current flow to a maximum one and returns the amount
-        added.  Each phase's blocking-flow search walks from s and takes an
-        arc only to a node one level nearer t, so every path it augments is a
-        shortest one.  It keeps its path on an explicit stack, so path length
-        is not bounded by the interpreter's recursion limit.  The labels of
-        the last phase, whose BFS finds no path, stay in `sink_levels`: the
-        nodes that can reach t in the final residual graph.
+        added.  The labels of the last search, which finds no path, stay in
+        `sink_levels`: every node that can reach t in the final residual graph
+        is labelled (>= 0), and no other.
 
         With `limit` set, the call stops as soon as it has added at least
-        `limit`, checked before each phase's BFS and after each augmenting
-        path.  A flow stopped there is feasible but need not be maximum, and
+        `limit`, checked before each search and after each augmenting path.
+        A flow stopped there is feasible but need not be maximum, and
         `sink_levels` is then None.
 
-        The residual arcs out of s and into t are listed once per call, those
-        with capacity left, and each phase drops the ones it saturated.  An
-        augmenting path is simple, so it never enters s or leaves t: it only
-        lowers these residuals, and an arc left off a list never reopens
-        during the call.  Each phase therefore scans the same open arcs, in
-        the same order, as a scan of head[s] and head[t] would."""
+        Without `open_arcs` this is Dinic's algorithm.  Each phase's
+        blocking-flow search walks from s and takes an arc only to a node one
+        level nearer t, so every path it augments is a shortest one.  It keeps
+        its path on an explicit stack, so path length is not bounded by the
+        interpreter's recursion limit.  The residual arcs out of s and into t
+        are listed once per call, those with capacity left, and each phase
+        drops the ones it saturated.  An augmenting path is simple, so it
+        never enters s or leaves t: it only lowers these residuals, and an arc
+        left off a list never reopens during the call.  Each phase therefore
+        scans the same open arcs, in the same order, as a scan of head[s] and
+        head[t] would.
+
+        With `open_arcs` the flow is repaired instead: paths are found one at
+        a time by `_augmenting_path`, seeded from the caller's sets, which the
+        call keeps a superset of the open terminal arcs.  Once no path is
+        left, one full `_levels` fills `sink_levels`."""
+        stop = float("inf") if limit is None else limit
+        if open_arcs is not None:
+            return self._repair(s, t, stop, open_arcs)
         head, to, cap = self.head, self.to, self.cap
         out_of_s = [a for a in head[s] if cap[a]]
         self.open_into_t = [idx for idx in head[t] if cap[idx ^ 1]]
-        stop = float("inf") if limit is None else limit
         total = 0
         while total < stop:
             level = self._levels(s, t)
@@ -291,6 +338,142 @@ class FlowNetwork:
                     break
         self.sink_levels = None
         return total
+
+    def _repair(self, s: int, t: int, stop, arcs: OpenArcs) -> int:
+        """max_flow with open-arc sets: augment one path at a time, and drop
+        a terminal arc from its set once a path saturates it."""
+        cap = self.cap
+        total = 0
+        while total < stop:
+            path = self._augmenting_path(s, t, arcs)
+            if path is None:
+                self.open_into_t = [a ^ 1 for a in arcs.into_t]
+                self.sink_levels = self._levels(s, t)
+                return total
+            pushed = min(cap[a] for a in path)
+            for a in path:
+                cap[a] -= pushed
+                cap[a ^ 1] += pushed
+            total += pushed
+            if not cap[path[0]]:
+                arcs.out_of_s.discard(path[0])
+            if not cap[path[-1]]:
+                arcs.into_t.discard(path[-1])
+        self.sink_levels = None
+        return total
+
+    def _augmenting_path(self, s: int, t: int, arcs: OpenArcs) -> list[int] | None:
+        """The arcs of an s-t path with residual capacity, or None if there
+        is none.
+
+        A breadth-first search forward from the open arcs out of s and
+        backward from the open arcs into t, a whole level of the side with
+        the smaller frontier at a time, until the two meet.  A side is seeded
+        from its set when the set is small (_SEED_CAP) or the smaller of the
+        two; the other side may then stay empty, and a node the search labels
+        meets it by an O(1) check of its own terminal arc instead.  Seeding
+        drops the closed arcs from the set.
+
+        Exact: every s-t path starts on an open s-arc and ends on an open
+        t-arc, its last node's own, and the sets hold them all.  A seeded
+        side that runs out of nodes has labelled every node s reaches (or
+        every node that reaches t), and checked each against t's arc (or
+        s's) and the other side's labels, so no path is left."""
+        head, to, cap = self.head, self.to, self.cap
+        from_s, to_t = arcs.arc_from_s, arcs.arc_to_t
+        out_s, in_t = arcs.out_of_s, arcs.into_t
+        # node -> the arc it was reached by (fwd) or leaves by (bwd); s and t
+        # are never labelled
+        fwd = {s: -1, t: -1}
+        bwd = {s: -1, t: -1}
+        front = back = None
+        if len(out_s) <= len(in_t) or len(out_s) <= _SEED_CAP:
+            front, closed = [], []
+            for a in out_s:
+                if cap[a]:
+                    v = to[a]
+                    b = to_t[v]
+                    if b >= 0 and cap[b]:
+                        return [a, b]
+                    fwd[v] = a
+                    front.append(v)
+                else:
+                    closed.append(a)
+            out_s.difference_update(closed)
+            if not front:
+                return None
+        if front is None or len(in_t) <= _SEED_CAP:
+            back, closed = [], []
+            for a in in_t:
+                if cap[a]:
+                    u = to[a ^ 1]
+                    bwd[u] = a
+                    if u not in fwd:
+                        b = from_s[u]
+                        if b < 0 or not cap[b]:
+                            back.append(u)
+                            continue
+                        fwd[u] = b
+                    return self._join(fwd, bwd, u, s, t)
+                else:
+                    closed.append(a)
+            in_t.difference_update(closed)
+            if not back:
+                return None
+        while True:
+            if back is None or (front is not None and len(front) <= len(back)):
+                level = []
+                for u in front:
+                    for a in head[u]:
+                        if cap[a]:
+                            v = to[a]
+                            if v not in fwd:
+                                fwd[v] = a
+                                if v not in bwd:
+                                    b = to_t[v]
+                                    if b < 0 or not cap[b]:
+                                        level.append(v)
+                                        continue
+                                    bwd[v] = b
+                                return self._join(fwd, bwd, v, s, t)
+                if not level:
+                    return None
+                front = level
+            else:
+                level = []
+                for u in back:
+                    for r in head[u]:
+                        if cap[r ^ 1]:
+                            v = to[r]
+                            if v not in bwd:
+                                bwd[v] = r ^ 1
+                                if v not in fwd:
+                                    a = from_s[v]
+                                    if a < 0 or not cap[a]:
+                                        level.append(v)
+                                        continue
+                                    fwd[v] = a
+                                return self._join(fwd, bwd, v, s, t)
+                if not level:
+                    return None
+                back = level
+
+    def _join(self, fwd: dict, bwd: dict, v: int, s: int, t: int) -> list[int]:
+        """The path s -> v -> t through the arcs `fwd` and `bwd` record."""
+        to = self.to
+        path = []
+        u = v
+        while u != s:
+            a = fwd[u]
+            path.append(a)
+            u = to[a ^ 1]
+        path.reverse()
+        u = v
+        while u != t:
+            a = bwd[u]
+            path.append(a)
+            u = to[a]
+        return path
 
     def source_side(self, s: int) -> set[int]:
         """Nodes reachable from s in the residual graph; call after max_flow."""
@@ -390,6 +573,7 @@ class _Warm:
     aux: AuxNetwork
     sets: dict
     root_value: int
+    open_arcs: OpenArcs | None      # built by the first pinned instance
     forced: frozenset[int]
     banned: frozenset[int]
     value: int
@@ -409,8 +593,22 @@ def _warm(H: WeightedHypergraph) -> _Warm:
         value = aux.flow.max_flow(aux.source, aux.sink)
         union = aux.sink_side(LARGEST)
         sets = {None: union, LARGEST: union, SMALLEST: aux.sink_side(SMALLEST)}
-        rec = _memo.record = _Warm(H, aux, sets, value, frozenset(), frozenset(), value, True)
+        rec = _memo.record = _Warm(H, aux, sets, value, None, frozenset(), frozenset(), value, True)
     return rec
+
+
+def _open_arcs(aux: AuxNetwork) -> OpenArcs:
+    """The open terminal arcs of aux's current flow, and each node's own
+    terminal arcs."""
+    net = aux.flow
+    cap, to = net.cap, net.to
+    out_of_s, into_t = net.head[aux.source], [r ^ 1 for r in net.head[aux.sink]]
+    from_s, to_t = [-1] * net.n, [-1] * net.n
+    for a in out_of_s:
+        from_s[to[a]] = a
+    for a in into_t:
+        to_t[to[a ^ 1]] = a
+    return OpenArcs({a for a in out_of_s if cap[a]}, {a for a in into_t if cap[a]}, from_s, to_t)
 
 
 def _take_back(cap: list[int], a: int, amount: int) -> None:
@@ -439,9 +637,10 @@ def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset
     Unpinned instances read the warm flow's record, and the pins of a
     maximal current flow are read off the network.  Any other instance
     changes the flow in place: raises the arcs of the pins it adds, releases
-    those of the pins it drops, and augments, stopping once the value
-    reaches `below`'s cut.  The memo is empty until `rec` is up to date
-    again.  See the module docstring."""
+    those of the pins it drops, adds every terminal arc it opens to the
+    record's open-arc sets, and repairs the flow by path searches seeded
+    from them, stopping once the value reaches `below`'s cut.  The memo is
+    empty until `rec` is up to date again.  See the module docstring."""
     aux = rec.aux
     # no flow reaches `infinite`: the set of the forced vertices has a finite cut
     target = aux.infinite if below is None else aux.cut_target(below)
@@ -453,15 +652,22 @@ def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset
     _memo.record = None
     net = aux.flow
     cap, head, to, inf = net.cap, net.head, net.to, aux.infinite
+    if rec.open_arcs is None:
+        rec.open_arcs = _open_arcs(aux)  # the network still holds the warm flow
+    # every terminal arc raised or given flow back goes in the open-arc sets
+    out_of_s, into_t = rec.open_arcs.out_of_s, rec.open_arcs.into_t
     for v in banned - banned0:
         cap[aux.source_arc[v]] += inf
+        out_of_s.add(aux.source_arc[v])
     for v in forced - forced0:
         cap[aux.sink_arc[v]] += inf
+        into_t.add(aux.sink_arc[v])
     for v in forced0 - forced:
         # v's in-flow all comes over s->v: take the excess back off it
         excess = _lower(cap, aux.sink_arc[v], inf)
         if excess:
             _take_back(cap, aux.source_arc[v], excess)
+            out_of_s.add(aux.source_arc[v])
             value -= excess
     for v in banned0 - banned:
         # take the excess back off v's out-arcs, and off e->t behind v->e
@@ -475,9 +681,11 @@ def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset
             d = min(cap[a ^ 1], excess)
             _take_back(cap, a, d)
             if to[a] != aux.sink:
-                _take_back(cap, head[to[a]][0], d)
+                a = head[to[a]][0]
+                _take_back(cap, a, d)
+            into_t.add(a)
             excess -= d
-    value += net.max_flow(aux.source, aux.sink, target - value)
+    value += net.max_flow(aux.source, aux.sink, target - value, rec.open_arcs)
     stopped = value >= target
     rec.forced, rec.banned, rec.value, rec.maximal = forced, banned, value, not stopped
     _memo.record = rec

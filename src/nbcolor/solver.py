@@ -1440,21 +1440,32 @@ def _cycle_pin_route(G, ctx, depth, C, step) -> Outcome:
 
 
 def _first_induced_c4(G: Graph, Lset):
-    best = None
-    Ls = sorted(Lset)
-    for a in Ls:
-        for c in Ls:
-            if c <= a or G.kind_of(a, c) is not None:
-                continue
-            common = [x for x in G.adj[a] if x in Lset and G.kind_of(c, x) is not None]
+    """The least canonical induced 4-cycle a-x-c-y inside Lset, or None.
+
+    Walks a -> x -> c over Lset-neighbours, so it costs O(|Lset| * deg^2),
+    not a check of every pair (a, c).  A cycle's least vertex a is an end of
+    one of its two diagonals, whose other end c is larger, so the cycle is
+    found when a is the outer vertex.  The first a that finds a cycle is
+    therefore the least vertex of each cycle it finds, and of the answer."""
+    adj, kind_of = G.adj, G.kind_of
+    for a in sorted(Lset):
+        ends: dict[int, list[int]] = {}
+        for x in adj[a]:
+            if x in Lset:
+                for c in adj[x]:
+                    if c > a and c in Lset and kind_of(a, c) is None:
+                        ends.setdefault(c, []).append(x)
+        best = None
+        for c, common in ends.items():
             for i, x in enumerate(common):
                 for y in common[i + 1 :]:
-                    if G.kind_of(x, y) is not None:
-                        continue
-                    cyc = _canon_cycle((a, x, c, y))
-                    if best is None or cyc < best:
-                        best = cyc
-    return best
+                    if kind_of(x, y) is None:
+                        cyc = _canon_cycle((a, x, c, y))
+                        if best is None or cyc < best:
+                            best = cyc
+        if best is not None:
+            return best
+    return None
 
 
 def _canon_cycle(cyc) -> tuple[int, ...]:

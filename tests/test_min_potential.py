@@ -589,22 +589,51 @@ class _Interrupted(Exception):
     pass
 
 
+class _CuttingCap(list):
+    """A capacity list that raises _Interrupted instead of making its
+    `left`-th write, so a flow stops in the middle of an augmenting path."""
+
+    def __init__(self, cap, left):
+        super().__init__(cap)
+        self.left = left
+
+    def __setitem__(self, i, x):
+        self.left -= 1
+        if not self.left:
+            raise _Interrupted
+        list.__setitem__(self, i, x)
+
+
 def test_interrupted_instance_leaves_no_stale_memo(monkeypatch):
     # An instance cut short inside its flow leaves the network half changed:
-    # its pins raised and released, part of a flow augmented.  Scan-shaped
-    # runs (force v, ban its successor, mixed thresholds) are cut at their
-    # k-th flow for every k, and every later ask, the one before the cut
-    # and the cut one included, must give what it gives from an empty memo
+    # its pins raised and released, part of a flow augmented, its open-arc
+    # sets out of date.  Scan-shaped runs (force v, ban its successor, mixed
+    # thresholds) are cut at their k-th flow for every k, the warm build
+    # included: on even trials after one augmenting path, on odd ones in the
+    # middle of one, between two capacity writes.  Every later ask, the one
+    # before the cut and the cut one included, must give what it gives from
+    # an empty memo
     kernel = FlowNetwork.max_flow
-    flows, cut_at = 0, None
+    flows, cut_at, mid_path = 0, None, False
+    mid_cuts = 0
 
-    def cut(self, s, t, limit=None):
-        nonlocal flows
+    def cut(self, s, t, limit=None, open_arcs=None):
+        nonlocal flows, mid_cuts
         flows += 1
-        if flows == cut_at:
-            kernel(self, s, t, 1)
+        if flows != cut_at:
+            return kernel(self, s, t, limit, open_arcs)
+        if not mid_path:
+            kernel(self, s, t, 1, open_arcs)
             raise _Interrupted
-        return kernel(self, s, t, limit)
+        cap = self.cap
+        self.cap = cutting = _CuttingCap(cap, 3)
+        try:
+            kernel(self, s, t, limit, open_arcs)
+        finally:
+            cap[:] = cutting  # the writes made before the cut stay
+            self.cap = cap
+            mid_cuts += cutting.left <= 0
+        raise _Interrupted
 
     def empty_memo():
         monkeypatch.setattr(min_potential, "_memo", threading.local())
@@ -619,6 +648,7 @@ def test_interrupted_instance_leaves_no_stale_memo(monkeypatch):
     cut_short = checked = 0
     for trial in range(18):
         fractional = trial % 3 == 2
+        mid_path = trial % 2 == 1
         H = _fraction_hypergraph(rng, 8) if fractional else random_hypergraph(rng, max_n=8, max_edges=16)
         order = rng.sample(range(H.n), H.n)
         run = []
@@ -644,7 +674,47 @@ def test_interrupted_instance_leaves_no_stale_memo(monkeypatch):
             for q, want in zip(run[max(i - 1, 0):], expected[max(i - 1, 0):]):
                 assert min_potential_pinned(*q) == want, (trial, k, q)
                 checked += 1
-    assert cut_short >= 140 and checked >= 1300
+    assert cut_short >= 140 and checked >= 1300 and mid_cuts >= 40
+
+
+def test_open_arc_sets_cover_every_open_terminal_arc(monkeypatch):
+    # A repaired flow seeds its search from the record's open-arc sets, so
+    # after every instance they must hold each open arc out of s and into t:
+    # scan-shaped chains (force v, ban its successor) and window queries,
+    # whose branches force and ban growing sets, with and without
+    # thresholds.  Some sets also hold arcs that have closed since.
+    solve = min_potential._solve_device
+    instances = stale = 0
+
+    def checked(rec, banned, forced, extremal, below=None):
+        nonlocal instances, stale
+        W = solve(rec, banned, forced, extremal, below)
+        assert _record() is rec
+        aux, arcs = rec.aux, rec.open_arcs
+        head, cap = aux.flow.head, aux.flow.cap
+        assert {a for a in head[aux.source] if cap[a]} <= arcs.out_of_s
+        assert {r ^ 1 for r in head[aux.sink] if cap[r ^ 1]} <= arcs.into_t
+        stale += any(not cap[a] for a in arcs.out_of_s | arcs.into_t)
+        instances += 1
+        return W
+
+    monkeypatch.setattr(min_potential, "_solve_device", checked)
+    rng = random.Random(5353)
+    modes = (None, LARGEST, SMALLEST)
+    for trial in range(48):
+        fractional = trial % 3 == 2
+        H = _fraction_hypergraph(rng, 10) if fractional else random_hypergraph(rng, max_n=10, max_edges=20)
+        order = rng.sample(range(H.n), H.n)
+        for i, v in enumerate(order):
+            force, ban = [v], [] if H.n == 1 else [order[(i + 1) % H.n]]
+            mode = rng.choice(modes)
+            low = _pinned_oracle(H, force, ban, mode)[1]
+            below = rng.choice([None, *_thresholds(low, fractional)])
+            assert min_potential_pinned(H, force, ban, mode, below) == _pinned_cut_oracle(H, force, ban, mode, below)
+        for m1, m2 in rng.sample([(m1, m2) for m1 in range(3) for m2 in range(3) if m1 <= H.n - m2], 3):
+            mode = rng.choice((LARGEST, SMALLEST))
+            assert min_potential_constrained(H, m1, m2, mode) == min_potential_enum(H, m1, m2, mode)
+    assert instances >= 550 and stale >= 20
 
 
 # 12 vertices, 20 edges, minimum degree three: rho_s is lowest on the whole
@@ -663,10 +733,10 @@ def test_window_query_flow_count(monkeypatch):
     flows = 0
     run = FlowNetwork.max_flow
 
-    def counted(self, s, t, limit=None):
+    def counted(self, s, t, limit=None, open_arcs=None):
         nonlocal flows
         flows += 1
-        return run(self, s, t, limit)
+        return run(self, s, t, limit, open_arcs)
 
     monkeypatch.setattr(FlowNetwork, "max_flow", counted)
     got = min_potential_constrained(H, 2, 2, LARGEST)
@@ -677,9 +747,11 @@ def test_window_query_flow_count(monkeypatch):
 
 def test_forced_flows_search_near_their_raised_arc(monkeypatch):
     # Against C_2000's warm flow every source arc is saturated, so a forced
-    # instance can only gain paths through its own raised v->t arc.  Levels
-    # measured from the sink find those few nodes; levels measured from the
-    # source expanded about 747,000 nodes over these 50 flows.
+    # instance can only gain paths through its own raised v->t arc.  Its
+    # path search, seeded from the empty set of open source arcs, ends at
+    # once, and the levels measured from the sink find the few nodes that
+    # reach t; levels measured from the source expanded about 747,000 nodes
+    # over these 50 flows.
     n = 2000
     H = hypergraph_for_rho_s(normalize(n, [(v, (v + 1) % n, SINGLE) for v in range(n)]))
     min_potential_pinned(H)
@@ -693,17 +765,21 @@ def test_forced_flows_search_near_their_raised_arc(monkeypatch):
 
     levels = FlowNetwork._levels
 
-    def counted(self, s, t):
-        # every node the BFS expands is looked up once in head, in every
-        # phase, the last one that finds no path included
-        head = self.head
-        self.head = CountingHead(head)
-        try:
-            return levels(self, s, t)
-        finally:
-            self.head = head
+    def counted(search):
+        # every node a search expands is looked up once in head, the last,
+        # failing one included
+        def run(self, *args):
+            head = self.head
+            self.head = CountingHead(head)
+            try:
+                return search(self, *args)
+            finally:
+                self.head = head
 
-    monkeypatch.setattr(FlowNetwork, "_levels", counted)
+        return run
+
+    monkeypatch.setattr(FlowNetwork, "_levels", counted(levels))
+    monkeypatch.setattr(FlowNetwork, "_augmenting_path", counted(FlowNetwork._augmenting_path))
     for v in range(0, n, 40):
         W, _ = min_potential_pinned(H, force=[v])
         assert v in W
@@ -869,18 +945,37 @@ def test_kernel_matches_the_reference_on_random_networks():
             _same_flow_as_reference(net, s, t)
 
 
+def _reaching_t(net):
+    """The nodes the last search of a maximal flow found able to reach t."""
+    return {v for v, d in enumerate(net.sink_levels) if d >= 0}
+
+
 def test_kernel_matches_the_reference_on_chained_instances(monkeypatch):
     # every flow of chained pinned sequences, the warm flows included, in all
-    # three modes and on hypergraphs with zero-weight vertices
-    flows = 0
+    # three modes and on hypergraphs with zero-weight vertices.  A flow from
+    # zero is Dinic's and leaves exactly the reference's residual capacities
+    # and labels.  A repaired flow augments other paths and ends at another
+    # maximum flow, so it is held to what every maximum flow from the same
+    # start shares: the value added, the nodes that reach t and the nodes s
+    # reaches
+    flows = repaired = 0
     run = FlowNetwork.max_flow
 
-    def checked(self, s, t, limit=None):
+    def checked(self, s, t, limit=None, open_arcs=None):
         # no query here has a cutoff, so whatever limit a flow is given must
         # not stop it short of the reference's maximum
-        nonlocal flows
+        nonlocal flows, repaired
         flows += 1
-        return _same_flow_as_reference(self, s, t, kernel=lambda net, s, t: run(net, s, t, limit))
+        if open_arcs is None:
+            return _same_flow_as_reference(self, s, t, kernel=lambda net, s, t: run(net, s, t, limit))
+        repaired += 1
+        ref = _twin(self)
+        expected = _reference_max_flow(ref, s, t)
+        got = run(self, s, t, limit, open_arcs)
+        assert got == expected
+        assert _reaching_t(self) == _reaching_t(ref)
+        assert self.source_side(s) == ref.source_side(s)
+        return got
 
     monkeypatch.setattr(FlowNetwork, "max_flow", checked)
     rng = random.Random(6262)
@@ -902,7 +997,7 @@ def test_kernel_matches_the_reference_on_chained_instances(monkeypatch):
                 k = rng.randint(0, len(picked))
                 force, ban = picked[:k], picked[k:]
                 assert min_potential_pinned(H, force, ban, extremal=mode) == _pinned_oracle(H, force, ban, mode)
-    assert flows >= 16 * 3 * 10
+    assert flows >= 16 * 3 * 10 and flows - repaired >= 16
 
 
 def test_terminal_arcs_are_listed_once_per_flow(monkeypatch):
@@ -943,10 +1038,10 @@ def test_one_network_serves_every_mode(monkeypatch):
     flows = 0
     kernel = FlowNetwork.max_flow
 
-    def counted(self, s, t, limit=None):
+    def counted(self, s, t, limit=None, open_arcs=None):
         nonlocal flows
         flows += 1
-        return kernel(self, s, t, limit)
+        return kernel(self, s, t, limit, open_arcs)
 
     monkeypatch.setattr(FlowNetwork, "max_flow", counted)
     modes = (None, LARGEST, SMALLEST)

@@ -542,10 +542,10 @@ def _random_cubic(seed, n):
             return normalize(n, [(*sorted(e), SINGLE) for e in ring | chords])
 
 
-def _scan_lookups(monkeypatch, to_hyper, band):
+def _scan_lookups(monkeypatch, to_hyper, band, n=120):
     """Nodes expanded by every residual search of one above-band scan of a
-    fixed 120-vertex cubic graph: each expansion is one head lookup."""
-    G = _random_cubic(1, 120)
+    fixed n-vertex cubic graph: each expansion is one head lookup."""
+    G = _random_cubic(1, n)
     H = to_hyper(G)
     min_potential_pinned(H)  # the warm flow, built outside the count
     lookups = 0
@@ -567,7 +567,7 @@ def _scan_lookups(monkeypatch, to_hyper, band):
 
         return run
 
-    for name in ("_levels", "source_side"):
+    for name in ("_levels", "_augmenting_path", "source_side"):
         monkeypatch.setattr(FlowNetwork, name, counted(getattr(FlowNetwork, name)))
     m, W = solver._scan(H, G.n, band)
     assert m > band and W is None
@@ -577,8 +577,8 @@ def _scan_lookups(monkeypatch, to_hyper, band):
 @pytest.mark.parametrize(
     "to_hyper, band, bound",
     [
-        (hypergraph_for_rho_m, solver._MULTI_BAND, 170_000),
-        (hypergraph_for_rho_s, solver._SIMPLE_BAND, 15_000),
+        (hypergraph_for_rho_m, solver._MULTI_BAND, 7_700),
+        (hypergraph_for_rho_s, solver._SIMPLE_BAND, 1_400),
     ],
     ids=["rho_m", "rho_s"],
 )
@@ -586,27 +586,43 @@ def test_scan_search_work(monkeypatch, to_hyper, band, bound):
     # With the sweep in vertex-id order, every flow started from the warm
     # flow and W taken from a second search from s, this graph took 208,908
     # (rho_m) and 47,205 (rho_s) lookups; chained flows along a depth-first
-    # sweep, with W read off each flow's last search, take about 140,000 and
-    # 7,100.
+    # sweep, with W read off each flow's last search, took about 140,000 and
+    # 7,100, and chained flows repaired by path searches seeded from the
+    # open terminal arcs take 6,409 and 1,145.
     assert _scan_lookups(monkeypatch, to_hyper, band) <= bound
 
 
 @pytest.mark.parametrize(
     "to_hyper, band, bound",
     [
-        (hypergraph_for_rho_m, solver._MULTI_BAND, 24_000),
-        (hypergraph_for_rho_s, solver._SIMPLE_BAND, 1_900),
+        (hypergraph_for_rho_m, solver._MULTI_BAND, 7_700),
+        (hypergraph_for_rho_s, solver._SIMPLE_BAND, 1_400),
     ],
     ids=["rho_m", "rho_s"],
 )
 def test_scan_search_work_unperturbed(monkeypatch, to_hyper, band, bound):
     # The sweep's flows run on the plain network, read W under SMALLEST, and
-    # no BFS scans head[t]; each stops once its value proves the pair above
-    # the band, so no flow of this above-band scan runs its final, failing
-    # BFS: 19,034 (rho_m) and 1,466 (rho_s) lookups.  Flows run to their
-    # maximum took 48,090 and 5,658, and a sweep on a LARGEST network
-    # perturbed by (n + 1) scaling 139,864 and 7,123.
+    # each stops once its value proves the pair above the band, so no flow
+    # of this above-band scan runs its final, failing search.  Each flow
+    # repairs the one before it by path searches seeded from the open
+    # terminal arcs: 6,409 (rho_m) and 1,145 (rho_s) lookups.  Dinic phases
+    # from t, stopped at the same cutoff, took 19,034 and 1,466; run to their
+    # maximum, 48,090 and 5,658; and a sweep on a LARGEST network perturbed
+    # by (n + 1) scaling, 139,864 and 7,123.
     assert _scan_lookups(monkeypatch, to_hyper, band) <= bound
+
+
+def test_scan_search_work_per_flow_grows_slowly(monkeypatch):
+    # A repaired scan flow searches near the arcs its two pins open, so its
+    # work barely grows with the graph.  Per flow of an above-band rho_m
+    # scan, n = 120 -> 480: 53.4 -> 91.8 lookups (x1.7).  Dinic phases from
+    # t, which flood outwards from every open arc into t, took 158.6 ->
+    # 528.8 (x3.3).
+    per_flow = []
+    for n in (120, 480):
+        per_flow.append(_scan_lookups(monkeypatch, hypergraph_for_rho_m, solver._MULTI_BAND, n) / n)
+        monkeypatch.undo()
+    assert per_flow[1] < 2.5 * per_flow[0]
 
 
 def _asking(monkeypatch):
@@ -616,10 +632,10 @@ def _asking(monkeypatch):
     flows = 0
     kernel = FlowNetwork.max_flow
 
-    def counted(self, s, t, limit=None):
+    def counted(self, s, t, limit=None, open_arcs=None):
         nonlocal flows
         flows += 1
-        return kernel(self, s, t, limit)
+        return kernel(self, s, t, limit, open_arcs)
 
     def pinned(H, force=(), ban=(), extremal=LARGEST, below=None):
         before = flows
@@ -762,10 +778,10 @@ def _entry_screen_flows(monkeypatch):
     screens = []
     run, query = FlowNetwork.max_flow, solver.min_potential_constrained
 
-    def counted(self, s, t, limit=None):
+    def counted(self, s, t, limit=None, open_arcs=None):
         nonlocal flows
         flows += 1
-        return run(self, s, t, limit)
+        return run(self, s, t, limit, open_arcs)
 
     def recording(H, m1=0, m2=0, extremal=None, below=None):
         before = flows
@@ -1154,3 +1170,45 @@ def test_step_5d_witness_is_colored(threshold):
     out = color_multigraph(G, brute_threshold=threshold)
     assert isinstance(out, Colored), out
     assert validate_coloring(G, out.coloring) is None
+
+
+def _first_induced_c4_by_pairs(G, Lset):
+    """The step-4 C4 search as a loop over every pair (a, c) of Lset, kept
+    as the reference for solver._first_induced_c4."""
+    best = None
+    Ls = sorted(Lset)
+    for a in Ls:
+        for c in Ls:
+            if c <= a or G.kind_of(a, c) is not None:
+                continue
+            common = [x for x in G.adj[a] if x in Lset and G.kind_of(c, x) is not None]
+            for i, x in enumerate(common):
+                for y in common[i + 1:]:
+                    if G.kind_of(x, y) is not None:
+                        continue
+                    cyc = solver._canon_cycle((a, x, c, y))
+                    if best is None or cyc < best:
+                        best = cyc
+    return best
+
+
+def test_first_induced_c4_matches_the_pair_loop():
+    # random graphs with single and parallel edges and a random part L,
+    # sometimes all of it: the walk over L-neighbours returns the pair
+    # loop's cycle
+    rng = random.Random(4404)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(4, 14)
+        p = rng.uniform(0.15, 0.6)
+        raw = [
+            (u, v, rng.choice((SINGLE, SINGLE, SINGLE, MULTI)))
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < p
+        ]
+        G = normalize(n, raw)
+        Lset = frozenset(range(n)) if rng.random() < 0.3 else frozenset(v for v in range(n) if rng.random() < 0.7)
+        want = _first_induced_c4_by_pairs(G, Lset)
+        assert solver._first_induced_c4(G, Lset) == want
+        found += want is not None
+    assert found >= 1200
