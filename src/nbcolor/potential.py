@@ -94,16 +94,18 @@ class WeightedHypergraph:
     def __post_init__(self):
         if len(self.vertex_weights) != self.n:
             raise ValueError("vertex weight count mismatch")
-        for w in self.vertex_weights:
-            if w < 0:
-                raise ValueError("vertex weights must be nonnegative")
-        for members, w in self.edges:
-            if not members:
-                raise ValueError("empty hyperedge")
-            if not all(0 <= u < self.n for u in members):
-                raise ValueError("hyperedge member out of range")
-            if w <= 0:
-                raise ValueError("hyperedge weights must be positive")
+        if self.vertex_weights and min(self.vertex_weights) < 0:
+            raise ValueError("vertex weights must be nonnegative")
+        if not self.edges:
+            return
+        members, weights = zip(*self.edges)
+        if not all(members):
+            raise ValueError("empty hyperedge")
+        used = frozenset().union(*members)
+        if min(used) < 0 or max(used) >= self.n:
+            raise ValueError("hyperedge member out of range")
+        if min(weights) <= 0:
+            raise ValueError("hyperedge weights must be positive")
 
 
 def hypergraph(n, vertex_weights, hyperedges) -> WeightedHypergraph:

@@ -31,8 +31,8 @@ one min-heap of candidates per rule, and each step deletes the smallest id of th
 one recursive level per deletion would pick.  The peel stops where that
 level's opening checks would fire: at most brute_threshold vertices left,
 the full-set potential (kept as an integer) below the floor, or a deletion
-that disconnected the graph (searched from the deleted vertex's
-neighbours).  The worker then runs once on the core, one level per deletion
+that disconnected the graph (found after the loop by a reverse union-find
+over the deletions, which undoes those after it).  The worker then runs once on the core, one level per deletion
 deeper, and the peel records replay in reverse to lift its coloring.  The
 replay validates the core once and then each deleted vertex against its
 neighbours at deletion time (independent side, parallel pairs and gadgets,

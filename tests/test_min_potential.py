@@ -1084,3 +1084,52 @@ def test_one_network_serves_every_mode(monkeypatch):
             assert flows == before
             reads += bool(picked)
     assert reads >= 150
+
+
+def _check_feasible(aux, value):
+    """aux's network holds a flow of `value`: no residual is negative and
+    every node but s and t passes on what it takes in.  Every reverse arc
+    starts at capacity zero, so an arc's flow is its reverse's residual."""
+    net = aux.flow
+    cap, to = net.cap, net.to
+    assert min(cap) >= 0
+    balance = [0] * net.n
+    for a in range(0, len(to), 2):
+        balance[to[a ^ 1]] -= cap[a ^ 1]
+        balance[to[a]] += cap[a ^ 1]
+    assert balance[aux.source] == -value and balance[aux.sink] == value
+    assert not any(balance[2:])
+
+
+def test_greedy_warm_flow_is_completed_to_a_maximum_flow():
+    # The warm flow starts from a greedy flow along s->v->e->t, which Dinic
+    # augments.  The greedy flow is feasible, the warm value is Dinic's from
+    # zero on a fresh network, and every unpinned and pinned answer matches
+    # enumeration: int and Fraction weights, zero-weight vertices, hyperedges
+    # of one to three members
+    rng = random.Random(8118)
+    modes = (None, LARGEST, SMALLEST)
+    greedy_total = 0
+    for trial in range(60):
+        H = _fraction_hypergraph(rng, 8) if trial % 2 else random_hypergraph(rng, max_n=8, max_edges=16)
+        aux = build_aux_network(H)
+        greedy = min_potential._greedy_flow(aux)
+        _check_feasible(aux, greedy)
+        greedy_total += greedy
+        value = greedy + aux.flow.max_flow(aux.source, aux.sink)
+        _check_feasible(aux, value)
+        fresh = build_aux_network(H)
+        assert value == fresh.flow.max_flow(fresh.source, fresh.sink)
+        assert min_potential._warm(H).root_value == value
+        assert min_potential_subset(H) == _pinned_oracle(H, (), (), None)
+        for mode in modes:
+            assert min_potential_constrained(H, extremal=mode)[1] == _pinned_oracle(H, (), (), mode)[1]
+            if mode is not None:
+                assert min_potential_constrained(H, extremal=mode) == min_potential_enum(H, extremal=mode)
+        for _ in range(6):
+            picked = rng.sample(range(H.n), rng.randint(0, min(3, H.n)))
+            k = rng.randint(0, len(picked))
+            mode = rng.choice(modes)
+            got = min_potential_pinned(H, picked[:k], picked[k:], extremal=mode)
+            assert got == _pinned_oracle(H, picked[:k], picked[k:], mode)
+    assert greedy_total > 0
