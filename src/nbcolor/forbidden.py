@@ -8,12 +8,29 @@ linked when some member, minus one of its edges, embeds with the removed
 edge's endpoints landing on them; a valid coloring then either puts both into
 I or joins them through the forest.
 
-Subgraph containment is plain backtracking with degree and adjacency pruning.
+Subgraph containment is backtracking with degree and adjacency pruning.
 Any host edge record counts as adjacency: a parallel pair or a widget edge
 constrains colorings at least as hard as the single edge the pattern asks
 for.  The matching order depends only on the pattern and on which of its
 vertices are anchored, so it is fixed once, as a SearchPlan, and the search
 follows the plan it is given or derives the same one.
+
+An unanchored search (the containment screen) also skips every host vertex
+that lies in no embedding, by two linear-time filters: the k-core peel
+(Batagelj & Zaversnik, arXiv:cs/0310049) and triangle counts (Chiba &
+Nishizeki, SIAM J. Comput. 1985).  Let the pattern have minimum degree d.
+An embedding's image, with the host edges the pattern's edges map to, is a
+subgraph of minimum degree at least d, so it lies in the host's d-core, the
+largest such subgraph.  A pattern vertex in t triangles maps to a host
+vertex in at least t triangles of that image, distinct since the map is
+injective, and so in at least t triangles inside the core.  So the search
+places a pattern vertex only on a core vertex with at least as many core
+triangles, and starts from the core alone.  It still tries candidates in
+increasing id order and skips only vertices no embedding uses, so it finds
+the same first mapping.  The host's core and triangle counts cost
+O(m * max degree) and are kept for the latest host and d, which every member
+of one screen shares (the seed members all have minimum degree three).
+Anchored searches (are_linked) run without the filters.
 
 The linked-pair test searches each member's oriented edges in a fixed order
 (members by size, then the edge list, each edge (v, w) then (w, v)), and its
@@ -71,14 +88,21 @@ class SearchPlan:
     time the one with the most placed neighbours, then the highest degree,
     then the smallest id.  `placed[i]` holds the pattern neighbours of
     `order[i]` placed before it, in adjacency order; `degree[p]` is p's
-    pattern degree; `anchored_edges` are the pattern edges between two
-    anchored vertices.
+    pattern degree and `triangles[p]` the number of pattern triangles at p;
+    `anchored_edges` are the pattern edges between two anchored vertices.
+
+    An unanchored search places p only on a host vertex with at least
+    `degree[p]` neighbours that lies in the host's min(degree)-core and in at
+    least `triangles[p]` triangles inside it: the image of an embedding is a
+    subgraph of that minimum degree, so it lies in the core, and p's
+    triangles map to distinct triangles at p's image inside it.
     """
 
     anchored: tuple[int, ...]
     order: tuple[int, ...]
     placed: tuple[tuple[int, ...], ...]
     degree: tuple[int, ...]
+    triangles: tuple[int, ...]
     anchored_edges: tuple[tuple[int, int], ...]
 
 
@@ -87,6 +111,7 @@ def search_plan(pattern: Graph, anchored=()) -> SearchPlan:
     `anchored` pinned."""
     adj = pattern.adj
     degree = tuple(len(a) for a in adj)
+    nbrs = [set(a) for a in adj]
     fixed = tuple(sorted(anchored))
     order = list(fixed)
     rest = [p for p in range(pattern.n) if p not in fixed]
@@ -106,6 +131,7 @@ def search_plan(pattern: Graph, anchored=()) -> SearchPlan:
         order=tuple(order),
         placed=tuple(tuple(q for q in adj[p] if pos[q] < i) for i, p in enumerate(order)),
         degree=degree,
+        triangles=tuple(sum(len(nbrs[p] & nbrs[q]) for q in adj[p]) // 2 for p in range(pattern.n)),
         anchored_edges=tuple((p, q) for p, q in combinations(fixed, 2) if pattern.kind_of(p, q) is not None),
     )
 
@@ -136,15 +162,68 @@ def find_embedding(pattern: Graph, host: Graph, anchor: dict[int, int] | None = 
         if host.kind_of(anchor[p], anchor[q]) is None:
             return None
     mapping = anchor  # the caller's anchor was copied above; the search extends it
-    if _extend(plan, host, mapping, set(anchor.values()), len(plan.anchored), None):
+    core = None if anchor else _host_core(host, min(plan.degree, default=0))
+    if _extend(plan, host, mapping, set(anchor.values()), len(plan.anchored), None, core):
         return mapping
     return None
 
 
-def _extend(plan: SearchPlan, host: Graph, mapping: dict, used: set, i: int, every) -> bool:
+@dataclass(frozen=True)
+class _HostCore:
+    """A host's d-core and the triangles inside it: `vertices` lists the
+    core in increasing order, and `triangles[h]` counts the triangles of
+    the core at h, or is -1 for h outside the core."""
+
+    vertices: tuple[int, ...]
+    triangles: list[int]
+
+
+# one slot holding the latest host, its d and its core, replaced whole:
+# every member of one screen asks for the same one
+_last_core: list[tuple] = [(None, None, None)]
+
+
+def _host_core(host: Graph, d: int) -> _HostCore:
+    """The d-core of `host` by the peel of Batagelj & Zaversnik, and the
+    triangles inside it, one set intersection per core edge."""
+    last_host, last_d, core = _last_core[0]
+    if last_host is host and last_d == d:
+        return core
+    adj = host.adj
+    left = [len(a) for a in adj]
+    out = [k < d for k in left]
+    stack = [v for v in range(host.n) if out[v]]
+    while stack:
+        for u in adj[stack.pop()]:
+            if not out[u]:
+                left[u] -= 1
+                if left[u] < d:
+                    out[u] = True
+                    stack.append(u)
+    inner = [set() if out[v] else {u for u in a if not out[u]} for v, a in enumerate(adj)]
+    # each core edge uv lies in |N(u) & N(v)| core triangles, and each
+    # triangle at v is counted by both of its edges at v
+    twice = [0] * host.n
+    for u, v, _ in host.edges:
+        if not (out[u] or out[v]):
+            shared = len(inner[u] & inner[v])
+            twice[u] += shared
+            twice[v] += shared
+    core = _HostCore(
+        tuple(v for v in range(host.n) if not out[v]),
+        [-1 if o else k // 2 for o, k in zip(out, twice)],
+    )
+    _last_core[0] = (host, d, core)
+    return core
+
+
+def _extend(plan: SearchPlan, host: Graph, mapping: dict, used: set, i: int, every,
+            core: _HostCore | None) -> bool:
     """Place plan.order[i:] by backtracking.  Stops at the first complete
     mapping, or, with `every` a list, appends a copy of each one to it and
-    exhausts the search."""
+    exhausts the search.  With `core`, the host's core for the pattern's
+    minimum degree, a vertex is placed only inside it and on a host vertex
+    with at least its pattern triangles there."""
     if i == len(plan.order):
         if every is None:
             return True
@@ -156,10 +235,15 @@ def _extend(plan: SearchPlan, host: Graph, mapping: dict, used: set, i: int, eve
     # the smallest, and since each is sorted, the images are tried in
     # increasing order whichever it is
     nbrs = [hadj[mapping[q]] for q in plan.placed[i]]
-    cands = min(nbrs, key=len) if nbrs else range(host.n)
+    if nbrs:
+        cands = min(nbrs, key=len)
+    else:
+        cands = range(host.n) if core is None else core.vertices
     need = plan.degree[p]
+    tri = plan.triangles[p]
+    room = None if core is None else core.triangles
     for h in cands:
-        if h in used or len(hadj[h]) < need:
+        if h in used or len(hadj[h]) < need or (room is not None and room[h] < tri):
             continue
         for nb in nbrs:
             if h not in nb:
@@ -167,7 +251,7 @@ def _extend(plan: SearchPlan, host: Graph, mapping: dict, used: set, i: int, eve
         else:
             mapping[p] = h
             used.add(h)
-            if _extend(plan, host, mapping, used, i + 1, every):
+            if _extend(plan, host, mapping, used, i + 1, every, core):
                 return True
             del mapping[p]
             used.discard(h)
@@ -203,7 +287,7 @@ def _link_table(H: Graph, plan: SearchPlan) -> tuple[Link, ...]:
     # an injective edge-preserving map of H into itself is a bijection onto
     # the same number of edges
     auts: list[dict[int, int]] = []
-    _extend(plan, H, {}, set(), 0, auts)
+    _extend(plan, H, {}, set(), 0, auts, None)
     covered: set[tuple[int, int]] = set()
     links = []
     for v, w, _ in H.edges:

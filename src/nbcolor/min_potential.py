@@ -100,9 +100,11 @@ arcs it starts from, not the whole network.  On the simple driver's networks
 about a quarter of the source arcs stay open after the warm flow, so a set
 larger than the other side's and than _SEED_CAP is not scanned once per
 path: the search runs from the other side alone, and meets s or t by an O(1)
-check of each labelled node's own terminal arc.  Once no path is left, one
-full BFS from t labels the nodes that reach t for the reads below; only
-flows that end at their maximum get there.
+check of each labelled node's own terminal arc.  Once no path is left, the
+nodes that reach t are needed for the reads below; only flows that end at
+their maximum get there.  If the last search ended because its backward
+side ran out, that side has labelled exactly those nodes, and they are
+taken from it; otherwise one full BFS from t labels them.
 
 W is read off the residual graph of the max flow, from two node sets that
 are the same for every maximum flow.  The nodes s reaches form the
@@ -233,6 +235,9 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.sink_levels: list[int] | None = None
+        # after a failing _augmenting_path: the nodes that reach t, or None
+        # when its forward side ran out
+        self.reached_t: dict[int, int] | None = None
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         idx = len(self.to)
@@ -302,7 +307,9 @@ class FlowNetwork:
         With `open_arcs` the flow is repaired instead: paths are found one at
         a time by `_augmenting_path`, seeded from the caller's sets, which the
         call keeps a superset of the open terminal arcs.  Once no path is
-        left, one full `_levels` fills `sink_levels`."""
+        left, `sink_levels` marks the nodes that reach t: from the failing
+        search's backward labels when that side ran out (each is marked 0),
+        and otherwise by one full `_levels`."""
         stop = float("inf") if limit is None else limit
         if open_arcs is not None:
             return self._repair(s, t, stop, open_arcs)
@@ -361,8 +368,15 @@ class FlowNetwork:
         while total < stop:
             path = self._augmenting_path(s, t, arcs)
             if path is None:
-                self.open_into_t = [a ^ 1 for a in arcs.into_t]
-                self.sink_levels = self._levels(s, t)
+                if self.reached_t is None:
+                    self.open_into_t = [a ^ 1 for a in arcs.into_t]
+                    reach = self._levels(s, t)
+                else:
+                    reach = [-1] * self.n
+                    for v in self.reached_t:
+                        reach[v] = 0
+                    reach[s] = -1
+                self.sink_levels = reach
                 return total
             pushed = min(cap[a] for a in path)
             for a in path:
@@ -392,7 +406,11 @@ class FlowNetwork:
         t-arc, its last node's own, and the sets hold them all.  A seeded
         side that runs out of nodes has labelled every node s reaches (or
         every node that reaches t), and checked each against t's arc (or
-        s's) and the other side's labels, so no path is left."""
+        s's) and the other side's labels, so no path is left.  When the
+        backward side runs out, its labels, s's sentinel aside, are exactly
+        the nodes that reach t, and `reached_t` keeps them; otherwise it is
+        None."""
+        self.reached_t = None
         head, to, cap = self.head, self.to, self.cap
         from_s, to_t = arcs.arc_from_s, arcs.arc_to_t
         out_s, in_t = arcs.out_of_s, arcs.into_t
@@ -433,6 +451,7 @@ class FlowNetwork:
                     closed.append(a)
             in_t.difference_update(closed)
             if not back:
+                self.reached_t = bwd
                 return None
         while True:
             if back is None or (front is not None and len(front) <= len(back)):
@@ -469,6 +488,7 @@ class FlowNetwork:
                                     fwd[v] = a
                                 return self._join(fwd, bwd, v, s, t)
                 if not level:
+                    self.reached_t = bwd
                     return None
                 back = level
 

@@ -200,13 +200,17 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
     n = G.n
     rules = spec.rules
     tag_weight, edge_weight = spec.weights.tag, spec.weights.edge
-    kinds = [tuple(G.kind_of(v, u) for u in G.adj[v]) for v in range(n)]
+    # G.edges is sorted, so each vertex meets its neighbours in G.adj order
+    nbr: list[dict[int, str]] = [{} for _ in range(n)]
+    for u, v, kind in G.edges:
+        nbr[u][v] = kind
+        nbr[v][u] = kind
+    kinds = [tuple(x.values()) for x in nbr]
     tags = list(G.precolor)
     heaps = [[v for v in range(n) if rule.test(tags[v], kinds[v])] for rule in rules]
     if not any(heaps):
         return None
 
-    nbr = [dict(zip(G.adj[v], kinds[v])) for v in range(n)]
     alive = [True] * n
     live = n
     ranks = _Ranks(n) if note is not None else None

@@ -1,8 +1,12 @@
 """Embedding search, the obstruction catalog, and linkage certificates."""
 
 import gc
+import importlib.util
 import itertools
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ from nbcolor.forbidden import (
     verify_member,
     witness_cycle,
 )
-from nbcolor.graph_core import GADGET, MULTI, SINGLE, Graph, graph, normalize
+from nbcolor.graph_core import FP, GADGET, IP, MULTI, SINGLE, UNCOLORED, Graph, graph, normalize
 
 
 def cycle(n):
@@ -440,3 +444,204 @@ def test_plan_must_match_the_anchor():
     link = entry.links[0]
     with pytest.raises(ValueError):
         find_embedding(link.pattern, entry.graph, {0: 0}, link.plan)
+
+
+# -- the screen's core and triangle filters -------------------------------
+
+
+def _reference_screen(G, catalog):
+    """find_forbidden_subgraph over the plain search above, which starts
+    from every host vertex: kept as the reference."""
+    for entry in catalog.screen_order:
+        m = _reference_embedding(entry.graph, G)
+        if m is not None:
+            return entry.name, m
+    return None
+
+
+def _relabelled(rng, G):
+    perm = rng.sample(range(G.n), G.n)
+    tags = [None] * G.n
+    for v in range(G.n):
+        tags[perm[v]] = G.precolor[v]
+    return normalize(G.n, [(perm[u], perm[v], k) for u, v, k in G.edges], tags)
+
+
+def _random_cubic_host(rng):
+    """A random simple cubic graph on 8-24 vertices by the pairing model,
+    about a tenth of its edges then made parallel pairs or gadgets."""
+    n = 2 * rng.randrange(4, 13)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, len(points), 2)}
+        if len(pairs) == len(points) // 2 and all(u != v for u, v in pairs):
+            break
+    heavy = rng.choice((SINGLE, MULTI, GADGET))
+    return normalize(n, [(u, v, heavy if rng.random() < 0.1 else SINGLE) for u, v in sorted(pairs)])
+
+
+def _planted_host(rng):
+    """A catalog member with pendant trees, pendant parallel pairs and a few
+    random extra edges, so it embeds, often with more than one image."""
+    M = base_graph(rng.choice(SEED_NAMES))
+    edges = list(M.edges)
+    n = M.n
+    for _ in range(rng.randrange(0, 12)):
+        x = rng.randrange(n)
+        if rng.random() < 0.3:
+            edges += [(x, n, SINGLE), (n, n + 1, MULTI)]
+            n += 2
+        else:
+            edges.append((x, n, SINGLE))
+            n += 1
+    pairs = {(u, v) for u, v, _ in edges}
+    for _ in range(rng.randrange(0, 4)):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in pairs:
+            pairs.add((u, v))
+            edges.append((u, v, rng.choice((SINGLE, MULTI, GADGET))))
+    tags = [rng.choice((UNCOLORED, UNCOLORED, FP, IP)) for _ in range(n)]
+    return normalize(n, edges, tags)
+
+
+def _sparse_host(rng):
+    """A random graph of average degree about three to five, with forest
+    and independent tags and parallel pairs."""
+    n = rng.randrange(6, 20)
+    p = rng.uniform(3, 5) / (n - 1)
+    edges = [
+        (u, v, MULTI if rng.random() < 0.15 else SINGLE)
+        for u, v in itertools.combinations(range(n), 2)
+        if rng.random() < p
+    ]
+    tags = [rng.choice((UNCOLORED, UNCOLORED, UNCOLORED, FP, IP)) for _ in range(n)]
+    return normalize(n, edges, tags)
+
+
+def test_pruned_screen_matches_the_plain_search():
+    # the core and triangle filters skip only host vertices that lie in no
+    # embedding, and candidates are still tried in increasing id order, so
+    # the screen returns the same member and the same mapping
+    rng = random.Random(1818)
+    full = default_catalog()
+    catalogs = (full, full.restrict(("k4", "m7")))
+    worst = max(max(e.plan.triangles) for e in full.entries)
+    hosts = dropped = outside = found = 0
+    for k in range(1200):
+        G = (_random_cubic_host, _planted_host, _sparse_host)[k % 3](rng)
+        for H in (G, _relabelled(rng, G)):
+            hosts += 1
+            core = forbidden._host_core(H, 3)
+            outside += len(core.vertices) < H.n
+            dropped += min(core.triangles, default=worst) < worst
+            for cat in catalogs:
+                want = _reference_screen(H, cat)
+                assert find_forbidden_subgraph(H, cat) == want, (H, cat.names())
+            found += want is not None  # by K4 or m7
+    assert hosts >= 2400
+    assert dropped >= 200 and outside >= 200 and found >= 200, (dropped, outside, found)
+
+
+def test_host_core_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2727)
+    for k in range(150):
+        G = (_random_cubic_host, _planted_host, _sparse_host)[k % 3](rng)
+        g = nx.Graph()
+        g.add_nodes_from(range(G.n))
+        g.add_edges_from((u, v) for u, v, _ in G.edges)
+        for d in (2, 3, 4):
+            core = nx.k_core(g, d)
+            tri = nx.triangles(core)
+            got = forbidden._host_core(G, d)
+            assert got.vertices == tuple(sorted(core))
+            assert got.triangles == [tri.get(v, -1) for v in range(G.n)]
+            assert forbidden._host_core(G, d) is got  # the memo serves a repeat
+
+
+def _workloads():
+    """The benchmark's graph generators, imported from their file."""
+    name = "_bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _placements(monkeypatch, G, catalog):
+    """Host vertices the screen places pattern vertices on, one entry per
+    placement."""
+    placed = []
+    extend = forbidden._extend
+
+    def counted(plan, host, mapping, used, i, every, core):
+        if i > len(plan.anchored):
+            placed.append(mapping[plan.order[i - 1]])
+        return extend(plan, host, mapping, used, i, every, core)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forbidden, "_extend", counted)
+        return find_forbidden_subgraph(G, catalog), placed
+
+
+def test_screen_work_stays_in_the_core(monkeypatch):
+    # The multigraph screen (K4 and m7) on a long sparse graph places
+    # pattern vertices only inside its triangle-free Petersen core, so it
+    # places none; without the filters it placed 733 times on 222 vertices.
+    # On random cubic graphs, which hold O(1) triangles, the work does not
+    # grow faster than n; without the filters it was 4n placements, one
+    # start from every vertex per member.
+    nx = pytest.importorskip("networkx")
+    cat = default_catalog().restrict(("k4", "m7"))
+    bench = _workloads()
+    G = bench.long_sparse_graph(random.Random(1), 1000)
+    g = nx.Graph()
+    g.add_edges_from((u, v) for u, v, _ in G.edges)
+    core = set(nx.k_core(g, 3))
+    assert len(core) == 10
+    hit, placed = _placements(monkeypatch, G, cat)
+    assert hit is None and set(placed) <= core
+    work = {}
+    for n in (120, 480):
+        hit, placed = _placements(monkeypatch, bench.cubic_graph(random.Random(2), n), cat)
+        assert hit is None
+        work[n] = len(placed)
+    assert work[480] <= 4 * max(work[120], 1)
+    assert work[480] < 480
+
+
+def test_core_memo_shared_across_threads():
+    # Threads screen alternating hosts through the one-entry core memo; each
+    # must get its own host's answer, the one a serial run gives.  An equal
+    # host that is another object is in the pool too.
+    rng = random.Random(3636)
+    hosts = [_planted_host(rng) for _ in range(3)] + [_random_cubic_host(rng)]
+    hosts.append(normalize(hosts[0].n, hosts[0].edges, hosts[0].precolor))
+    cat = default_catalog()
+    expected = [_reference_screen(G, cat) for G in hosts]
+    got = [[] for _ in range(8)]
+    start = threading.Barrier(len(got))
+
+    def work(t):
+        start.wait()
+        for k in random.Random(t).choices(range(len(hosts)), k=8 * len(hosts)):
+            got[t].append((k, find_forbidden_subgraph(hosts[k], cat)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(got))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for answers in got:
+        assert len(answers) == 8 * len(hosts)
+        for k, answer in answers:
+            assert answer == expected[k]

@@ -1000,6 +1000,64 @@ def test_kernel_matches_the_reference_on_chained_instances(monkeypatch):
     assert flows >= 16 * 3 * 10 and flows - repaired >= 16
 
 
+def test_repaired_flow_skips_the_bfs_after_a_backward_failure(monkeypatch):
+    # A repaired flow that ends at its maximum runs the full BFS from t only
+    # when its last path search failed on the forward side; when the
+    # backward side ran out, its labels are the nodes that reach t.  Every
+    # answer still matches enumeration, and the labels match the reference's.
+    failed = {"forward": 0, "backward": 0}
+    bfs = 0
+    repairing = False
+    run, search, levels = FlowNetwork.max_flow, FlowNetwork._augmenting_path, FlowNetwork._levels
+
+    def flow(self, s, t, limit=None, open_arcs=None):
+        nonlocal repairing
+        repairing = open_arcs is not None
+        try:
+            if not repairing:
+                return run(self, s, t, limit, open_arcs)
+            ref = _twin(self)
+            _reference_max_flow(ref, s, t)
+            got = run(self, s, t, limit, open_arcs)
+            if self.sink_levels is not None:
+                assert _reaching_t(self) == _reaching_t(ref)
+            return got
+        finally:
+            repairing = False
+
+    def counted_search(self, s, t, arcs):
+        path = search(self, s, t, arcs)
+        if path is None:
+            failed["forward" if self.reached_t is None else "backward"] += 1
+        return path
+
+    def counted_levels(self, s, t):
+        nonlocal bfs
+        bfs += repairing
+        return levels(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", flow)
+    monkeypatch.setattr(FlowNetwork, "_augmenting_path", counted_search)
+    monkeypatch.setattr(FlowNetwork, "_levels", counted_levels)
+    rng = random.Random(7373)
+    for _ in range(12):
+        n = rng.randint(3, 10)
+        weights = [rng.choice((0, rng.randint(1, 12))) for _ in range(n)]
+        edges = [
+            (rng.sample(range(n), rng.randint(1, 3)), rng.randint(1, 12))
+            for _ in range(rng.randint(n, 3 * n))
+        ]
+        H = hypergraph(n, weights, edges)
+        for mode in (None, LARGEST, SMALLEST):
+            for _ in range(12):
+                picked = rng.sample(range(n), rng.randint(1, min(3, n)))
+                k = rng.randint(0, len(picked))
+                force, ban = picked[:k], picked[k:]
+                assert min_potential_pinned(H, force, ban, extremal=mode) == _pinned_oracle(H, force, ban, mode)
+    assert bfs == failed["forward"]
+    assert failed["backward"] >= 50 and failed["forward"] >= 50, failed
+
+
 def test_terminal_arcs_are_listed_once_per_flow(monkeypatch):
     # head[s] and head[t] are read once per max_flow call, when their open
     # arcs are listed, however many phases the flow takes
