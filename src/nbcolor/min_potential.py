@@ -112,7 +112,9 @@ smallest source side of a minimum cut, so their complement gives the union
 of all minimizers; the nodes that reach t form the smallest sink side, the
 intersection.  Under SMALLEST W is the intersection, read from the labels of
 the last, failing BFS, which max_flow has already paid for.  Under LARGEST
-and without a mode W is the union, so the nodes s reaches are searched once
+and without a mode W is the union.  If a repaired flow's last search ended
+because its forward side ran out, that side has labelled exactly the nodes s
+reaches, and they are taken from it; otherwise those nodes are searched once
 more.
 
 Cardinality windows m1 <= |W| <= n - m2 are searched best first over
@@ -235,9 +237,11 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.sink_levels: list[int] | None = None
-        # after a failing _augmenting_path: the nodes that reach t, or None
-        # when its forward side ran out
+        # after a failing _augmenting_path: the nodes that reach t when its
+        # backward side ran out, the nodes s reaches when its forward side
+        # did, and None otherwise; both None after any other max_flow
         self.reached_t: dict[int, int] | None = None
+        self.reached_s: dict[int, int] | None = None
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         idx = len(self.to)
@@ -309,8 +313,11 @@ class FlowNetwork:
         call keeps a superset of the open terminal arcs.  Once no path is
         left, `sink_levels` marks the nodes that reach t: from the failing
         search's backward labels when that side ran out (each is marked 0),
-        and otherwise by one full `_levels`."""
+        and otherwise by one full `_levels`; then the forward labels, the
+        nodes s reaches, stay in `reached_s`, which is None after any other
+        call."""
         stop = float("inf") if limit is None else limit
+        self.reached_s = None
         if open_arcs is not None:
             return self._repair(s, t, stop, open_arcs)
         head, to, cap = self.head, self.to, self.cap
@@ -408,9 +415,10 @@ class FlowNetwork:
         every node that reaches t), and checked each against t's arc (or
         s's) and the other side's labels, so no path is left.  When the
         backward side runs out, its labels, s's sentinel aside, are exactly
-        the nodes that reach t, and `reached_t` keeps them; otherwise it is
-        None."""
-        self.reached_t = None
+        the nodes that reach t, and `reached_t` keeps them; when the forward
+        side runs out, its labels, t's sentinel aside, are exactly the nodes s
+        reaches, and `reached_s` keeps them.  The other is None."""
+        self.reached_t = self.reached_s = None
         head, to, cap = self.head, self.to, self.cap
         from_s, to_t = arcs.arc_from_s, arcs.arc_to_t
         out_s, in_t = arcs.out_of_s, arcs.into_t
@@ -433,6 +441,7 @@ class FlowNetwork:
                     closed.append(a)
             out_s.difference_update(closed)
             if not front:
+                self.reached_s = fwd
                 return None
         if front is None or len(in_t) <= _SEED_CAP:
             back, closed = [], []
@@ -470,6 +479,7 @@ class FlowNetwork:
                                     bwd[v] = b
                                 return self._join(fwd, bwd, v, s, t)
                 if not level:
+                    self.reached_s = fwd
                     return None
                 front = level
             else:
@@ -557,11 +567,15 @@ class AuxNetwork:
         """Vertices on a sink side of a minimum cut, after a max flow: under
         SMALLEST the smallest one (the intersection of the minimizers), read
         from the last BFS of the max flow, and otherwise the largest one
-        (their union), read from the nodes s reaches."""
+        (their union), read from the nodes s reaches: the labels of a
+        repaired flow's last search when its forward side ran out, and
+        otherwise one more search from s."""
         if extremal == SMALLEST:
             reach = self.flow.sink_levels
             return frozenset(v for v, node in enumerate(self.vertex_node) if reach[node] >= 0)
-        reach = self.flow.source_side(self.source)
+        reach = self.flow.reached_s
+        if reach is None:
+            reach = self.flow.source_side(self.source)
         return frozenset(v for v, node in enumerate(self.vertex_node) if node not in reach)
 
 

@@ -172,6 +172,70 @@ def hypergraph_for_rho_s(G: Graph) -> WeightedHypergraph:
     return _hypergraph_for(G, RHO_S)
 
 
+def screen_kernel(G: Graph, H: WeightedHypergraph) -> WeightedHypergraph:
+    """A hypergraph K, on a subset of H's vertices renumbered in order, with
+    min(0, min over nonempty X of rho_K) = the same of rho_H; H itself when
+    no vertex reduces.  H is a graph potential's hypergraph of G, one pair
+    edge per record of G.edges.  Two rules delete a vertex v until neither
+    applies:
+
+      R1  w(v) >= the total weight of v's edges.  For X containing v,
+          rho(X - v) <= rho(X), and the one set lost, {v}, has rho >= 0.
+      R2  v lies in exactly two edges vx and vy, of weights a and b, and
+          w(v) >= max(a, b): replace v by an edge xy of weight a + b - w(v),
+          which is positive since R1 failed.  A set X of the rest then has
+          the potential of the better of X and X + v, since v's credit
+          pays for either edge alone.  A new edge parallel to one already
+          there is merged with it, summing the weights.
+
+    Under RHO_M R1 takes isolated vertices and uncolored leaves and R2 the
+    uncolored vertices on two plain edges (new weight 1); under RHO_S the
+    same, with new weight 2.  No edge weight ever falls, so the ends of a
+    parallel pair (debit 4 > 3) or of a gadget (11 > 8) stay.  Three of G's
+    debits exceed any credit, so a vertex with three or more neighbours in G
+    qualifies only after deletions around it: the rules start from the
+    vertices with at most two neighbours, and then look again at each
+    neighbour of a deleted vertex."""
+    adj = G.adj
+    if min(map(len, adj), default=3) >= 3:
+        return H
+    w = H.vertex_weights
+    nbr: list[dict[int, int]] = [{} for _ in adj]
+    for members, c in H.edges:
+        u, v = members
+        nbr[u][v] = nbr[v][u] = c
+    alive = [True] * len(adj)
+    work = [v for v, a in enumerate(adj) if len(a) <= 2]
+    while work:
+        v = work.pop()
+        if not alive[v]:
+            continue
+        d = nbr[v]
+        wv = w[v]
+        if wv >= sum(d.values()):
+            for x in d:
+                del nbr[x][v]
+                work.append(x)
+        elif len(d) == 2 and wv >= max(d.values()):
+            (x, a), (y, b) = d.items()
+            del nbr[x][v], nbr[y][v]
+            nbr[x][y] = nbr[y][x] = nbr[x].get(y, 0) + a + b - wv
+            work += (x, y)
+        else:
+            continue
+        alive[v] = False
+    keep = [v for v in range(len(adj)) if alive[v]]
+    if len(keep) == len(adj):
+        return H
+    new = {v: i for i, v in enumerate(keep)}
+    edges = sorted((new[u], new[x], c) for u in keep for x, c in nbr[u].items() if u < x)
+    return WeightedHypergraph(
+        len(keep),
+        tuple(w[v] for v in keep),
+        tuple((frozenset((u, x)), c) for u, x, c in edges),
+    )
+
+
 def hypergraph_for_sparsity(G: Graph, a) -> WeightedHypergraph:
     """Potential a|X| - e(X); a multi record contributes two edges, any other
     record one.  Sparsity (a, b) holds iff the minimum over nonempty X

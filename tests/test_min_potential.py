@@ -1058,6 +1058,67 @@ def test_repaired_flow_skips_the_bfs_after_a_backward_failure(monkeypatch):
     assert failed["backward"] >= 50 and failed["forward"] >= 50, failed
 
 
+def test_largest_reads_the_forward_labels_after_a_forward_failure(monkeypatch):
+    # A repaired flow whose last path search ran out on its forward side
+    # keeps those labels, the nodes s reaches, and a LARGEST or unmoded read
+    # takes its union from them instead of searching from s once more.  Any
+    # other flow leaves no labels.  The labels equal a fresh search from s,
+    # and every answer matches enumeration.
+    run, side, read = FlowNetwork.max_flow, FlowNetwork.source_side, min_potential.AuxNetwork.sink_side
+    searches = 0
+    reads = {"forward": 0, "searched": 0}
+
+    def flow(self, s, t, limit=None, open_arcs=None):
+        self.reached_s = {s: -1}  # a stale value every call must clear
+        got = run(self, s, t, limit, open_arcs)
+        if open_arcs is None or self.sink_levels is None:
+            assert self.reached_s is None
+        return got
+
+    def counted_side(self, s):
+        nonlocal searches
+        searches += 1
+        return side(self, s)
+
+    def counted_read(self, extremal):
+        labels = self.flow.reached_s
+        before = searches
+        W = read(self, extremal)
+        if extremal != SMALLEST:
+            if labels is None:
+                reads["searched"] += 1
+                assert searches == before + 1
+            else:
+                reads["forward"] += 1
+                assert searches == before
+                assert set(labels) - {self.sink} == side(self.flow, self.source)
+        return W
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", flow)
+    monkeypatch.setattr(FlowNetwork, "source_side", counted_side)
+    monkeypatch.setattr(min_potential.AuxNetwork, "sink_side", counted_read)
+    rng = random.Random(1917)
+    for _ in range(12):
+        n = rng.randint(3, 10)
+        weights = [rng.choice((0, rng.randint(1, 12))) for _ in range(n)]
+        edges = [
+            (rng.sample(range(n), rng.randint(1, 3)), rng.randint(1, 12))
+            for _ in range(rng.randint(n, 3 * n))
+        ]
+        H = hypergraph(n, weights, edges)
+        for mode in (None, LARGEST, SMALLEST):
+            for _ in range(12):
+                picked = rng.sample(range(n), rng.randint(1, min(3, n)))
+                k = rng.randint(0, len(picked))
+                force, ban = picked[:k], picked[k:]
+                assert min_potential_pinned(H, force, ban, extremal=mode) == _pinned_oracle(H, force, ban, mode)
+            if mode is not None:
+                m1 = rng.randint(1, n)
+                m2 = rng.randint(0, n - m1)
+                assert min_potential_constrained(H, m1, m2, extremal=mode) == min_potential_enum(H, m1, m2, extremal=mode)
+    assert reads["forward"] >= 200 and reads["searched"] >= 80, reads
+
+
 def test_terminal_arcs_are_listed_once_per_flow(monkeypatch):
     # head[s] and head[t] are read once per max_flow call, when their open
     # arcs are listed, however many phases the flow takes

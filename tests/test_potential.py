@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nbcolor import potential
@@ -21,6 +22,7 @@ from nbcolor.potential import (
     rho_hyper,
     rho_m,
     rho_s,
+    screen_kernel,
 )
 
 # published values for the seven named graphs, (rho_m, rho_s) on V
@@ -227,3 +229,62 @@ def test_hypergraph_memo_keeps_graphs_and_potentials_apart():
     with pytest.raises(KindError):
         hypergraph_for_rho_m(mixed)
     assert hypergraph_for_rho_s(mixed) == _canonical(mixed, RHO_S)
+
+
+def _nonempty_min(H):
+    """The least rho over nonempty vertex sets, by enumeration; +inf on an
+    empty vertex set."""
+    if H.n == 0:
+        return float("inf")
+    masks = np.arange(1, 1 << H.n)
+    inside = (masks[:, None] >> np.arange(H.n)) & 1
+    rho = inside @ np.array(H.vertex_weights, dtype=np.int64)
+    for members, w in H.edges:
+        edge = sum(1 << v for v in members)
+        rho -= w * ((masks & edge) == edge)
+    return int(rho.min())
+
+
+def _kernel_case(rng, heavy):
+    """A random graph on at most 11 vertices: sparse ones with leaves,
+    paths and isolated vertices, denser ones often of minimum degree 3, every
+    tag, and SINGLE or `heavy` edges."""
+    n = rng.randint(1, 11)
+    p = rng.choice((rng.uniform(0.05, 0.35), rng.uniform(0.35, 0.9)))
+    heavy_rate = rng.choice((0.0, 0.1, 0.3))
+    raw = [
+        (u, v, heavy if rng.random() < heavy_rate else SINGLE)
+        for u, v in itertools.combinations(range(n), 2)
+        if rng.random() < p
+    ]
+    tags = [rng.choice((UNCOLORED,) * 6 + (FP, IP)) for _ in range(n)]
+    return normalize(n, raw, tags)
+
+
+@pytest.mark.parametrize(
+    "to_hyper, heavy",
+    [(hypergraph_for_rho_m, MULTI), (hypergraph_for_rho_s, GADGET)],
+    ids=["rho_m", "rho_s"],
+)
+def test_screen_kernel_matches_enumeration(to_hyper, heavy):
+    # Below 0 the kernel's nonempty minimum is H's, so a negative floor
+    # fires on both or on neither; a graph whose every vertex has three or
+    # more neighbours is its own kernel
+    rng = random.Random(1919)
+    reduced = emptied = negative = dense = 0
+    for _ in range(1600):
+        G = _kernel_case(rng, heavy)
+        H = to_hyper(G)
+        K = screen_kernel(G, H)
+        low = min(_nonempty_min(H), 0)
+        assert low == min(_nonempty_min(K), 0)
+        if G.n and min(map(len, G.adj)) >= 3:
+            dense += 1
+            assert K is H
+        if K is not H:
+            reduced += 1
+            emptied += K.n == 0
+            negative += low < 0
+            assert K.n < H.n
+            assert all(len(members) == 2 for members, _ in K.edges)
+    assert reduced >= 1100 and emptied >= 600 and negative >= 350 and dense >= 250, (reduced, emptied, negative, dense)

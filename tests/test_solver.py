@@ -490,6 +490,39 @@ def test_scan_matches_enumeration():
     assert in_band >= 100
 
 
+def _sweep_order_per_pop(H, n):
+    """The sweep order as first written: a generator per edge member, and a
+    sorted copy of the adjacency list at every visit."""
+    adj = [[] for _ in range(n)]
+    for members, _ in H.edges:
+        for u in members:
+            adj[u].extend(v for v in members if v != u)
+    seen = [False] * n
+    order = []
+    for root in range(n):
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                stack.extend(sorted(adj[u], reverse=True))
+    return order
+
+
+def test_sweep_order_matches_the_per_pop_sort():
+    rng = random.Random(1949)
+    graphs = [_random_cubic(seed, n) for seed, n in ((1, 20), (2, 60), (3, 140))]
+    for _ in range(400):
+        n = rng.randint(1, 30)
+        p = rng.uniform(0.02, 0.5)
+        graphs.append(normalize(n, [(u, v, SINGLE) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]))
+    for G in graphs:
+        for to_hyper in (hypergraph_for_rho_m, hypergraph_for_rho_s):
+            H = to_hyper(G)
+            assert solver._sweep_order(H, G.n) == _sweep_order_per_pop(H, G.n)
+
+
 def test_scan_witness_is_canonical():
     # an in-band witness is enumeration's answer on the window, set included:
     # the smallest potential, then the largest set, then the smallest tuple
@@ -810,12 +843,14 @@ def test_entry_screen_runs_one_flow(monkeypatch, driver, to_hyper):
     # On a cycle, and on a cubic graph under rho_s, every nonempty set has
     # positive potential, so the union of minimizers is empty and the exact
     # nonempty minimum forces each vertex in turn.  The screen only asks
-    # for a set below the floor and stops after the warm flow.
+    # for a set below the floor and stops after the warm flow.  A cubic
+    # graph is its own screen kernel; a cycle's kernel is empty, so its
+    # screen runs no flow at all.
     screens = _entry_screen_flows(monkeypatch)
     limit = sys.getrecursionlimit()
-    for G in (_random_cubic(11, 60), _cycle(5000)):
+    for G, expected in ((_random_cubic(11, 60), [1]), (_cycle(5000), [])):
         assert isinstance(driver(G), Colored)
-        assert screens == [1]
+        assert screens == expected
         screens.clear()
     assert sys.getrecursionlimit() == limit
     solver.min_potential_constrained(to_hyper(_cycle(60)), m1=1, m2=0, extremal=LARGEST)
@@ -844,6 +879,68 @@ def test_entry_screen_certificate_is_the_exact_minimizer():
         assert r < floor
         assert isinstance(out, CertLowPotential)
         assert (out.subset, out.rho, out.threshold) == (W, r, floor)
+
+
+def _hang(rng, G, trees, paths):
+    """G with `trees` pendant trees and `paths` subdivided paths (one to
+    three inner vertices) between vertices of G, all new vertices plain."""
+    n = G.n
+    raw = list(G.edges)
+    for _ in range(trees):
+        nodes = [rng.randrange(G.n)]
+        for _ in range(rng.randint(1, 6)):
+            raw.append((rng.choice(nodes), n, SINGLE))
+            nodes.append(n)
+            n += 1
+    for _ in range(paths):
+        a, b = rng.sample(range(G.n), 2)
+        inner = list(range(n, n + rng.randint(1, 3)))
+        n += len(inner)
+        walk = [a] + inner + [b]
+        raw += [(u, v, SINGLE) for u, v in zip(walk, walk[1:])]
+    return normalize(n, raw, list(G.precolor) + [UNCOLORED] * (n - G.n))
+
+
+def test_screen_kernel_leaves_outcomes_unchanged(monkeypatch):
+    # The entry screen asks the kernel first and H only when the kernel
+    # fires, so every outcome and trace equals a run whose kernel is H
+    # itself: low-potential cores with pendant trees and subdivided paths
+    # (kernels that fire), cycles and trees (empty kernels), and random
+    # sparse graphs of both kinds
+    rng = random.Random(1931)
+    multi = (color_multigraph, hypergraph_for_rho_m)
+    simple = (color_simple, hypergraph_for_rho_s)
+    cases = [(_hang(rng, gen_gk(k), rng.randint(0, 3), rng.randint(0, 3)), *multi) for k in (1, 2, 3, 4) for _ in range(4)]
+    cases += [(_hang(rng, gen_hk(k), rng.randint(0, 3), rng.randint(0, 3)), *kind) for k in (1, 2) for kind in (multi, simple) for _ in range(3)]
+    cases += [(_cycle(n), *kind) for n in (3, 7, 40) for kind in (multi, simple)]
+    cases += [(hung_on(PETERSEN, 10, 300, chains=3, chain_len=20), *multi), (hung_on(DENSE10, 10, 300, chains=3, chain_len=20), *simple)]
+    for _ in range(120):
+        kind, G = _random_instance(rng)
+        cases.append((G, *(multi if kind == "multi" else simple)))
+    kernels = []
+    kernel = solver.screen_kernel
+
+    def recorded(G, H):
+        K = kernel(G, H)
+        kernels.append((K is H, K.n))
+        return K
+
+    fired = emptied = reduced = 0
+    for G, driver, to_hyper in cases:
+        kernels.clear()
+        trace = []
+        monkeypatch.setattr(solver, "screen_kernel", recorded)
+        out = driver(G, brute_threshold=4, trace=trace)
+        [(same, k)] = kernels
+        monkeypatch.setattr(solver, "screen_kernel", lambda G, H: H)
+        ref_trace = []
+        ref = driver(G, brute_threshold=4, trace=ref_trace)
+        assert repr(out) == repr(ref) and trace == ref_trace
+        if not same:
+            reduced += 1
+            emptied += k == 0
+            fired += isinstance(out, CertLowPotential)
+    assert fired >= 60 and emptied >= 25 and reduced >= 130, (fired, emptied, reduced)
 
 
 def test_closure_absorbs_within_its_room():
