@@ -78,6 +78,23 @@ is the largest, then lexicographically smallest, window minimizer.  Above
 the band the scan returns the band's top plus one, and callers only compare
 it to the band.
 
+The simple worker's step 3 acts only on a window set of potential at most
+0, and one linear pass over the level's hypergraph often proves there is
+none (_deficit_bound).  Put c(v) = 2w(v) - deg_w(v), with deg_w(v) the
+total debit of v's edges.  The sum of c over X debits each edge inside X
+twice and each boundary edge once, so 2 rho(X) = sum_{v in X} c(v) +
+w(dX).  A level is connected once _open is done, so every proper nonempty
+X has a boundary edge and 2 rho(X) is at least the sum of the negative c(v)
+plus the least edge debit; when that is positive every window set has rho
+>= 1, and step 3 cannot act.  Such a level (every cubic one: c(v) = 1
+throughout) skips the scan at step 3 and runs it at step 5, only when step
+4 has not returned.  It is the scan step 3 would have run, from the same
+warm flow, since step 4 runs no flow before it returns or falls through,
+and its in-band witness is canonical, so no answer and no trace line
+changes; a level where the bound fails scans at step 3, as before.  The
+multigraph worker has no such pass: there a bridge already gives rho = 1,
+inside its band.
+
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
 reported as a Diagnostic rather than resolved, since the full forbidden
@@ -302,7 +319,10 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     set, the largest, then lexicographically smallest, window minimizer) or
     (m, None) with m a certified floor above the band.  Above the band m is
     band_top + 1, a lower bound on the window minimum: callers only compare
-    it to the band.  Singleton potentials
+    it to the band.  The multigraph worker scans every level at its step 3;
+    the simple worker scans at step 3 unless _deficit_bound rules out every
+    window set of potential <= 0, and then at step 5, and only when step 4
+    has not returned.  Singleton potentials
     keep the bound val+1 out of every band this module uses (the peel
     removes every independent-tagged vertex, the only kind of potential 0,
     before a level scans).  So an in-band answer is the same for every
@@ -333,6 +353,25 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
         return m, None
     best = min(surfaced, key=lambda t: (-len(t[1]), tuple(sorted(t[1]))))
     return m, best[1]
+
+
+def _deficit_bound(H) -> bool:
+    """Whether one linear pass proves rho(X) >= 1 for every proper nonempty
+    X of H, the hypergraph of a graph potential (pair edges, int weights) on
+    a connected graph.
+
+    Put c(v) = 2w(v) - deg_w(v), with deg_w(v) the total debit of v's edges.
+    The sum of c over X debits each edge inside X twice and each edge of the
+    boundary dX once, so 2 rho(X) = sum_{v in X} c(v) + w(dX).  A proper
+    nonempty X of a connected graph has a boundary edge, so 2 rho(X) is at
+    least the sum of the negative c(v) plus the least edge debit; when that
+    is positive, the integer rho(X) is at least 1."""
+    c = [2 * w for w in H.vertex_weights]
+    for members, w in H.edges:
+        for v in members:
+            c[v] -= w
+    least = min((w for _, w in H.edges), default=0)
+    return sum(x for x in c if x < 0) + least > 0
 
 
 def _closure(G: Graph, W, absorbs: str, room: int) -> frozenset[int]:
@@ -1312,16 +1351,20 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
         return out
     n = G.n
 
-    # step 3: the scan, with the low band consumed here
+    # step 3: the scan, with window sets of potential <= 0 consumed here.
+    # When the deficit bound rules those out, the scan waits for step 5,
+    # the only step left that reads it
     H = hypergraph_for_rho_s(G)
-    m, W = _scan(H, n, _SIMPLE_BAND)
-    if W is None and m <= _SIMPLE_BAND:
-        return Diagnostic("3", "in-band scan floor without an actionable witness")
-    if W is not None and rho_s(G, W) <= 0:
-        out = _simple_tight_route(G, H, ctx, depth, W, "3")
-        if out is not None:
-            return out
-        W = None
+    eager = not _deficit_bound(H)
+    if eager:
+        m, W = _scan(H, n, _SIMPLE_BAND)
+        if W is None and m <= _SIMPLE_BAND:
+            return Diagnostic("3", "in-band scan floor without an actionable witness")
+        if m <= 0:
+            out = _simple_tight_route(G, H, ctx, depth, W, "3")
+            if out is not None:
+                return out
+            W = None
 
     # step 4: short cycles in the degree-three part
     Lset = frozenset(
@@ -1343,7 +1386,12 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     if c4 is not None:
         return _cycle_pin_route(G, ctx, depth, c4, "4")
 
-    # step 5: the remaining in-band witnesses
+    # step 5: the remaining in-band witnesses, scanning here when step 3
+    # did not
+    if not eager:
+        m, W = _scan(H, n, _SIMPLE_BAND)
+        if W is None and m <= _SIMPLE_BAND:
+            return Diagnostic("3", "in-band scan floor without an actionable witness")
     if W is not None:
         out = _simple_tight_route(G, H, ctx, depth, W, "5")
         if out is not None:

@@ -16,7 +16,7 @@ from nbcolor.families import (
     random_sparse_multigraph,
     random_sparse_simple,
 )
-from nbcolor.forbidden import find_embedding
+from nbcolor.forbidden import default_catalog, find_embedding, find_forbidden_subgraph
 from nbcolor.graph_core import (
     FP,
     F_SIDE,
@@ -549,6 +549,29 @@ def test_scan_witness_is_canonical():
     assert in_band >= 80
 
 
+def test_deficit_bound_matches_enumeration():
+    # Whenever the bound holds, every proper nonempty set of the connected
+    # graph has rho_s >= 1.  A forest-tagged leaf on a gadget has c = -5 and
+    # sits in a set of potential 0, so a bound that also took a zero sum
+    # would fail here, and so would one summing every c(v), which is twice
+    # the whole graph's potential.
+    rng = random.Random(1903)
+    certified = 0
+    trials = 2000
+    for _ in range(trials):
+        n = rng.randint(3, 11)
+        p = rng.uniform(0.0, 0.35)
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+        pairs |= {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+        raw = [(u, v, GADGET if rng.random() < 0.15 else SINGLE) for u, v in sorted(pairs)]
+        G = normalize(n, raw, [FP if rng.random() < 0.3 else UNCOLORED for _ in range(n)])
+        H = hypergraph_for_rho_s(G)
+        if solver._deficit_bound(H):
+            certified += 1
+            assert min_potential_enum(H, m1=1, m2=1)[1] >= 1
+    assert certified >= 300 and trials - certified >= 300, certified
+
+
 @pytest.mark.parametrize("to_hyper, band", [
     (hypergraph_for_rho_m, solver._MULTI_BAND),
     (hypergraph_for_rho_s, solver._SIMPLE_BAND),
@@ -779,13 +802,26 @@ def test_level_zero_scan_continues_from_the_entry_screen(monkeypatch):
     assert handed >= 15 and in_band >= 8
 
 
+def _lcf(n, shifts):
+    """The cubic graph of LCF notation [shifts]^(n / len(shifts)): an
+    n-cycle, and a chord from each i to i + shifts[i % len(shifts)]."""
+    edges = {frozenset((i, (i + 1) % n)) for i in range(n)}
+    edges |= {frozenset((i, (i + shifts[i % len(shifts)]) % n)) for i in range(n)}
+    return normalize(n, [(*sorted(e), SINGLE) for e in edges])
+
+
 @pytest.mark.parametrize("driver", [color_multigraph, color_simple])
 def test_unpeeled_graph_builds_one_network(monkeypatch, driver):
     # a cubic graph neither splits nor peels, so the entry screen and the
     # level-0 scan ask for the same G's hypergraph: one network is built
     # for it, and the scan runs on the screen's hypergraph object, starting
-    # from the screen's warm flow, the only flow the screen runs
-    G = _random_cubic(8, 24)
+    # from the screen's warm flow, the only flow the screen runs.  A cubic
+    # level passes the simple worker's deficit bound, so its scan waits for
+    # step 5, which a triangle or induced 4-cycle pre-empts at step 4: the
+    # simple case takes the Tutte-Coxeter graph (girth 8, 30 vertices,
+    # above the brute threshold), whose level 0 reaches step 5
+    G = _random_cubic(8, 24) if driver is color_multigraph else _lcf(30, [-13, -9, 7, -7, 9, 13])
+    default_catalog()  # its first build runs flows of its own
     built, scanned = [], []
     build, scan = min_potential.build_aux_network, solver._scan
 
@@ -804,6 +840,122 @@ def test_unpeeled_graph_builds_one_network(monkeypatch, driver):
     weights = RHO_M if driver is color_multigraph else RHO_S
     assert sum(H == _fresh_hypergraph(G, weights) for H in built) == 1
     assert scanned and scanned[0] is built[0]
+
+
+def _generalized_petersen(n, k):
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    inner = [(n + i, n + (i + k) % n) for i in range(n)]
+    spokes = [(i, n + i) for i in range(n)]
+    return normalize(2 * n, [(min(e), max(e), SINGLE) for e in outer + inner + spokes])
+
+
+def _subdivided(rng, G, tags, kind=SINGLE):
+    """G with one edge replaced by a path through new vertices tagged
+    `tags`: the path's two end edges are single, its inner edges `kind`."""
+    u, v, _ = rng.choice(G.edges)
+    walk = [u, *range(G.n, G.n + len(tags)), v]
+    raw = [e for e in G.edges if e[:2] != (u, v)]
+    raw += [(a, b, SINGLE if u in (a, b) or v in (a, b) else kind) for a, b in zip(walk, walk[1:])]
+    return normalize(G.n + len(tags), raw, list(G.precolor) + list(tags))
+
+
+def _densified(rng, n, extra):
+    """A random cubic graph with up to `extra` single edges added, each kept
+    only while the simple floor holds and no catalog member embeds."""
+    G = _random_cubic(rng.random(), n)
+    for _ in range(4 * extra):
+        u, v = rng.sample(range(n), 2)
+        if extra == 0 or G.kind_of(u, v) is not None:
+            continue
+        H = G.with_edge(u, v, SINGLE)
+        r = min_potential_constrained(hypergraph_for_rho_s(H), m1=1, m2=0, below=solver.SIMPLE_FLOOR)[1]
+        if r >= solver.SIMPLE_FLOOR and find_forbidden_subgraph(H, default_catalog()) is None:
+            G, extra = H, extra - 1
+    return G
+
+
+def test_deficit_bound_leaves_outcomes_unchanged(monkeypatch):
+    # A level whose deficit bound holds skips step 3 and scans at step 5
+    # only; every outcome and trace must equal a run in which the bound
+    # never holds, which scans every level at step 3.  High-girth cubic
+    # graphs (generalized Petersen, Heawood, Tutte-Coxeter) have no triangle
+    # or induced 4-cycle for step 4, so their certified levels reach the
+    # step-5 scan; one forest-tagged subdivision keeps a cubic graph
+    # certified (c = -4 against a least debit of 5).  A forest-tagged and a
+    # plain vertex joined by a gadget form a set of potential 0, so a cubic
+    # graph with an edge subdivided by that pair fails the bound and acts
+    # at step 3.
+    rng = random.Random(2020)
+    cases = [gen_hk(k) for k in (1, 2, 3)]
+    cases += [_hang(rng, base_graph(name), rng.randint(1, 3), 0) for name in ("k4", "w5", "m7", "j7", "j8", "j12")]
+    cases += [_densified(rng, n, rng.randint(1, 6)) for n in (10, 12, 14, 16, 18) for _ in range(6)]
+    cubic = [_generalized_petersen(n, k) for n in range(5, 13) for k in (2, 3) if k < n / 2]
+    cubic += [_lcf(14, [5, -5]), _lcf(30, [-13, -9, 7, -7, 9, 13])]
+    cubic += [_random_cubic(seed, 2 * rng.randint(5, 12)) for seed in range(12)]
+    cases += cubic + [_subdivided(rng, G, [FP]) for G in cubic]
+    cases += [_subdivided(rng, G, [FP, UNCOLORED], GADGET) for G in cubic]
+    while len(cases) < 200:
+        kind, G = _random_instance(rng)
+        if kind == "simple":
+            cases.append(G)
+    bound, scan = solver._deficit_bound, solver._scan
+    certified = reached = fired = 0
+    pending = None
+
+    def counted_bound(H):
+        nonlocal certified, pending
+        holds = bound(H)
+        certified += holds
+        pending = H if holds else None
+        return holds
+
+    def counted_scan(H, n, band_top):
+        nonlocal reached
+        reached += H is pending
+        return scan(H, n, band_top)
+
+    for G in cases:
+        monkeypatch.setattr(solver, "_deficit_bound", counted_bound)
+        monkeypatch.setattr(solver, "_scan", counted_scan)
+        trace = []
+        out = color_simple(G, brute_threshold=3, trace=trace)
+        monkeypatch.setattr(solver, "_deficit_bound", lambda H: False)
+        monkeypatch.setattr(solver, "_scan", scan)
+        ref_trace = []
+        ref = color_simple(G, brute_threshold=3, trace=ref_trace)
+        assert repr(out) == repr(ref) and trace == ref_trace
+        fired += sum(line.split()[0] == "3" for line in trace)
+    assert certified >= 60 and reached >= 25 and fired >= 20, (certified, reached, fired)
+
+
+def test_certified_cubic_solve_runs_no_pinned_flow(monkeypatch):
+    # Every level of this simple solve passes the deficit bound and ends at
+    # step 4, so it never scans.  The multigraph driver has no such bound
+    # (a bridge already gives rho_m = 1) and scans level 0 with one pinned
+    # ask per vertex; that scan is why a traced solve of both drivers on a
+    # cubic graph still runs pinned flows.
+    G = _random_cubic(1, 120)
+    asked = 0
+    scans = []
+    pinned, scan = solver.min_potential_pinned, solver._scan
+
+    def counted_pinned(*args, **kwargs):
+        nonlocal asked
+        asked += 1
+        return pinned(*args, **kwargs)
+
+    def counted_scan(H, n, band_top):
+        before = asked
+        out = scan(H, n, band_top)
+        scans.append(asked - before)
+        return out
+
+    monkeypatch.setattr(solver, "min_potential_pinned", counted_pinned)
+    monkeypatch.setattr(solver, "_scan", counted_scan)
+    assert isinstance(color_simple(G), Colored)
+    assert asked == 0 and scans == []
+    assert isinstance(color_multigraph(G), Colored)
+    assert scans[0] == G.n == 120
 
 
 def _entry_screen_flows(monkeypatch):
