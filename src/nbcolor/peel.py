@@ -97,8 +97,10 @@ class _Ranks:
 
 class Peeled:
     """A finished peel.  `failure` is a (step, message) diagnostic; otherwise
-    the core is `graph` (the input with its final tags) induced on `keep`,
-    and `records` holds one entry per deleted vertex, in deletion order."""
+    the core is the input induced on `keep`, with each kept vertex's final
+    tag from `tags` (the caller induces it from the input, so no copy of the
+    whole graph is made), and `records` holds one entry per deleted vertex,
+    in deletion order."""
 
     def __init__(self, source: Graph, tags: list[str], alive: list[bool]):
         self.source = source
@@ -106,10 +108,6 @@ class Peeled:
         self.alive = alive
         self.records: list[tuple] = []
         self.failure: tuple[str, str] | None = None
-
-    @property
-    def graph(self) -> Graph:
-        return Graph(self.source.n, self.source.edges, tuple(self.tags))
 
     @property
     def keep(self) -> list[int]:
@@ -174,7 +172,7 @@ class Peeled:
                         exact = ru == rv
                         parent[ru] = rv
             if exact:
-                level, ids = subgraph(self.graph, [x for x in range(n) if present[x]])
+                level, ids = subgraph(Graph(n, self.source.edges, tuple(tags)), [x for x in range(n) if present[x]])
                 bad = validate(level, Coloring(tuple(color[x] for x in ids)))
                 if bad is not None:
                     return step, f"lifted coloring violates {bad.rule} at {bad.witness}"

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .graph_core import FP, GADGET, IP, MULTI, SINGLE, UNCOLORED, Graph
 
@@ -62,8 +63,11 @@ RHO_S = Weights(
 
 def _rho(G: Graph, W, weights: Weights) -> int:
     weights.check(G)
-    W = set(W)
     tag, edge = weights.tag, weights.edge
+    if isinstance(W, range) and W == range(G.n):
+        # the whole vertex set: every credit less every debit, no membership test
+        return sum(map(tag.__getitem__, G.precolor)) - sum(map(edge.__getitem__, map(itemgetter(2), G.edges)))
+    W = set(W)
     total = sum(tag[G.precolor[v]] for v in W)
     for u, v, kind in G.edges:
         if u in W and v in W:
@@ -172,11 +176,13 @@ def hypergraph_for_rho_s(G: Graph) -> WeightedHypergraph:
     return _hypergraph_for(G, RHO_S)
 
 
-def screen_kernel(G: Graph, H: WeightedHypergraph) -> WeightedHypergraph:
-    """A hypergraph K, on a subset of H's vertices renumbered in order, with
-    min(0, min over nonempty X of rho_K) = the same of rho_H; H itself when
-    no vertex reduces.  H is a graph potential's hypergraph of G, one pair
-    edge per record of G.edges.  Two rules delete a vertex v until neither
+def screen_kernel(G: Graph, weights: Weights) -> WeightedHypergraph | None:
+    """A hypergraph K of the potential `weights` on a subset of G's vertices,
+    renumbered in order, with min(0, min over nonempty X of rho_K) = the
+    same of rho on G; None when no vertex reduces, so that K would be G's
+    own hypergraph H, which the caller builds itself.  It reads G.edges and
+    the weights record directly, one pair edge per record, so a graph that
+    reduces never has H built.  Two rules delete a vertex v until neither
     applies:
 
       R1  w(v) >= the total weight of v's edges.  For X containing v,
@@ -198,20 +204,19 @@ def screen_kernel(G: Graph, H: WeightedHypergraph) -> WeightedHypergraph:
     neighbour of a deleted vertex."""
     adj = G.adj
     if min(map(len, adj), default=3) >= 3:
-        return H
-    w = H.vertex_weights
+        return None
+    weights.check(G)
+    w = [weights.tag[t] for t in G.precolor]
     nbr: list[dict[int, int]] = [{} for _ in adj]
-    for members, c in H.edges:
-        u, v = members
-        nbr[u][v] = nbr[v][u] = c
+    for u, v, kind in G.edges:
+        nbr[u][v] = nbr[v][u] = weights.edge[kind]
     alive = [True] * len(adj)
     work = [v for v, a in enumerate(adj) if len(a) <= 2]
     while work:
         v = work.pop()
         if not alive[v]:
             continue
-        d = nbr[v]
-        wv = w[v]
+        d, wv = nbr[v], w[v]
         if wv >= sum(d.values()):
             for x in d:
                 del nbr[x][v]
@@ -226,7 +231,7 @@ def screen_kernel(G: Graph, H: WeightedHypergraph) -> WeightedHypergraph:
         alive[v] = False
     keep = [v for v in range(len(adj)) if alive[v]]
     if len(keep) == len(adj):
-        return H
+        return None
     new = {v: i for i, v in enumerate(keep)}
     edges = sorted((new[u], new[x], c) for u in keep for x, c in nbr[u].items() if u < x)
     return WeightedHypergraph(

@@ -22,9 +22,10 @@ so the kernel fires exactly when the whole graph does; the rules are the
 weight count that makes the degree <= 2 configurations reducible, run to
 exhaustion as in a cores peel.  A long sparse graph's kernel is its small
 core (20 vertices for the benchmark's 1,000-vertex graphs), a cycle's is
-empty and runs no flow, and a graph with minimum degree 3 is its own.
-Only a kernel that fires sends the screen to the whole hypergraph, for the
-exact certificate.
+empty and runs no flow, and a graph with minimum degree 3 is its own.  The
+kernel reads G.edges and the weights record itself, so the whole
+hypergraph is built only when no vertex reduces or when the kernel fires,
+for the exact certificate; a long sparse graph never builds it (_drive).
 
 Workers assume the screened invariants (potential floor on every nonempty
 subset, no catalog member) and re-establish them for every recursive call by
@@ -1730,7 +1731,8 @@ def _open(G: Graph, ctx: _Ctx, depth: int, rho, spec: Spec, worker) -> Outcome |
         return None
     if run.failure is not None:
         return Diagnostic(*run.failure)
-    core, table = induced_subgraph(run.graph, run.keep)
+    core, table = induced_subgraph(G, run.keep)
+    core = Graph(core.n, core.edges, tuple(run.tags[v] for v in table))
     out = worker(core, ctx, depth + len(run.records))
     if not isinstance(out, Colored):
         return out
@@ -1754,7 +1756,7 @@ def color_multigraph(
     if G.has_gadget:
         raise KindError("the multigraph driver does not accept gadget edges")
     ctx = _Ctx(default_catalog().restrict(("k4", "m7")), brute_threshold, trace)
-    return _drive(G, ctx, hypergraph_for_rho_m, MULTI_FLOOR, _multi_worker)
+    return _drive(G, ctx, hypergraph_for_rho_m, _MULTI_PEEL, _multi_worker)
 
 
 def color_simple(
@@ -1769,34 +1771,45 @@ def color_simple(
     if G.has_multi:
         raise KindError("the simple driver does not accept parallel pairs")
     ctx = _Ctx(catalog if catalog is not None else default_catalog(), brute_threshold, trace)
-    return _drive(G, ctx, hypergraph_for_rho_s, SIMPLE_FLOOR, _simple_worker)
+    return _drive(G, ctx, hypergraph_for_rho_s, _SIMPLE_PEEL, _simple_worker)
 
 
-def _drive(G: Graph, ctx: _Ctx, hyper, floor: int, worker) -> Outcome:
+def _drive(G: Graph, ctx: _Ctx, hyper, spec: Spec, worker) -> Outcome:
     """The empty graph, the potential screen over all nonempty subsets of
-    `hyper(G)`, the catalog screen, the worker, and a final validation of a
-    coloring against the driver's own input (step "final").
+    H = `hyper(G)`, the catalog screen, the worker, and a final validation
+    of a coloring against the driver's own input (step "final").  `spec` is
+    the worker's peel, whose weights record and floor the screen reads.
 
-    The screen first asks the kernel K = screen_kernel(G, H) of H =
-    hyper(G): H less every vertex whose credit pays for all its edges, or
-    for each of its two edges, which then become one.  Below 0 the nonempty
-    minimum of K is H's, and the floor is negative, so K fires exactly when
-    H does.  An empty K fires on nothing and runs no flow; a K that fires
-    hands the screen to H, whose query gives the certificate.  A graph
-    whose vertices all have three or more neighbours is its own kernel, so
-    its screen is H's alone.  Each screen passes the floor as `below`, so
-    it runs the warm flow alone.  When r beats the floor, W is the exact
-    query's set; otherwise W is None and r only a bound at least the floor
+    The screen first asks the kernel K = screen_kernel(G, spec.weights),
+    read off G.edges: H less every vertex whose credit pays for all its
+    edges, or for each of its two edges, which then become one.  Below 0
+    the nonempty minimum of K is H's, and the floor is negative, so K fires
+    exactly when H does.  H itself is built in two cases only.  When no
+    vertex reduces, the kernel is None and the screen runs on H, which
+    potential memoises, so the level-0 scan of a graph that neither splits
+    nor peels gets the same H and warm flow back.  When K fires (it has
+    fewer vertices than G), H's query gives the exact certificate.  The H
+    skipped otherwise would never serve a scan.  The first vertex the
+    kernel deletes still has all its edges in G, so it is an uncolored leaf
+    on a plain edge, an uncolored vertex on two plain edges, or isolated.
+    The first two are level-0 peel candidates (multigraph 2b and 2d, simple
+    d1 and d2), and an isolated vertex splits a graph of two or more
+    vertices and leaves a single vertex to the base (at a brute threshold
+    of 1 or more).  So level 0 peels, splits or ends in the base, and no
+    scan asks for G's hypergraph.  An empty K fires on nothing and runs no
+    flow.  Each screen passes the floor as `below`, so it runs the warm
+    flow alone.  When r beats the floor, W is the exact query's set;
+    otherwise W is None and r only a bound at least the floor
     (min_potential module docstring)."""
     if G.n == 0:
         return Colored(Coloring(()))
-    H = hyper(G)
-    K = screen_kernel(G, H)
+    floor = spec.entry_floor
+    K = screen_kernel(G, spec.weights) or hyper(G)
     if K.n:
         W, r = min_potential_constrained(K, m1=1, m2=0, extremal=LARGEST, below=floor)
         if r < floor:
-            if K is not H:
-                W, r = min_potential_constrained(H, m1=1, m2=0, extremal=LARGEST, below=floor)
+            if K.n < G.n:
+                W, r = min_potential_constrained(hyper(G), m1=1, m2=0, extremal=LARGEST, below=floor)
             return CertLowPotential(W, _exact_int(r), floor)
     hit = find_forbidden_subgraph(G, ctx.catalog)
     if hit is not None:

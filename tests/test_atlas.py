@@ -1,0 +1,80 @@
+"""Exhaustive differential against the brute-force oracle: every graph of
+networkx's graph atlas (Read & Wilson, *An Atlas of Graphs*) on 1-6
+vertices, plain and with one parallel pair or one or two precolor tags, run
+through both drivers at brute threshold 3 so that the reductions, not the
+base, do the work."""
+
+from itertools import combinations
+
+import networkx as nx
+import pytest
+
+from nbcolor.forbidden import default_catalog, find_embedding
+from nbcolor.graph_core import FP, IP, MULTI, SINGLE, UNCOLORED, normalize, validate_coloring
+from nbcolor.oracle import brute_nb_color
+from nbcolor.potential import rho_m, rho_s
+from nbcolor.solver import CertForbidden, CertLowPotential, Colored, color_multigraph, color_simple
+
+# Colorable inputs that end in a Diagnostic, as (atlas index, variant,
+# driver, step): the step-5a defect, whose child embeds a K4 although the
+# graph has a coloring with both of the deleted vertex's neighbours in I.
+# The list must match exactly, so a fix shrinks it and a new defect fails.
+EXPECTED_DIAGNOSTICS = {
+    (48, "F3", "multi", "5d"),
+    (110, "F5", "multi", "5d"),
+    (110, "F4+F5", "multi", "5d"),
+    (140, "F5", "multi", "5d"),
+    (141, "F1", "multi", "5d"),
+    (143, "F0", "multi", "5d"),
+    (143, "I4", "multi", "5d"),
+}
+
+_ATLAS = [(i, g) for i, g in enumerate(nx.graph_atlas_g()) if 1 <= g.number_of_nodes() <= 6]
+
+
+def _variants(g):
+    """(name, graph) for g plain, with each edge in turn a parallel pair,
+    with each vertex F-tagged, each vertex I-tagged, and each vertex pair
+    F-tagged."""
+    n = g.number_of_nodes()
+    pairs = sorted(tuple(sorted(e)) for e in g.edges())
+    plain = [(u, v, SINGLE) for u, v in pairs]
+    yield "plain", normalize(n, plain)
+    for p in pairs:
+        yield "M{}-{}".format(*p), normalize(n, [(u, v, MULTI if (u, v) == p else SINGLE) for u, v in pairs])
+    for tag, name in ((FP, "F"), (IP, "I")):
+        for x in range(n):
+            yield f"{name}{x}", normalize(n, plain, [tag if y == x else UNCOLORED for y in range(n)])
+    for x, y in combinations(range(n), 2):
+        yield f"F{x}+F{y}", normalize(n, plain, [FP if z in (x, y) else UNCOLORED for z in range(n)])
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_atlas_agrees_with_the_oracle(order):
+    catalog = default_catalog()
+    drivers = (("multi", color_multigraph, rho_m), ("simple", color_simple, rho_s))
+    diagnostics = set()
+    runs = 0
+    for index, g in _ATLAS:
+        if g.number_of_nodes() != order:
+            continue
+        for variant, G in _variants(g):
+            colorable = brute_nb_color(G, G.n) is not None
+            for driver, solve, rho in drivers:
+                if driver == "simple" and G.has_multi:
+                    continue
+                out = solve(G, brute_threshold=3)
+                runs += 1
+                if isinstance(out, Colored):
+                    assert validate_coloring(G, out.coloring) is None
+                elif isinstance(out, CertLowPotential):
+                    assert out.subset and rho(G, out.subset) == out.rho < out.threshold
+                elif isinstance(out, CertForbidden):
+                    # a member is uncolorable, and so is any graph holding one
+                    assert find_embedding(catalog.member(out.name).graph, G, anchor=out.mapping) is not None
+                    assert not colorable
+                else:
+                    assert colorable, (index, variant, driver, out)
+                    diagnostics.add((index, variant, driver, out.step))
+    assert runs > 0
+    assert diagnostics == {d for d in EXPECTED_DIAGNOSTICS if nx.graph_atlas(d[0]).number_of_nodes() == order}

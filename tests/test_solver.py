@@ -1072,9 +1072,9 @@ def test_screen_kernel_leaves_outcomes_unchanged(monkeypatch):
     kernels = []
     kernel = solver.screen_kernel
 
-    def recorded(G, H):
-        K = kernel(G, H)
-        kernels.append((K is H, K.n))
+    def recorded(G, weights):
+        K = kernel(G, weights)
+        kernels.append((K is None, K and K.n))
         return K
 
     fired = emptied = reduced = 0
@@ -1084,7 +1084,7 @@ def test_screen_kernel_leaves_outcomes_unchanged(monkeypatch):
         monkeypatch.setattr(solver, "screen_kernel", recorded)
         out = driver(G, brute_threshold=4, trace=trace)
         [(same, k)] = kernels
-        monkeypatch.setattr(solver, "screen_kernel", lambda G, H: H)
+        monkeypatch.setattr(solver, "screen_kernel", lambda G, weights: None)
         ref_trace = []
         ref = driver(G, brute_threshold=4, trace=ref_trace)
         assert repr(out) == repr(ref) and trace == ref_trace
@@ -1398,6 +1398,27 @@ def test_peel_rebuilds_and_validates_a_constant_number_of_times(monkeypatch):
     assert len(trace) == 5_000 - 22 + 1
     # one core rebuild; the core's validation plus the driver's final one
     assert calls == {"induced_subgraph": 1, "validate_coloring": 2}
+
+
+def test_long_sparse_entry_builds_no_whole_hypergraph(monkeypatch):
+    # the entry kernel reads G.edges, and a kernel that reduces means the
+    # level-0 peel runs, so the whole graph's hypergraph is never built:
+    # the one network is the kernel's, and the core goes to brute force
+    G = hung_on(PETERSEN, 10, 5_000, chains=5, chain_len=100)
+    default_catalog()  # its first build runs flows of its own
+    hypers, networks = [], []
+    hyper, build = solver.hypergraph_for_rho_m, min_potential.build_aux_network
+
+    def counting_build(H):
+        networks.append(H.n)
+        return build(H)
+
+    monkeypatch.setattr(solver, "hypergraph_for_rho_m", lambda G: hypers.append(G.n) or hyper(G))
+    monkeypatch.setattr(min_potential, "build_aux_network", counting_build)
+    out = color_multigraph(G)
+    assert isinstance(out, Colored)
+    assert hypers == []
+    assert networks and max(networks) <= 30
 
 
 def test_driver_rejects_an_invalid_base_coloring(monkeypatch):
