@@ -291,13 +291,7 @@ def validate_coloring(G: Graph, c: Coloring) -> Violation | None:
     """
     if len(c.assignment) != G.n:
         raise GraphError("coloring length does not match vertex count")
-    for u, v, kind in G.edges:
-        if c.assignment[u] == I_SIDE and c.assignment[v] == I_SIDE:
-            return Violation("edge-inside-I", (u, v))
-    for u, v, kind in G.edges:
-        if kind in (MULTI, GADGET) and c.assignment[u] == F_SIDE and c.assignment[v] == F_SIDE:
-            return Violation("circuit-inside-F", (u, v))
-    # forest check: only single edges can still lie inside F here
+    side = c.assignment
     parent = list(range(G.n))
 
     def find(x):
@@ -306,18 +300,31 @@ def validate_coloring(G: Graph, c: Coloring) -> Violation | None:
             x = parent[x]
         return x
 
-    f_singles = []
+    # one pass: an I-I edge is the first rule, so it returns at once; the
+    # first multi or gadget edge inside F and the first single edge closing
+    # a cycle in the F forest wait for the end of the pass
+    circuit = closing = None
     for u, v, kind in G.edges:
-        if kind == SINGLE and c.assignment[u] == F_SIDE and c.assignment[v] == F_SIDE:
+        if side[u] != side[v]:
+            continue
+        if side[u] == I_SIDE:
+            return Violation("edge-inside-I", (u, v))
+        if kind != SINGLE:
+            if circuit is None:
+                circuit = (u, v)
+        elif closing is None:
             ru, rv = find(u), find(v)
             if ru == rv:
-                return Violation("cycle-inside-F", _find_f_cycle(G, c, u, v))
+                closing = (u, v)
             parent[ru] = rv
-            f_singles.append((u, v))
+    if circuit is not None:
+        return Violation("circuit-inside-F", circuit)
+    if closing is not None:
+        return Violation("cycle-inside-F", _find_f_cycle(G, c, *closing))
     for v in range(G.n):
-        if G.precolor[v] == FP and c.assignment[v] != F_SIDE:
+        if G.precolor[v] == FP and side[v] != F_SIDE:
             return Violation("precolor-ignored", v)
-        if G.precolor[v] == IP and c.assignment[v] != I_SIDE:
+        if G.precolor[v] == IP and side[v] != I_SIDE:
             return Violation("precolor-ignored", v)
     return None
 
@@ -327,8 +334,7 @@ def _find_f_cycle(G: Graph, c: Coloring, u: int, v: int) -> list[int]:
     ok = lambda x: c.assignment[x] == F_SIDE
     prev = {u: None}
     queue = [u]
-    while queue:
-        x = queue.pop(0)
+    for x in queue:
         if x == v:
             break
         for y in G.adj[x]:

@@ -22,9 +22,17 @@ the rest would open its level with a check of its own:
     reverse order to a union-find over what is left (Tarjan, J. ACM 1975);
     the deletions after it are undone.
 
+Only a vertex's first matching rule can ever pick it: while the vertex
+also matches a later rule, the earlier rule has a candidate and is served
+first.  So each vertex has one class, the index of its first matching rule
+(or none), and sits in that rule's heap alone.  A rule's test reads only
+the vertex's tag and the kinds of its edges, so each distinct (tag, kinds)
+is classified once per peel, while the kept keys hold no more kinds than
+the adjacency, and a deletion reclassifies each neighbour it touched once.
+
 Tag changes (forest tags around a deleted independent-tagged vertex, an
 independent tag on the partner of a forest-tagged parallel pair) update the
-potential and the candidate heaps of the retagged vertices.  The potential's
+potential and the classes of the retagged vertices.  The potential's
 tag credits and edge debits come from the driver's weights record
 (potential.RHO_M or RHO_S), the same one the potential itself reads.  The
 caller (the solver's level opening) colors the core and `Peeled.lift`
@@ -184,12 +192,21 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
     None when no rule applies.  `note(i, line)`, when given, receives the
     trace line of the i-th deletion in that level's vertex numbering.
 
+    `cls[v]` is v's class: the index of the first rule whose test v passes,
+    or -1.  Rule i's heap holds every live vertex of class i, and a top is
+    stale unless it is alive and still of class i.  The first rule with a
+    live top is the first rule any live vertex passes, and the live vertices
+    of class i are exactly those that pass it, so the deletion is the one a
+    heap of every passing vertex per rule would make.
+
     No deletion depends on where the live graph splits, so the loop runs to
     its other stops first and `_first_split` then finds the split offline;
     the deletions after it are undone and their lines never reach `note`.
-    The extra deletions cost no more than building `kinds`, `heaps` and
-    `nbr`, which every call pays for its whole graph, so no input gets a
-    worse growth class; one level's peel is linear up to the heaps' log.  A
+    The extra deletions cost no more than building `nbr`, `cls` and
+    `heaps`, which every call pays for its whole graph, so no input gets a
+    worse growth class.  One level's peel is linear up to the heaps' log
+    when degrees are bounded; reclassifying a touched neighbour rebuilds
+    its tuple of kinds, so a vertex with d leaves costs d^2/2 there.  A
     graph that splits early is peeled past its split once per level,
     though: on a chain of 100 Petersen graphs joined by paths of 3 vertices
     (1,297 vertices) the 99 peels of one solve run 15,044 deletions and keep
@@ -197,15 +214,35 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
     per-level scans)."""
     n = G.n
     rules = spec.rules
+    tests = [rule.test for rule in rules]
+    actions = [rule.action for rule in rules]
     tag_weight, edge_weight = spec.weights.tag, spec.weights.edge
     # G.edges is sorted, so each vertex meets its neighbours in G.adj order
     nbr: list[dict[int, str]] = [{} for _ in range(n)]
     for u, v, kind in G.edges:
         nbr[u][v] = kind
         nbr[v][u] = kind
-    kinds = [tuple(x.values()) for x in nbr]
     tags = list(G.precolor)
-    heaps = [[v for v in range(n) if rule.test(tags[v], kinds[v])] for rule in rules]
+    first: dict[tuple, int] = {}
+    room = 2 * len(G.edges)
+
+    def classify(v: int) -> int:
+        # the tests are pure in (tag, kinds), so each key's class is kept;
+        # but each deletion next to a hub gives it a new key, and keeping
+        # all of a hub's would hold d^2/2 kinds for d leaves, so the kept
+        # keys hold at most as many kinds as the adjacency does
+        nonlocal room
+        key = (tags[v], tuple(nbr[v].values()))
+        c = first.get(key)
+        if c is None:
+            c = next((i for i, test in enumerate(tests) if test(*key)), -1)
+            if len(key[1]) <= room:
+                room -= len(key[1])
+                first[key] = c
+        return c
+
+    cls = [classify(v) for v in range(n)]
+    heaps = [[v for v, c in enumerate(cls) if c == i] for i in range(len(rules))]  # sorted, so heaps
     if not any(heaps):
         return None
 
@@ -214,28 +251,30 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
     ranks = _Ranks(n) if note is not None else None
     lines: list[str] = []
     run = Peeled(G, tags, alive)
+    record = run.records.append
 
     while True:
-        for rule, heap in zip(rules, heaps):
-            while heap and not (alive[heap[0]] and rule.test(tags[heap[0]], tuple(nbr[heap[0]].values()))):
+        for i, heap in enumerate(heaps):
+            while heap and not (alive[heap[0]] and cls[heap[0]] == i):
                 heappop(heap)
             if heap:
                 break
         else:
             break
         v = heappop(heap)
+        rule, action = rules[i], actions[i]
         nb = nbr[v]
         w = next(iter(nb), None)
-        if rule.action == "ip" and any(tags[u] == IP for u in nb):
+        if action == "ip" and any(tags[u] == IP for u in nb):
             run.failure = (rule.step, "adjacent independent-side precolored pair")
             break
         if ranks is not None:
             lines.append(rule.note.format(v=ranks.rank(v), w=None if w is None else ranks.rank(w)))
         retag, new_tag = [], None
-        if rule.action == "ip":
+        if action == "ip":
             lift = I_SIDE
             retag, new_tag = [u for u in sorted(nb) if tags[u] == UNCOLORED], FP
-        elif rule.action == "deg2":
+        elif action == "deg2":
             lift = "deg2"
         elif nb.get(w) == MULTI and tags[v] == FP:
             # v is forest-tagged: its partner must take the independent side
@@ -250,7 +289,7 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
         else:
             lift = F_SIDE
 
-        run.records.append((v, rule.step, lift, nb, tags[v], retag))
+        record((v, rule.step, lift, nb, tags[v], retag))
         alive[v] = False
         live -= 1
         if ranks is not None:
@@ -263,10 +302,11 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
             rho += tag_weight[new_tag] - tag_weight[UNCOLORED]
             tags[u] = new_tag
         for u in nb:
-            kinds_u = tuple(nbr[u].values())
-            for r, h in zip(rules, heaps):
-                if r.test(tags[u], kinds_u):
-                    heappush(h, u)
+            c = classify(u)
+            if c != cls[u]:
+                cls[u] = c
+                if c >= 0:
+                    heappush(heaps[c], u)
         if live <= brute_threshold or rho < spec.entry_floor:
             break
 

@@ -38,19 +38,23 @@ order: empty graph, full-set potential against the floor ("entry"), the
 brute-force base, the split into components, then the peel; the kinds
 differ only in the potential's weights record and the peel rules (a Spec).
 The degree <= 2 rules (multigraph steps 2a-2d, simple step 2) do not
-recurse.  They run as one worklist peel (peel.py): a mutable adjacency,
-one min-heap of candidates per rule, and each step deletes the smallest id of the highest-priority rule, the vertex
-one recursive level per deletion would pick.  The peel stops where that
-level's opening checks would fire: at most brute_threshold vertices left,
-the full-set potential (kept as an integer) below the floor, or a deletion
-that disconnected the graph (found after the loop by a reverse union-find
-over the deletions, which undoes those after it).  The worker then runs once on the core, one level per deletion
-deeper, and the peel records replay in reverse to lift its coloring.  The
-replay validates the core once and then each deleted vertex against its
-neighbours at deletion time (independent side, parallel pairs and gadgets,
-a union-find over the F forest, its tag); since a level's tags are never
+recurse.  They run as one worklist peel (peel.py) on a mutable adjacency.
+Each vertex sits in the min-heap of its first matching rule, the only rule
+that can pick it; a deletion reclassifies each neighbour it touched, and
+each distinct tag and tuple of edge kinds is tested once per peel, unless a
+hub's keys outgrow the adjacency.  Each step deletes the smallest id of the
+highest-priority rule, the vertex one recursive level per deletion would
+pick.  The peel stops where that level's opening checks would fire: at most
+brute_threshold vertices left, the full-set potential (kept as an integer)
+below the floor, or a deletion that disconnected the graph (found after the
+loop by a reverse union-find over the deletions, which undoes those after
+it).  The worker then runs once on the core, one level per deletion deeper,
+and the peel records replay in reverse to lift its coloring.  The replay
+validates the core once and then each deleted vertex against its neighbours
+at deletion time (independent side, parallel pairs and gadgets, a
+union-find over the F forest, its tag); since a level's tags are never
 stronger than the level below's, these checks are exactly one full
-validation per level.  Trace lines and diagnostics are the ones the
+validation per level. Trace lines and diagnostics are the ones the
 recursion would produce.  The reductions after the peel still recurse, one
 worker frame per step, but the stack stays shallow: at most 36 Python
 frames below the driver call, measured over the benchmark corpora and on

@@ -2,13 +2,15 @@
 networkx's graph atlas (Read & Wilson, *An Atlas of Graphs*) on 1-6
 vertices, plain and with one parallel pair or one or two precolor tags, run
 through both drivers at brute threshold 3 so that the reductions, not the
-base, do the work."""
+base, do the work.  Three 7-vertex atlas graphs with one forest tag pin
+simple step 9's trade of the tagged degree-three vertex."""
 
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
+from nbcolor import solver
 from nbcolor.forbidden import default_catalog, find_embedding
 from nbcolor.graph_core import FP, IP, MULTI, SINGLE, UNCOLORED, normalize, validate_coloring
 from nbcolor.oracle import brute_nb_color
@@ -78,3 +80,34 @@ def test_atlas_agrees_with_the_oracle(order):
                     diagnostics.add((index, variant, driver, out.step))
     assert runs > 0
     assert diagnostics == {d for d in EXPECTED_DIAGNOSTICS if nx.graph_atlas(d[0]).number_of_nodes() == order}
+
+
+# (atlas index, forest-tagged vertex): 7 vertices and 11 edges each, the
+# inputs on which simple step 9 trades the tagged degree-three vertex
+STEP_9_INPUTS = [(875, 4), (875, 5), (876, 0), (876, 1), (877, 3), (877, 6)]
+
+
+@pytest.mark.parametrize("index, tagged", STEP_9_INPUTS)
+def test_step_9_trades_the_tagged_vertex(monkeypatch, index, tagged):
+    calls = {"_eliminate_b3f": [], "_tree_path": []}
+    for name in calls:
+        inner = getattr(solver, name)
+
+        def counted(*args, inner=inner, name=name):
+            out = inner(*args)
+            calls[name].append(out)
+            return out
+
+        monkeypatch.setattr(solver, name, counted)
+    g = nx.graph_atlas(index)
+    pairs = sorted(tuple(sorted(e)) for e in g.edges())
+    G = normalize(g.number_of_nodes(), [(u, v, SINGLE) for u, v in pairs], [FP if v == tagged else UNCOLORED for v in g])
+    for threshold in range(3, 7):
+        for found in calls.values():
+            found.clear()
+        trace = []
+        out = color_simple(G, brute_threshold=threshold, trace=trace)
+        assert isinstance(out, Colored) and validate_coloring(G, out.coloring) is None
+        assert "9 strata endgame" in trace
+        assert [type(x) for x in calls["_eliminate_b3f"]] == [Colored]
+        assert calls["_tree_path"]

@@ -26,6 +26,7 @@ from nbcolor.graph_core import (
     induced_subgraph,
     normalize,
     parse_nbg,
+    Violation,
     validate_coloring,
     write_nbg,
 )
@@ -226,6 +227,92 @@ def test_validate_matches_expansion_reference(G):
             for v in range(G.n)
         )
         assert mine == (pre_ok and _expansion_valid(G, sides))
+
+
+# -- one-pass validation against the three-pass version -------------------
+
+
+def _three_pass_violations(G, c):
+    """Every rule the coloring breaks, in rule order, each with the witness
+    the three-pass validation (one pass per rule, then the tags) reported
+    for it.  Its first item is that validation's answer."""
+    for u, v, kind in G.edges:
+        if c.assignment[u] == I_SIDE and c.assignment[v] == I_SIDE:
+            yield Violation("edge-inside-I", (u, v))
+            break
+    for u, v, kind in G.edges:
+        if kind in (MULTI, GADGET) and c.assignment[u] == F_SIDE and c.assignment[v] == F_SIDE:
+            yield Violation("circuit-inside-F", (u, v))
+            break
+    parent = list(range(G.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, kind in G.edges:
+        if kind == SINGLE and c.assignment[u] == F_SIDE and c.assignment[v] == F_SIDE:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                yield Violation("cycle-inside-F", _three_pass_f_cycle(G, c, u, v))
+                break
+            parent[ru] = rv
+    for v in range(G.n):
+        if G.precolor[v] == FP and c.assignment[v] != F_SIDE:
+            yield Violation("precolor-ignored", v)
+            break
+        if G.precolor[v] == IP and c.assignment[v] != I_SIDE:
+            yield Violation("precolor-ignored", v)
+            break
+
+
+def _three_pass_f_cycle(G, c, u, v):
+    prev = {u: None}
+    queue = [u]
+    while queue:
+        x = queue.pop(0)
+        if x == v:
+            break
+        for y in G.adj[x]:
+            if y in prev or c.assignment[y] != F_SIDE or G.kind_of(x, y) != SINGLE:
+                continue
+            if (x, y) in ((u, v), (v, u)):
+                continue
+            prev[y] = x
+            queue.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path
+
+
+def test_one_pass_validation_matches_three_passes():
+    rng = random.Random(2203)
+    seen = {}
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        density, heavy_rate = rng.random(), rng.choice((0.0, 0.1, 0.4))
+        raw = [
+            (u, v, rng.choice((MULTI, GADGET)) if rng.random() < heavy_rate else SINGLE)
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < density
+        ]
+        tag_rate = rng.choice((0.0, 0.1, 0.3))
+        pre = [rng.choice((FP, IP)) if rng.random() < tag_rate else UNCOLORED for _ in range(n)]
+        G = normalize(n, raw, pre)
+        i_rate = rng.random()
+        c = Coloring(tuple(I_SIDE if rng.random() < i_rate else F_SIDE for _ in range(n)))
+        broken = list(_three_pass_violations(G, c))
+        assert validate_coloring(G, c) == (broken[0] if broken else None)
+        key = tuple(b.rule for b in broken)
+        seen[key] = seen.get(key, 0) + 1
+    # each rule first, and colorings that break three or four rules at once
+    firsts = {key[0] for key in seen if key}
+    assert firsts == {"edge-inside-I", "circuit-inside-F", "cycle-inside-F", "precolor-ignored"}, seen
+    assert sum(k for key, k in seen.items() if len(key) >= 3) >= 50, seen
+    assert sum(k for key, k in seen.items() if len(key) == 4) >= 10, seen
 
 
 # -- subgraphs and contraction -------------------------------------------

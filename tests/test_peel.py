@@ -6,10 +6,12 @@ every deletion, kept here as the reference: interleaved breadth-first
 searches from the deleted vertex's neighbours (`_splits`), stopping at the
 first deletion that disconnects the live graph.  With `stop_at_split` false
 it runs to its other stops, which shows what the offline version deletes
-and then undoes.
+and then undoes.  The last two tests bound the peel's classification work
+and the memory of its class table.
 """
 
 import random
+import tracemalloc
 from collections import deque
 from heapq import heappop, heappush
 
@@ -237,3 +239,75 @@ def test_offline_split_matches_the_interleaved_search():
             cases["dropped: " + full.failure[1]] = cases.get("dropped: " + full.failure[1], 0) + 1
     # every kind of stop, both failures kept and both dropped
     assert len(cases) == 7 and min(cases.values()) >= 10, cases
+
+
+def _tree_and_chain_graph(rng, n, heavy):
+    """A Petersen graph with 20 subdivided chains between its vertices, one
+    in four with a heavy link, and a random pendant tree up to n vertices.
+    Some tree vertices are forest-tagged and some leaves independent-tagged,
+    so no deletion before the trees are gone splits the graph."""
+    core = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    core += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges = [(a, b, SINGLE) for a, b in core]
+    count = 10
+    for _ in range(20):
+        a, b = rng.sample(range(10), 2)
+        k = rng.randint(5, 40)
+        path = [a] + list(range(count, count + k)) + [b]
+        kinds = [SINGLE] * (k + 1)
+        if rng.random() < 0.25:
+            kinds[rng.randrange(k + 1)] = heavy
+        edges += [(x, y, kind) for x, y, kind in zip(path, path[1:], kinds)]
+        count += k
+    tree = range(count, n)
+    edges += [(rng.randrange(v), v, SINGLE) for v in tree]
+    degree = [0] * n
+    for a, b, _ in edges:
+        degree[a] += 1
+        degree[b] += 1
+    tags = [UNCOLORED] * n
+    for v in tree:
+        r = rng.random()
+        if r < 0.03:
+            tags[v] = FP
+        elif r < 0.06 and degree[v] == 1:
+            tags[v] = IP
+    return normalize(n, edges, tags)
+
+
+def test_peel_tests_each_key_once_per_rule():
+    # a vertex's class depends only on its tag and its edge kinds, so each
+    # distinct (tag, kinds) key costs at most one call of each rule's test
+    rng = random.Random(2222)
+    for spec, rho, heavy in ((_MULTI_PEEL, rho_m, MULTI), (_SIMPLE_PEEL, rho_s, GADGET)):
+        G = _tree_and_chain_graph(rng, 2_000, heavy)
+        calls = {}
+
+        def counted(test):
+            def wrapper(tag, kinds):
+                calls[tag, kinds] = calls.get((tag, kinds), 0) + 1
+                return test(tag, kinds)
+
+            return wrapper
+
+        rules = tuple(rule._replace(test=counted(rule.test)) for rule in spec.rules)
+        run = peel(G, spec._replace(rules=rules), rho(G, range(G.n)), 3, None)
+        assert run.failure is None and len(run.records) >= 1_500
+        assert max(calls.values()) <= len(rules), max(calls.items(), key=lambda kv: kv[1])
+
+
+def test_peel_memory_stays_flat_around_a_hub():
+    # each deletion next to a hub gives it a new, shorter tuple of kinds;
+    # keeping the class of every key would hold d^2/2 kinds for d leaves
+    # (64 MB of pointers here)
+    leaves = 4_000
+    singles = [(0, 1), (1, 2), (2, 0), (0, 3)] + [(3, 4 + k) for k in range(leaves)]
+    G = normalize(4 + leaves, [(a, b, SINGLE) for a, b in singles])
+    tracemalloc.start()
+    try:
+        run = peel(G, _MULTI_PEEL, rho_m(G, range(G.n)), 3, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(run.records) == leaves + 1
+    assert peak < 8_000_000, peak
