@@ -213,8 +213,6 @@ def _merge_kinds(a: str, b: str, pair) -> str:
             return GADGET
         raise GraphError(f"pair {pair} carries both a gadget and another kind")
     # single+single, single+multi, multi+multi all collapse to a parallel pair
-    if a == b == SINGLE:
-        return MULTI
     return MULTI
 
 
@@ -283,6 +281,15 @@ class Violation:
     witness: object
 
 
+def find(parent, x):
+    """The root of x in the union-find forest `parent` (a list or dict from
+    each element to its parent, roots to themselves), halving x's path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def validate_coloring(G: Graph, c: Coloring) -> Violation | None:
     """None when valid, else the first violated rule with a witness.
 
@@ -293,13 +300,6 @@ def validate_coloring(G: Graph, c: Coloring) -> Violation | None:
         raise GraphError("coloring length does not match vertex count")
     side = c.assignment
     parent = list(range(G.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # one pass: an I-I edge is the first rule, so it returns at once; the
     # first multi or gadget edge inside F and the first single edge closing
     # a cycle in the F forest wait for the end of the pass
@@ -313,7 +313,7 @@ def validate_coloring(G: Graph, c: Coloring) -> Violation | None:
             if circuit is None:
                 circuit = (u, v)
         elif closing is None:
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 closing = (u, v)
             parent[ru] = rv

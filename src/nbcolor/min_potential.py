@@ -100,11 +100,10 @@ arcs it starts from, not the whole network.  On the simple driver's networks
 about a quarter of the source arcs stay open after the warm flow, so a set
 larger than the other side's and than _SEED_CAP is not scanned once per
 path: the search runs from the other side alone, and meets s or t by an O(1)
-check of each labelled node's own terminal arc.  Once no path is left, the
-nodes that reach t are needed for the reads below; only flows that end at
-their maximum get there.  If the last search ended because its backward
-side ran out, that side has labelled exactly those nodes, and they are
-taken from it; otherwise one full BFS from t labels them.
+check of each labelled node's own terminal arc.  Once no path is left, one
+BFS from t, seeded from the set of arcs into t, labels the nodes that reach
+t for the reads below; only flows that end at their maximum get there.  The
+path searches keep no labels between calls.
 
 W is read off the residual graph of the max flow, from two node sets that
 are the same for every maximum flow.  The nodes s reaches form the
@@ -112,10 +111,7 @@ smallest source side of a minimum cut, so their complement gives the union
 of all minimizers; the nodes that reach t form the smallest sink side, the
 intersection.  Under SMALLEST W is the intersection, read from the labels of
 the last, failing BFS, which max_flow has already paid for.  Under LARGEST
-and without a mode W is the union.  If a repaired flow's last search ended
-because its forward side ran out, that side has labelled exactly the nodes s
-reaches, and they are taken from it; otherwise those nodes are searched once
-more.
+and without a mode W is the union, read from one more search from s.
 
 Cardinality windows m1 <= |W| <= n - m2 are searched best first over
 branches (F, B), the subsets that contain F and miss B.  One flow solves a
@@ -229,7 +225,9 @@ class FlowNetwork:
     """Integer capacities.  A flow without open-arc sets, from zero or from
     any feasible flow, is Dinic's algorithm, with each phase's level graph
     measured as residual distance to the sink; a flow repaired from a
-    caller's open-arc sets augments one path at a time."""
+    caller's open-arc sets augments one path at a time.  Between calls the
+    network holds its arcs and `sink_levels` alone, so no search state of
+    one call can be read by the next."""
 
     def __init__(self, num_nodes: int):
         self.n = num_nodes
@@ -237,11 +235,6 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.sink_levels: list[int] | None = None
-        # after a failing _augmenting_path: the nodes that reach t when its
-        # backward side ran out, the nodes s reaches when its forward side
-        # did, and None otherwise; both None after any other max_flow
-        self.reached_t: dict[int, int] | None = None
-        self.reached_s: dict[int, int] | None = None
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         idx = len(self.to)
@@ -253,12 +246,12 @@ class FlowNetwork:
         self.cap.append(0)
         return idx
 
-    def _levels(self, s: int, t: int) -> list[int]:
+    def _levels(self, s: int, t: int, into_t: list[int]) -> list[int]:
         """Residual distances to t, by BFS from t over reversed arcs: arc idx
         in head[u] leads into u with residual capacity cap[idx ^ 1].  t's own
-        arcs come from `open_into_t`, which max_flow sets: a superset of the
-        arcs into t that still have residual capacity, in head order on a
-        Dinic flow, so the labels are the ones a scan of head[t] gives.
+        arcs are `into_t`: the arcs of head[t] whose reverses, the arcs into
+        t, still have residual capacity, in head order on a Dinic flow, so
+        the labels are the ones a scan of head[t] gives.
         Stops once s is labelled, so only nodes nearer to t than s are
         complete.  If s stays unlabelled (-1) the labels are complete:
         exactly the nodes that can still reach t are labelled."""
@@ -266,7 +259,6 @@ class FlowNetwork:
         level = [-1] * self.n
         level[t] = 0
         queue = []
-        into_t = self.open_into_t = [idx for idx in self.open_into_t if cap[idx ^ 1]]
         for idx in into_t:
             v = to[idx]
             if level[v] < 0:
@@ -311,21 +303,17 @@ class FlowNetwork:
         With `open_arcs` the flow is repaired instead: paths are found one at
         a time by `_augmenting_path`, seeded from the caller's sets, which the
         call keeps a superset of the open terminal arcs.  Once no path is
-        left, `sink_levels` marks the nodes that reach t: from the failing
-        search's backward labels when that side ran out (each is marked 0),
-        and otherwise by one full `_levels`; then the forward labels, the
-        nodes s reaches, stay in `reached_s`, which is None after any other
-        call."""
+        left, one `_levels` seeded from the set of arcs into t fills
+        `sink_levels`.  The network keeps no other state between calls."""
         stop = float("inf") if limit is None else limit
-        self.reached_s = None
         if open_arcs is not None:
             return self._repair(s, t, stop, open_arcs)
         head, to, cap = self.head, self.to, self.cap
-        out_of_s = [a for a in head[s] if cap[a]]
-        self.open_into_t = [idx for idx in head[t] if cap[idx ^ 1]]
+        out_of_s, into_t = head[s], head[t]
         total = 0
         while total < stop:
-            level = self._levels(s, t)
+            into_t = [idx for idx in into_t if cap[idx ^ 1]]
+            level = self._levels(s, t, into_t)
             if level[s] < 0:
                 self.sink_levels = level
                 return total
@@ -375,15 +363,7 @@ class FlowNetwork:
         while total < stop:
             path = self._augmenting_path(s, t, arcs)
             if path is None:
-                if self.reached_t is None:
-                    self.open_into_t = [a ^ 1 for a in arcs.into_t]
-                    reach = self._levels(s, t)
-                else:
-                    reach = [-1] * self.n
-                    for v in self.reached_t:
-                        reach[v] = 0
-                    reach[s] = -1
-                self.sink_levels = reach
+                self.sink_levels = self._levels(s, t, [a ^ 1 for a in arcs.into_t if cap[a]])
                 return total
             pushed = min(cap[a] for a in path)
             for a in path:
@@ -399,7 +379,7 @@ class FlowNetwork:
 
     def _augmenting_path(self, s: int, t: int, arcs: OpenArcs) -> list[int] | None:
         """The arcs of an s-t path with residual capacity, or None if there
-        is none.
+        is none.  Its labels are dropped on return.
 
         A breadth-first search forward from the open arcs out of s and
         backward from the open arcs into t, a whole level of the side with
@@ -413,12 +393,7 @@ class FlowNetwork:
         t-arc, its last node's own, and the sets hold them all.  A seeded
         side that runs out of nodes has labelled every node s reaches (or
         every node that reaches t), and checked each against t's arc (or
-        s's) and the other side's labels, so no path is left.  When the
-        backward side runs out, its labels, s's sentinel aside, are exactly
-        the nodes that reach t, and `reached_t` keeps them; when the forward
-        side runs out, its labels, t's sentinel aside, are exactly the nodes s
-        reaches, and `reached_s` keeps them.  The other is None."""
-        self.reached_t = self.reached_s = None
+        s's) and the other side's labels, so no path is left."""
         head, to, cap = self.head, self.to, self.cap
         from_s, to_t = arcs.arc_from_s, arcs.arc_to_t
         out_s, in_t = arcs.out_of_s, arcs.into_t
@@ -441,7 +416,6 @@ class FlowNetwork:
                     closed.append(a)
             out_s.difference_update(closed)
             if not front:
-                self.reached_s = fwd
                 return None
         if front is None or len(in_t) <= _SEED_CAP:
             back, closed = [], []
@@ -460,7 +434,6 @@ class FlowNetwork:
                     closed.append(a)
             in_t.difference_update(closed)
             if not back:
-                self.reached_t = bwd
                 return None
         while True:
             if back is None or (front is not None and len(front) <= len(back)):
@@ -479,7 +452,6 @@ class FlowNetwork:
                                     bwd[v] = b
                                 return self._join(fwd, bwd, v, s, t)
                 if not level:
-                    self.reached_s = fwd
                     return None
                 front = level
             else:
@@ -498,7 +470,6 @@ class FlowNetwork:
                                     fwd[v] = a
                                 return self._join(fwd, bwd, v, s, t)
                 if not level:
-                    self.reached_t = bwd
                     return None
                 back = level
 
@@ -567,15 +538,11 @@ class AuxNetwork:
         """Vertices on a sink side of a minimum cut, after a max flow: under
         SMALLEST the smallest one (the intersection of the minimizers), read
         from the last BFS of the max flow, and otherwise the largest one
-        (their union), read from the nodes s reaches: the labels of a
-        repaired flow's last search when its forward side ran out, and
-        otherwise one more search from s."""
+        (their union), read from one search from s."""
         if extremal == SMALLEST:
             reach = self.flow.sink_levels
             return frozenset(v for v, node in enumerate(self.vertex_node) if reach[node] >= 0)
-        reach = self.flow.reached_s
-        if reach is None:
-            reach = self.flow.source_side(self.source)
+        reach = self.flow.source_side(self.source)
         return frozenset(v for v, node in enumerate(self.vertex_node) if node not in reach)
 
 

@@ -26,9 +26,11 @@ Only a vertex's first matching rule can ever pick it: while the vertex
 also matches a later rule, the earlier rule has a candidate and is served
 first.  So each vertex has one class, the index of its first matching rule
 (or none), and sits in that rule's heap alone.  A rule's test reads only
-the vertex's tag and the kinds of its edges, so each distinct (tag, kinds)
-is classified once per peel, while the kept keys hold no more kinds than
-the adjacency, and a deletion reclassifies each neighbour it touched once.
+the vertex's tag and, when it has at most two neighbours, the kinds of its
+edges; a vertex with three or more is keyed by its tag alone.  So a peel
+classifies at most 3 x 14 distinct keys, each once (three tags; no kinds,
+one of three, one of nine pairs, or None), and a deletion reclassifies each
+neighbour it touched once, in O(1) even next to a hub.
 
 Tag changes (forest tags around a deleted independent-tagged vertex, an
 independent tag on the partner of a forest-tagged parallel pair) update the
@@ -55,12 +57,15 @@ from .graph_core import (
     UNCOLORED,
     Coloring,
     Graph,
+    find,
 )
 
 
 class Rule(namedtuple("Rule", "action step note test")):
     """One peel rule.  `test(tag, kinds)` decides candidacy from a vertex's
-    precolor tag and the tuple of edge kinds to its distinct neighbours.
+    precolor tag and the tuple of edge kinds to its distinct neighbours,
+    which is None when there are three or more: a test may read only the
+    tag of such a vertex, and must give it the same answer for every kinds.
     `action` is "ip" (an independent-tagged vertex: goes to I, its uncolored
     neighbours get forest tags), "leaf" (one neighbour at most) or "deg2"
     (two plain neighbours).  `step` names its diagnostics, `note` is its
@@ -143,16 +148,9 @@ class Peeled:
         for i, orig in enumerate(table):
             color[orig] = c_core.assignment[i]
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b, kind in core.edges:
             if kind == SINGLE and c_core.assignment[a] == c_core.assignment[b] == F_SIDE:
-                parent[find(table[a])] = find(table[b])
+                parent[find(parent, table[a])] = find(parent, table[b])
         exact = validate(core, c_core) is not None
         present = list(self.alive)
         for v, step, lift, nb, tag_v, retag in reversed(self.records):
@@ -176,7 +174,7 @@ class Peeled:
                     if side == I_SIDE or kind != SINGLE:
                         exact = True
                     else:
-                        ru, rv = find(u), find(v)
+                        ru, rv = find(parent, u), find(parent, v)
                         exact = ru == rv
                         parent[ru] = rv
             if exact:
@@ -204,14 +202,13 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
     the deletions after it are undone and their lines never reach `note`.
     The extra deletions cost no more than building `nbr`, `cls` and
     `heaps`, which every call pays for its whole graph, so no input gets a
-    worse growth class.  One level's peel is linear up to the heaps' log
-    when degrees are bounded; reclassifying a touched neighbour rebuilds
-    its tuple of kinds, so a vertex with d leaves costs d^2/2 there.  A
-    graph that splits early is peeled past its split once per level,
-    though: on a chain of 100 Petersen graphs joined by paths of 3 vertices
-    (1,297 vertices) the 99 peels of one solve run 15,044 deletions and keep
-    295, at the same solve time (both versions are quadratic there from the
-    per-level scans)."""
+    worse growth class.  Reclassifying a touched neighbour costs O(1), a
+    hub's key being its tag alone, so one level's peel is linear up to the
+    heaps' log, around a hub of d leaves too.  A graph that splits early is
+    peeled past its split once per level, though: on a chain of 100 Petersen
+    graphs joined by paths of 3 vertices (1,297 vertices) the 99 peels of
+    one solve run 15,044 deletions and keep 295, at the same solve time
+    (both versions are quadratic there from the per-level scans)."""
     n = G.n
     rules = spec.rules
     tests = [rule.test for rule in rules]
@@ -224,21 +221,14 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
         nbr[v][u] = kind
     tags = list(G.precolor)
     first: dict[tuple, int] = {}
-    room = 2 * len(G.edges)
 
     def classify(v: int) -> int:
-        # the tests are pure in (tag, kinds), so each key's class is kept;
-        # but each deletion next to a hub gives it a new key, and keeping
-        # all of a hub's would hold d^2/2 kinds for d leaves, so the kept
-        # keys hold at most as many kinds as the adjacency does
-        nonlocal room
-        key = (tags[v], tuple(nbr[v].values()))
+        # the tests are pure in (tag, kinds), so each key's class is kept
+        nb = nbr[v]
+        key = (tags[v], tuple(nb.values()) if len(nb) < 3 else None)
         c = first.get(key)
         if c is None:
-            c = next((i for i, test in enumerate(tests) if test(*key)), -1)
-            if len(key[1]) <= room:
-                room -= len(key[1])
-                first[key] = c
+            c = first[key] = next((i for i, test in enumerate(tests) if test(*key)), -1)
         return c
 
     cls = [classify(v) for v in range(n)]
@@ -334,16 +324,10 @@ def _first_split(nbr: list[dict[int, str]], alive: list[bool], records: list[tup
     edge, O(m log n) at worst with path halving alone."""
     parent = list(range(len(nbr)))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def join(v, others) -> int:
         merged = 0
         for u in others:
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 merged += 1

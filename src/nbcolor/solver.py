@@ -41,10 +41,11 @@ The degree <= 2 rules (multigraph steps 2a-2d, simple step 2) do not
 recurse.  They run as one worklist peel (peel.py) on a mutable adjacency.
 Each vertex sits in the min-heap of its first matching rule, the only rule
 that can pick it; a deletion reclassifies each neighbour it touched, and
-each distinct tag and tuple of edge kinds is tested once per peel, unless a
-hub's keys outgrow the adjacency.  Each step deletes the smallest id of the
-highest-priority rule, the vertex one recursive level per deletion would
-pick.  The peel stops where that level's opening checks would fire: at most
+each distinct tag and tuple of edge kinds is tested once per peel (a vertex
+with three or more neighbours is keyed by its tag alone, since no rule
+reads its kinds).  Each step deletes the smallest id of the highest-
+priority rule, the vertex one recursive level per deletion would pick.  The
+peel stops where that level's opening checks would fire: at most
 brute_threshold vertices left, the full-set potential (kept as an integer)
 below the floor, or a deletion that disconnected the graph (found after the
 loop by a reverse union-find over the deletions, which undoes those after
@@ -127,6 +128,7 @@ from .graph_core import (
     GraphError,
     I_SIDE,
     contract_colored_subset,
+    find,
     induced_cycles,
     induced_subgraph,
     normalize,
@@ -813,17 +815,10 @@ def discharge_classify(G: Graph) -> DischargeReport:
 
     # forest check and component count over G[L]
     parent = {v: v for v in L}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     ell = len(L)
     for u, v, kind in G.edges:
         if u in L and v in L:
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 raise ValueError("the degree-three part must induce a forest")
             parent[ru] = rv
@@ -949,16 +944,9 @@ def _candidate_fb(G: Graph, report: DischargeReport):
 
 def _has_cycle_inside(edges, inside: set) -> bool:
     parent = {v: v for v in inside}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
         if u in inside and v in inside:
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 return True
             parent[ru] = rv
@@ -995,13 +983,14 @@ def _endgame_engine(G: Graph, Lset, F_B: frozenset[int]):
 
     trail: list[object] = []
 
-    def find(x):
+    def root(x):
+        # no path compression, so undo can restore the forest
         while parent[x] != x:
             x = parent[x]
         return x
 
     def union(a, b) -> bool:
-        ra, rb = find(a), find(b)
+        ra, rb = root(a), root(b)
         if ra == rb:
             return False
         parent[ra] = rb
@@ -1687,7 +1676,7 @@ _SIMPLE_PEEL = Spec(
     rules=(
         Rule("ip", "2", "2 ip v={v}", lambda tag, kinds: tag == IP),
         # a tagged gadget end forms a tight pair for the scan
-        Rule("leaf", "2", "2 d1 v={v}", lambda tag, kinds: len(kinds) == 1 and (kinds[0] != GADGET or tag == UNCOLORED)),
+        Rule("leaf", "2", "2 d1 v={v}", lambda tag, kinds: kinds in ((SINGLE,), (MULTI,)) or (kinds == (GADGET,) and tag == UNCOLORED)),
         Rule("deg2", "2", "2 d2 v={v}", _two_plain),
     ),
     weights=RHO_S,

@@ -682,7 +682,9 @@ def test_open_arc_sets_cover_every_open_terminal_arc(monkeypatch):
     # after every instance they must hold each open arc out of s and into t:
     # scan-shaped chains (force v, ban its successor) and window queries,
     # whose branches force and ban growing sets, with and without
-    # thresholds.  Some sets also hold arcs that have closed since.
+    # thresholds.  Some sets also hold arcs that have closed since.  The
+    # network itself keeps no search state: only its arcs and the last
+    # flow's sink labels.
     solve = min_potential._solve_device
     instances = stale = 0
 
@@ -695,6 +697,7 @@ def test_open_arc_sets_cover_every_open_terminal_arc(monkeypatch):
         assert {a for a in head[aux.source] if cap[a]} <= arcs.out_of_s
         assert {r ^ 1 for r in head[aux.sink] if cap[r ^ 1]} <= arcs.into_t
         stale += any(not cap[a] for a in arcs.out_of_s | arcs.into_t)
+        assert set(vars(aux.flow)) == {"n", "head", "to", "cap", "sink_levels"}
         instances += 1
         return W
 
@@ -1000,125 +1003,6 @@ def test_kernel_matches_the_reference_on_chained_instances(monkeypatch):
     assert flows >= 16 * 3 * 10 and flows - repaired >= 16
 
 
-def test_repaired_flow_skips_the_bfs_after_a_backward_failure(monkeypatch):
-    # A repaired flow that ends at its maximum runs the full BFS from t only
-    # when its last path search failed on the forward side; when the
-    # backward side ran out, its labels are the nodes that reach t.  Every
-    # answer still matches enumeration, and the labels match the reference's.
-    failed = {"forward": 0, "backward": 0}
-    bfs = 0
-    repairing = False
-    run, search, levels = FlowNetwork.max_flow, FlowNetwork._augmenting_path, FlowNetwork._levels
-
-    def flow(self, s, t, limit=None, open_arcs=None):
-        nonlocal repairing
-        repairing = open_arcs is not None
-        try:
-            if not repairing:
-                return run(self, s, t, limit, open_arcs)
-            ref = _twin(self)
-            _reference_max_flow(ref, s, t)
-            got = run(self, s, t, limit, open_arcs)
-            if self.sink_levels is not None:
-                assert _reaching_t(self) == _reaching_t(ref)
-            return got
-        finally:
-            repairing = False
-
-    def counted_search(self, s, t, arcs):
-        path = search(self, s, t, arcs)
-        if path is None:
-            failed["forward" if self.reached_t is None else "backward"] += 1
-        return path
-
-    def counted_levels(self, s, t):
-        nonlocal bfs
-        bfs += repairing
-        return levels(self, s, t)
-
-    monkeypatch.setattr(FlowNetwork, "max_flow", flow)
-    monkeypatch.setattr(FlowNetwork, "_augmenting_path", counted_search)
-    monkeypatch.setattr(FlowNetwork, "_levels", counted_levels)
-    rng = random.Random(7373)
-    for _ in range(12):
-        n = rng.randint(3, 10)
-        weights = [rng.choice((0, rng.randint(1, 12))) for _ in range(n)]
-        edges = [
-            (rng.sample(range(n), rng.randint(1, 3)), rng.randint(1, 12))
-            for _ in range(rng.randint(n, 3 * n))
-        ]
-        H = hypergraph(n, weights, edges)
-        for mode in (None, LARGEST, SMALLEST):
-            for _ in range(12):
-                picked = rng.sample(range(n), rng.randint(1, min(3, n)))
-                k = rng.randint(0, len(picked))
-                force, ban = picked[:k], picked[k:]
-                assert min_potential_pinned(H, force, ban, extremal=mode) == _pinned_oracle(H, force, ban, mode)
-    assert bfs == failed["forward"]
-    assert failed["backward"] >= 50 and failed["forward"] >= 50, failed
-
-
-def test_largest_reads_the_forward_labels_after_a_forward_failure(monkeypatch):
-    # A repaired flow whose last path search ran out on its forward side
-    # keeps those labels, the nodes s reaches, and a LARGEST or unmoded read
-    # takes its union from them instead of searching from s once more.  Any
-    # other flow leaves no labels.  The labels equal a fresh search from s,
-    # and every answer matches enumeration.
-    run, side, read = FlowNetwork.max_flow, FlowNetwork.source_side, min_potential.AuxNetwork.sink_side
-    searches = 0
-    reads = {"forward": 0, "searched": 0}
-
-    def flow(self, s, t, limit=None, open_arcs=None):
-        self.reached_s = {s: -1}  # a stale value every call must clear
-        got = run(self, s, t, limit, open_arcs)
-        if open_arcs is None or self.sink_levels is None:
-            assert self.reached_s is None
-        return got
-
-    def counted_side(self, s):
-        nonlocal searches
-        searches += 1
-        return side(self, s)
-
-    def counted_read(self, extremal):
-        labels = self.flow.reached_s
-        before = searches
-        W = read(self, extremal)
-        if extremal != SMALLEST:
-            if labels is None:
-                reads["searched"] += 1
-                assert searches == before + 1
-            else:
-                reads["forward"] += 1
-                assert searches == before
-                assert set(labels) - {self.sink} == side(self.flow, self.source)
-        return W
-
-    monkeypatch.setattr(FlowNetwork, "max_flow", flow)
-    monkeypatch.setattr(FlowNetwork, "source_side", counted_side)
-    monkeypatch.setattr(min_potential.AuxNetwork, "sink_side", counted_read)
-    rng = random.Random(1917)
-    for _ in range(12):
-        n = rng.randint(3, 10)
-        weights = [rng.choice((0, rng.randint(1, 12))) for _ in range(n)]
-        edges = [
-            (rng.sample(range(n), rng.randint(1, 3)), rng.randint(1, 12))
-            for _ in range(rng.randint(n, 3 * n))
-        ]
-        H = hypergraph(n, weights, edges)
-        for mode in (None, LARGEST, SMALLEST):
-            for _ in range(12):
-                picked = rng.sample(range(n), rng.randint(1, min(3, n)))
-                k = rng.randint(0, len(picked))
-                force, ban = picked[:k], picked[k:]
-                assert min_potential_pinned(H, force, ban, extremal=mode) == _pinned_oracle(H, force, ban, mode)
-            if mode is not None:
-                m1 = rng.randint(1, n)
-                m2 = rng.randint(0, n - m1)
-                assert min_potential_constrained(H, m1, m2, extremal=mode) == min_potential_enum(H, m1, m2, extremal=mode)
-    assert reads["forward"] >= 200 and reads["searched"] >= 80, reads
-
-
 def test_terminal_arcs_are_listed_once_per_flow(monkeypatch):
     # head[s] and head[t] are read once per max_flow call, when their open
     # arcs are listed, however many phases the flow takes
@@ -1126,10 +1010,10 @@ def test_terminal_arcs_are_listed_once_per_flow(monkeypatch):
     phases = 0
     levels = FlowNetwork._levels
 
-    def counted_levels(self, s, t):
+    def counted_levels(self, s, t, into_t):
         nonlocal phases
         phases += 1
-        return levels(self, s, t)
+        return levels(self, s, t, into_t)
 
     monkeypatch.setattr(FlowNetwork, "_levels", counted_levels)
     for _ in range(10):

@@ -6,8 +6,9 @@ every deletion, kept here as the reference: interleaved breadth-first
 searches from the deleted vertex's neighbours (`_splits`), stopping at the
 first deletion that disconnects the live graph.  With `stop_at_split` false
 it runs to its other stops, which shows what the offline version deletes
-and then undoes.  The last two tests bound the peel's classification work
-and the memory of its class table.
+and then undoes.  The last tests bound the peel's classification work
+and the memory of its class table, and check the rules' contract: a vertex
+with three or more neighbours is classified by its tag alone.
 """
 
 import random
@@ -296,13 +297,18 @@ def test_peel_tests_each_key_once_per_rule():
         assert max(calls.values()) <= len(rules), max(calls.items(), key=lambda kv: kv[1])
 
 
-def test_peel_memory_stays_flat_around_a_hub():
-    # each deletion next to a hub gives it a new, shorter tuple of kinds;
-    # keeping the class of every key would hold d^2/2 kinds for d leaves
-    # (64 MB of pointers here)
-    leaves = 4_000
+def _hub_graph(leaves):
+    """A triangle with a pendant hub of `leaves` leaves."""
     singles = [(0, 1), (1, 2), (2, 0), (0, 3)] + [(3, 4 + k) for k in range(leaves)]
-    G = normalize(4 + leaves, [(a, b, SINGLE) for a, b in singles])
+    return normalize(4 + leaves, [(a, b, SINGLE) for a, b in singles])
+
+
+def test_peel_memory_stays_flat_around_a_hub():
+    # each deletion next to a hub leaves it fewer neighbours; keying it by
+    # its tuple of kinds would hold d^2/2 kinds for d leaves (64 MB of
+    # pointers here)
+    leaves = 4_000
+    G = _hub_graph(leaves)
     tracemalloc.start()
     try:
         run = peel(G, _MULTI_PEEL, rho_m(G, range(G.n)), 3, None)
@@ -311,3 +317,39 @@ def test_peel_memory_stays_flat_around_a_hub():
         tracemalloc.stop()
     assert len(run.records) == leaves + 1
     assert peak < 8_000_000, peak
+
+
+def test_peel_hands_no_test_the_kinds_of_a_hub():
+    # a deletion next to a hub reclassifies it from its tag alone, in O(1)
+    leaves = 4_000
+    G = _hub_graph(leaves)
+    for spec, rho in ((_MULTI_PEEL, rho_m), (_SIMPLE_PEEL, rho_s)):
+        longest, untold = 0, 0
+
+        def measured(test):
+            def wrapper(tag, kinds):
+                nonlocal longest, untold
+                if kinds is None:
+                    untold += 1
+                else:
+                    longest = max(longest, len(kinds))
+                return test(tag, kinds)
+
+            return wrapper
+
+        rules = tuple(rule._replace(test=measured(rule.test)) for rule in spec.rules)
+        run = peel(G, spec._replace(rules=rules), rho(G, range(G.n)), 3, None)
+        assert run.failure is None and len(run.records) >= leaves
+        assert longest <= 2 and untold >= 1, (longest, untold)
+
+
+def test_rules_read_no_kinds_of_a_hub():
+    # every rule gives a vertex with three or more neighbours the answer
+    # its tag alone gives, whatever the kinds of its edges
+    rng = random.Random(3333)
+    kinds_of_hubs = [tuple(rng.choice((SINGLE, MULTI, GADGET)) for _ in range(rng.randint(3, 6))) for _ in range(300)]
+    for spec in (_MULTI_PEEL, _SIMPLE_PEEL):
+        for rule in spec.rules:
+            for tag in (UNCOLORED, FP, IP):
+                expected = rule.test(tag, None)
+                assert all(rule.test(tag, kinds) == expected for kinds in kinds_of_hubs), (rule.step, tag)
