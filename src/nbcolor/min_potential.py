@@ -34,13 +34,12 @@ and is cut, as it is whenever it is not inside W.
 
 Warm start (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): each thread
 keeps one record, for the latest hypergraph it solved on: its network, the
-value and minimizers of its unconstrained max flow (the warm flow), which
-answer every unpinned ask, and the pins and value of the flow the network
-holds now.  A minimizer is read off the warm flow the first time it is
-asked for, and both are read before the first pinned instance changes the
-flow, so an ask whose cutoff the warm value already settles reads none.  A
-pinned instance changes that flow in place, and the next one starts from
-the flow it leaves.  Raising the arcs it adds keeps the flow feasible.
+value of its unconstrained max flow (the warm flow), and the pins and value
+of the flow the network holds now.  Every ask is one instance on that
+network, and an unpinned one is no exception: on a fresh record it reads the
+warm flow, and after pinned instances it releases their pins like any other
+instance.  An instance changes the flow in place, and the next one starts
+from the flow it leaves.  Raising the arcs it adds keeps the flow feasible.
 Releasing an arc the previous instance raised lowers its capacity by
 infinite, and its flow may then exceed the capacity; the excess is cancelled
 along paths s->v->t and s->v->e->t.  v's only in-arc is s->v, so a released
@@ -100,23 +99,21 @@ arcs it starts from, not the whole network.  On the simple driver's networks
 about a quarter of the source arcs stay open after the warm flow, so a set
 larger than the other side's and than _SEED_CAP is not scanned once per
 path: the search runs from the other side alone, and meets s or t by an O(1)
-check of each labelled node's own terminal arc.  Once no path is left, one
-BFS from t, seeded from the set of arcs into t, labels the nodes that reach
-t for the reads below; only flows that end at their maximum get there.  The
-path searches keep no labels between calls.
+check of each labelled node's own terminal arc.  The path searches keep no
+labels between calls.
 
 W is read off the residual graph of the max flow, from two node sets that
 are the same for every maximum flow.  The nodes s reaches form the
 smallest source side of a minimum cut, so their complement gives the union
 of all minimizers; the nodes that reach t form the smallest sink side, the
-intersection.  Under SMALLEST W is the intersection, read from the labels of
-the last, failing BFS, which max_flow has already paid for.  Under LARGEST
-and without a mode W is the union, read from one more search from s.
+intersection.  Under SMALLEST W is the intersection, read by one search
+from t; under LARGEST and without a mode it is the union, read by one search
+from s.
 
 Cardinality windows m1 <= |W| <= n - m2 are searched best first over
 branches (F, B), the subsets that contain F and miss B.  One flow solves a
 branch; its extremal minimizer W ranks it by (rho, extremal cardinality,
-sorted vertex tuple).  The root (empty, empty) is the warm flow itself.  The
+sorted vertex tuple).  The root (empty, empty) is the unpinned instance.  The
 open branch of least rank is taken next.  If its W lies in the window, W is
 the answer.  Otherwise the branch splits on the side W breaks.  W too small:
 one child per vertex u outside W and B, forcing u (a child reached twice is
@@ -226,15 +223,14 @@ class FlowNetwork:
     any feasible flow, is Dinic's algorithm, with each phase's level graph
     measured as residual distance to the sink; a flow repaired from a
     caller's open-arc sets augments one path at a time.  Between calls the
-    network holds its arcs and `sink_levels` alone, so no search state of
-    one call can be read by the next."""
+    network holds its arcs alone, so no search state of one call can be
+    read by the next."""
 
     def __init__(self, num_nodes: int):
         self.n = num_nodes
         self.head: list[list[int]] = [[] for _ in range(num_nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.sink_levels: list[int] | None = None
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         idx = len(self.to)
@@ -279,14 +275,11 @@ class FlowNetwork:
 
     def max_flow(self, s: int, t: int, limit: int | None = None, open_arcs: OpenArcs | None = None) -> int:
         """Augments the current flow to a maximum one and returns the amount
-        added.  The labels of the last search, which finds no path, stay in
-        `sink_levels`: every node that can reach t in the final residual graph
-        is labelled (>= 0), and no other.
+        added.
 
         With `limit` set, the call stops as soon as it has added at least
         `limit`, checked before each search and after each augmenting path.
-        A flow stopped there is feasible but need not be maximum, and
-        `sink_levels` is then None.
+        A flow stopped there is feasible but need not be maximum.
 
         Without `open_arcs` this is Dinic's algorithm.  Each phase's
         blocking-flow search walks from s and takes an arc only to a node one
@@ -302,9 +295,7 @@ class FlowNetwork:
 
         With `open_arcs` the flow is repaired instead: paths are found one at
         a time by `_augmenting_path`, seeded from the caller's sets, which the
-        call keeps a superset of the open terminal arcs.  Once no path is
-        left, one `_levels` seeded from the set of arcs into t fills
-        `sink_levels`.  The network keeps no other state between calls."""
+        call keeps a superset of the open terminal arcs."""
         stop = float("inf") if limit is None else limit
         if open_arcs is not None:
             return self._repair(s, t, stop, open_arcs)
@@ -315,7 +306,6 @@ class FlowNetwork:
             into_t = [idx for idx in into_t if cap[idx ^ 1]]
             level = self._levels(s, t, into_t)
             if level[s] < 0:
-                self.sink_levels = level
                 return total
             out_of_s = [a for a in out_of_s if cap[a]]
             it = [0] * self.n
@@ -352,7 +342,6 @@ class FlowNetwork:
                     u = to[path.pop() ^ 1]
                 else:
                     break
-        self.sink_levels = None
         return total
 
     def _repair(self, s: int, t: int, stop, arcs: OpenArcs) -> int:
@@ -363,7 +352,6 @@ class FlowNetwork:
         while total < stop:
             path = self._augmenting_path(s, t, arcs)
             if path is None:
-                self.sink_levels = self._levels(s, t, [a ^ 1 for a in arcs.into_t if cap[a]])
                 return total
             pushed = min(cap[a] for a in path)
             for a in path:
@@ -374,7 +362,6 @@ class FlowNetwork:
                 arcs.out_of_s.discard(path[0])
             if not cap[path[-1]]:
                 arcs.into_t.discard(path[-1])
-        self.sink_levels = None
         return total
 
     def _augmenting_path(self, s: int, t: int, arcs: OpenArcs) -> list[int] | None:
@@ -537,10 +524,11 @@ class AuxNetwork:
     def sink_side(self, extremal: str | None) -> frozenset[int]:
         """Vertices on a sink side of a minimum cut, after a max flow: under
         SMALLEST the smallest one (the intersection of the minimizers), read
-        from the last BFS of the max flow, and otherwise the largest one
-        (their union), read from one search from s."""
+        by one search from t, and otherwise the largest one (their union),
+        read by one search from s."""
         if extremal == SMALLEST:
-            reach = self.flow.sink_levels
+            net, t = self.flow, self.sink
+            reach = net._levels(self.source, t, [r for r in net.head[t] if net.cap[r ^ 1]])
             return frozenset(v for v, node in enumerate(self.vertex_node) if reach[node] >= 0)
         reach = self.flow.source_side(self.source)
         return frozenset(v for v, node in enumerate(self.vertex_node) if node not in reach)
@@ -581,29 +569,18 @@ def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
 
 @dataclass(eq=False)
 class _Warm:
-    """A thread's warm record.  `forced`, `banned` and `value` describe the
-    flow aux.flow holds; `maximal` is False when it stopped at a cutoff.
-    `sets` holds the warm flow's minimizers read so far, by mode."""
+    """A thread's warm record.  `root_value` is the warm flow's value;
+    `forced`, `banned` and `value` describe the flow aux.flow holds, and
+    `maximal` is False when it stopped at a cutoff."""
 
     H: WeightedHypergraph
     aux: AuxNetwork
-    sets: dict
     root_value: int
     open_arcs: OpenArcs | None      # built by the first pinned instance
     forced: frozenset[int]
     banned: frozenset[int]
     value: int
     maximal: bool
-
-    def root_set(self, extremal) -> frozenset[int]:
-        """The unpinned minimizer of mode `extremal`, read off the warm flow
-        on first ask.  The network holds that flow until the first pinned
-        instance changes it, which reads both sets first."""
-        mode = SMALLEST if extremal == SMALLEST else LARGEST
-        W = self.sets.get(mode)
-        if W is None:
-            W = self.sets[mode] = self.aux.sink_side(mode)
-        return W
 
 
 # `record`: this thread's _Warm, keyed by H's identity
@@ -651,7 +628,7 @@ def _warm(H: WeightedHypergraph) -> _Warm:
     if rec is None or rec.H is not H:
         aux = build_aux_network(H)
         value = _greedy_flow(aux) + aux.flow.max_flow(aux.source, aux.sink)
-        rec = _memo.record = _Warm(H, aux, {}, value, None, frozenset(), frozenset(), value, True)
+        rec = _memo.record = _Warm(H, aux, value, None, frozenset(), frozenset(), value, True)
     return rec
 
 
@@ -692,18 +669,16 @@ def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset
     `extremal`, or None when `below` is set and the instance's minimum is at
     least `below`.
 
-    Unpinned instances read the warm flow's record, and the pins of a
-    maximal current flow are read off the network.  Any other instance
-    changes the flow in place: raises the arcs of the pins it adds, releases
-    those of the pins it drops, adds every terminal arc it opens to the
-    record's open-arc sets, and repairs the flow by path searches seeded
-    from them, stopping once the value reaches `below`'s cut.  The memo is
+    The pins of a maximal current flow, the warm flow's empty pins
+    included, are read off the network.  Any other instance changes the
+    flow in place: raises the arcs of the pins it adds, releases those of
+    the pins it drops, adds every terminal arc it opens to the record's
+    open-arc sets, and repairs the flow by path searches seeded from them,
+    stopping once the value reaches `below`'s cut.  The memo is
     empty until `rec` is up to date again.  See the module docstring."""
     aux = rec.aux
     # no flow reaches `infinite`: the set of the forced vertices has a finite cut
     target = aux.infinite if below is None else aux.cut_target(below)
-    if not banned and not forced:
-        return None if rec.root_value >= target else rec.root_set(extremal)
     forced0, banned0, value = rec.forced, rec.banned, rec.value
     if rec.maximal and forced == forced0 and banned == banned0:
         return None if value >= target else aux.sink_side(extremal)
@@ -711,10 +686,7 @@ def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset
     net = aux.flow
     cap, head, to, inf = net.cap, net.head, net.to, aux.infinite
     if rec.open_arcs is None:
-        # the network still holds the warm flow: read what later asks need
         rec.open_arcs = _open_arcs(aux)
-        rec.root_set(LARGEST)
-        rec.root_set(SMALLEST)
     # every terminal arc raised or given flow back goes in the open-arc sets
     out_of_s, into_t = rec.open_arcs.out_of_s, rec.open_arcs.into_t
     for v in banned - banned0:
@@ -774,7 +746,7 @@ def _answer(aux: AuxNetwork, W: frozenset[int]) -> tuple[frozenset[int], Fractio
 def min_potential_subset(H: WeightedHypergraph) -> tuple[frozenset[int], Fraction]:
     """Unconstrained minimizer of rho over all subsets (the empty set counts)."""
     rec = _warm(H)
-    return _answer(rec.aux, rec.root_set(None))
+    return _answer(rec.aux, _solve_device(rec, frozenset(), frozenset(), None))
 
 
 def min_potential_constrained(
@@ -813,7 +785,8 @@ def min_potential_constrained(
     root = rec.root_value - aux.total_edge_weight_scaled
     if below is not None and root >= cut_rank:
         return None, Fraction(root, aux.scale)
-    heap = [(_rank_key(aux, rec.root_set(extremal), extremal), frozenset(), frozenset())]
+    W = _solve_device(rec, frozenset(), frozenset(), extremal)
+    heap = [(_rank_key(aux, W, extremal), frozenset(), frozenset())]
     seen = set()
     while True:
         key, forced, banned = heapq.heappop(heap)

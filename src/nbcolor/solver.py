@@ -57,10 +57,14 @@ union-find over the F forest, its tag); since a level's tags are never
 stronger than the level below's, these checks are exactly one full
 validation per level. Trace lines and diagnostics are the ones the
 recursion would produce.  The reductions after the peel still recurse, one
-worker frame per step, but the stack stays shallow: at most 36 Python
-frames below the driver call, measured over the benchmark corpora and on
-cubic graphs, prisms and Moebius ladders of up to 400 vertices.  The
-drivers leave the interpreter's recursion limit alone.
+worker frame per step.  A peel stops at its first split, and _open then
+recurses into a worker per component, whose own _open recurses into its
+peeled core, so the stack grows by a few frames per split level.  The
+benchmark corpora, and cubic graphs, prisms and Moebius ladders of up to 400
+vertices, stay within 36 Python frames below the driver call, but a chain of
+250 Petersen graphs joined by 3-vertex paths splits at every block and
+raises RecursionError in either driver (ROADMAP item 4).  The drivers leave
+the interpreter's recursion limit alone.
 
 The per-level subset scan (_scan) is exact in the band and a certified floor
 above it: one max-flow per vertex, forcing v inside and banning its
@@ -75,14 +79,13 @@ flow from zero would.  On a graph that neither splits nor peels, the level-0
 scan gets the entry screen's hypergraph object back (potential memoises its
 latest build), so it reuses the screen's warm network and its first instance
 starts from the warm flow, the only flow the screen runs.  The sweep asks
-each pair for its minimum value under SMALLEST, with the band's top plus one
-as the cutoff (`below`), so a pair above the band stops its flow as soon as
-the flow's value proves it; a pair whose value lies in the band is asked
-again, on the same pins, under LARGEST for its witness, which min_potential
-reads off the flow it has just run to its maximum.  So every in-band answer
-is the largest, then lexicographically smallest, window minimizer.  Above
-the band the scan returns the band's top plus one, and callers only compare
-it to the band.
+each pair once, under LARGEST, with the band's top plus one as the cutoff
+(`below`), so a pair above the band stops its flow as soon as the flow's
+value proves it, and a pair whose value lies in the band runs its flow to
+the maximum and reads its value and witness off it.  So every in-band
+answer is the largest, then lexicographically smallest, window minimizer.
+Above the band the scan returns the band's top plus one, and callers only
+compare it to the band.
 
 The simple worker's step 3 acts only on a window set of potential at most
 0, and one linear pass over the level's hypergraph often proves there is
@@ -134,7 +137,7 @@ from .graph_core import (
     normalize,
     validate_coloring,
 )
-from .min_potential import LARGEST, SMALLEST, min_potential_constrained, min_potential_pinned
+from .min_potential import LARGEST, min_potential_constrained, min_potential_pinned
 from .oracle import DEFAULT_THRESHOLD, brute_nb_color
 from .peel import Rule, Spec, peel
 from .potential import (
@@ -312,15 +315,13 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     of the forced one, and each flow starts from the one before it
     (min_potential chains them) and moves only what those two pins change.
 
-    The sweep asks each pair under SMALLEST for the pair's minimum val; the
-    value is the same in every mode.  The ask passes band_top + 1 as its
-    cutoff, so the flow of a pair above the band stops once its value proves
-    that, and the pair enters as the floor band_top + 1.  Only a pair with
-    val in the band is asked again, on the same pins, under LARGEST, for its
-    witness; its flow ran to its maximum, and min_potential reads that union
-    off it, so the re-ask costs one search and no flow.  A LARGEST singleton
-    winner enters as the bound val+1: by the largest-cardinality tie-break no
-    larger set of its family ties it.
+    Each pair is asked once, under LARGEST, with band_top + 1 as its cutoff,
+    so the flow of a pair above the band stops once its value proves that,
+    and the pair enters as the floor band_top + 1.  A pair in the band runs
+    its flow to its maximum and gets its value and its witness, the union of
+    its minimizers, off that one flow.  A singleton winner enters as the
+    bound val+1: by the largest-cardinality tie-break no larger set of its
+    family ties it.
 
     Returns (m, W): an in-band witness (m <= band_top, W its exact minimum
     set, the largest, then lexicographically smallest, window minimizer) or
@@ -346,12 +347,9 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     results: list[tuple[int, frozenset[int] | None]] = []
     for i, v in enumerate(order):
         u = order[(i + 1) % n]
-        val = _exact_int(min_potential_pinned(H, force=[v], ban=[u], extremal=SMALLEST, below=band_top + 1)[1])
-        if val > band_top:
-            results.append((val, None))
-            continue
-        W, _ = min_potential_pinned(H, force=[v], ban=[u], extremal=LARGEST)
-        results.append((val, W) if len(W) >= 2 else (val + 1, None))
+        W, r = min_potential_pinned(H, force=[v], ban=[u], extremal=LARGEST, below=band_top + 1)
+        val = _exact_int(r)
+        results.append((val, W) if W is None or len(W) >= 2 else (val + 1, None))
     m = min(val for val, _ in results)
     if m > band_top:
         return m, None

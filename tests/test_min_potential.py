@@ -683,8 +683,7 @@ def test_open_arc_sets_cover_every_open_terminal_arc(monkeypatch):
     # scan-shaped chains (force v, ban its successor) and window queries,
     # whose branches force and ban growing sets, with and without
     # thresholds.  Some sets also hold arcs that have closed since.  The
-    # network itself keeps no search state: only its arcs and the last
-    # flow's sink labels.
+    # network itself keeps no search state, only its arcs.
     solve = min_potential._solve_device
     instances = stale = 0
 
@@ -697,7 +696,7 @@ def test_open_arc_sets_cover_every_open_terminal_arc(monkeypatch):
         assert {a for a in head[aux.source] if cap[a]} <= arcs.out_of_s
         assert {r ^ 1 for r in head[aux.sink] if cap[r ^ 1]} <= arcs.into_t
         stale += any(not cap[a] for a in arcs.out_of_s | arcs.into_t)
-        assert set(vars(aux.flow)) == {"n", "head", "to", "cap", "sink_levels"}
+        assert set(vars(aux.flow)) == {"n", "head", "to", "cap"}
         instances += 1
         return W
 
@@ -835,6 +834,59 @@ def test_chained_release_matches_enumeration():
                     assert (rec.forced, rec.banned) == (force, ban)
 
 
+def test_unpinned_asks_release_the_pins_before_them(monkeypatch):
+    # An unpinned ask is an instance like any other: after a chain of
+    # scan-shaped instances (force v, ban its successor, mixed modes and
+    # thresholds) it releases their pins and repairs the flow.  Every
+    # unpinned entry point, in all three modes, with and without a cutoff,
+    # must give enumeration's answer and the one it gives from an empty
+    # memo, and run at most one flow.
+    flows = 0
+    kernel = FlowNetwork.max_flow
+
+    def counted(self, s, t, limit=None, open_arcs=None):
+        nonlocal flows
+        flows += 1
+        return kernel(self, s, t, limit, open_arcs)
+
+    def empty_memo():
+        monkeypatch.setattr(min_potential, "_memo", threading.local())
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    modes = (None, LARGEST, SMALLEST)
+    rng = random.Random(4747)
+    asked = repaired = 0
+    for trial in range(24):
+        fractional = trial % 3 == 2
+        H = _fraction_hypergraph(rng, 8) if fractional else random_hypergraph(rng, max_n=8, max_edges=16)
+        order = rng.sample(range(H.n), H.n)
+        chain = []
+        for i, v in enumerate(order):
+            ban = [] if H.n == 1 else [order[(i + 1) % H.n]]
+            mode = rng.choice(modes)
+            below = rng.choice([None, *_thresholds(_pinned_oracle(H, [v], ban, mode)[1], fractional)])
+            chain.append(([v], ban, mode, below))
+        low = _pinned_oracle(H, (), (), None)[1]
+        asks = [(min_potential_subset, (H,), _pinned_oracle(H, (), (), LARGEST))]
+        for mode in modes:
+            for below in (None, *_thresholds(low, fractional)):
+                W, r = _pinned_cut_oracle(H, (), (), mode, below)
+                asks.append((min_potential_pinned, (H, (), (), mode, below), (W, r)))
+                asks.append((min_potential_constrained, (H, 0, 0, mode, below), (W, low)))
+        for ask, args, want in asks:
+            empty_memo()
+            assert ask(*args) == want, (trial, ask.__name__, args)
+            empty_memo()
+            for force, ban, mode, below in chain[:rng.randint(1, len(chain))]:
+                min_potential_pinned(H, force, ban, mode, below)
+            flows = 0
+            assert ask(*args) == want, (trial, ask.__name__, args)
+            assert flows <= 1
+            asked += 1
+            repaired += flows
+    assert asked >= 750 and repaired >= 500
+
+
 # A zero-weight vertex ties inside and outside a minimizer, so it lies in the
 # union of the minimizers (LARGEST) and outside their intersection
 # (SMALLEST); no arc of the network marks it.  Vertex 4 is isolated; vertex 2
@@ -885,7 +937,6 @@ def _reference_max_flow(net, s, t):
     while True:
         level = _reference_levels(net, s, t)
         if level[s] < 0:
-            net.sink_levels = level
             return total
         it = [0] * net.n
         path = []
@@ -922,13 +973,14 @@ def _reference_max_flow(net, s, t):
 
 def _same_flow_as_reference(net, s, t, kernel=FlowNetwork.max_flow):
     """Runs the kernel on net and the reference on a twin; both must add the
-    same amount and leave the same residual capacities and final labels."""
+    same amount and leave the same residual capacities and the same nodes
+    that reach t."""
     ref = _twin(net)
     expected = _reference_max_flow(ref, s, t)
     got = kernel(net, s, t)
     assert got == expected
     assert net.cap == ref.cap
-    assert net.sink_levels == ref.sink_levels
+    assert _reaching_t(net, t) == _reaching_t(ref, t)
     return got
 
 
@@ -948,19 +1000,28 @@ def test_kernel_matches_the_reference_on_random_networks():
             _same_flow_as_reference(net, s, t)
 
 
-def _reaching_t(net):
-    """The nodes the last search of a maximal flow found able to reach t."""
-    return {v for v, d in enumerate(net.sink_levels) if d >= 0}
+def _reaching_t(net, t):
+    """The nodes that can reach t in net's residual graph, by a BFS from t
+    over reversed arcs."""
+    head, to, cap = net.head, net.to, net.cap
+    seen = {t}
+    queue = [t]
+    for u in queue:
+        for idx in head[u]:
+            v = to[idx]
+            if cap[idx ^ 1] and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
 
 
 def test_kernel_matches_the_reference_on_chained_instances(monkeypatch):
     # every flow of chained pinned sequences, the warm flows included, in all
     # three modes and on hypergraphs with zero-weight vertices.  A flow from
-    # zero is Dinic's and leaves exactly the reference's residual capacities
-    # and labels.  A repaired flow augments other paths and ends at another
-    # maximum flow, so it is held to what every maximum flow from the same
-    # start shares: the value added, the nodes that reach t and the nodes s
-    # reaches
+    # zero is Dinic's and leaves exactly the reference's residual capacities.
+    # A repaired flow augments other paths and ends at another maximum flow,
+    # so it is held to what every maximum flow from the same start shares:
+    # the value added, the nodes that reach t and the nodes s reaches
     flows = repaired = 0
     run = FlowNetwork.max_flow
 
@@ -976,7 +1037,7 @@ def test_kernel_matches_the_reference_on_chained_instances(monkeypatch):
         expected = _reference_max_flow(ref, s, t)
         got = run(self, s, t, limit, open_arcs)
         assert got == expected
-        assert _reaching_t(self) == _reaching_t(ref)
+        assert _reaching_t(self, t) == _reaching_t(ref, t)
         assert self.source_side(s) == ref.source_side(s)
         return got
 

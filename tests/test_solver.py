@@ -34,7 +34,6 @@ from nbcolor.graph_core import (
 )
 from nbcolor.min_potential import (
     LARGEST,
-    SMALLEST,
     FlowNetwork,
     _greedy_flow,
     build_aux_network,
@@ -659,14 +658,14 @@ def test_scan_search_work(monkeypatch, to_hyper, band, bound):
     ids=["rho_m", "rho_s"],
 )
 def test_scan_search_work_unperturbed(monkeypatch, to_hyper, band, bound):
-    # The sweep's flows run on the plain network, read W under SMALLEST, and
-    # each stops once its value proves the pair above the band, so no flow
-    # of this above-band scan runs its final, failing search.  Each flow
-    # repairs the one before it by path searches seeded from the open
-    # terminal arcs: 6,409 (rho_m) and 1,145 (rho_s) lookups.  Dinic phases
-    # from t, stopped at the same cutoff, took 19,034 and 1,466; run to their
-    # maximum, 48,090 and 5,658; and a sweep on a LARGEST network perturbed
-    # by (n + 1) scaling, 139,864 and 7,123.
+    # The sweep's flows run on the plain network, and each stops once its
+    # value proves the pair above the band, so no flow of this above-band
+    # scan runs its final, failing search.  Each flow repairs the one before
+    # it by path searches seeded from the open terminal arcs: 6,409 (rho_m)
+    # and 1,145 (rho_s) lookups.  Dinic phases from t, stopped at the same
+    # cutoff, took 19,034 and 1,466; run to their maximum, 48,090 and 5,658;
+    # and a sweep on a LARGEST network perturbed by (n + 1) scaling, 139,864
+    # and 7,123.
     assert _scan_lookups(monkeypatch, to_hyper, band) <= bound
 
 
@@ -684,24 +683,15 @@ def test_scan_search_work_per_flow_grows_slowly(monkeypatch):
 
 
 def _asking(monkeypatch):
-    """Records each (extremal, force, ban, value, flows run) the scan asks
+    """Records each (extremal, below, force, ban, W, value) the scan asks
     for."""
     asked = []
-    flows = 0
-    kernel = FlowNetwork.max_flow
-
-    def counted(self, s, t, limit=None, open_arcs=None):
-        nonlocal flows
-        flows += 1
-        return kernel(self, s, t, limit, open_arcs)
 
     def pinned(H, force=(), ban=(), extremal=LARGEST, below=None):
-        before = flows
         W, r = min_potential_pinned(H, force, ban, extremal, below)
-        asked.append((extremal, tuple(force), tuple(ban), r, flows - before))
+        asked.append((extremal, below, tuple(force), tuple(ban), W, r))
         return W, r
 
-    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
     monkeypatch.setattr(solver, "min_potential_pinned", pinned)
     return asked
 
@@ -710,50 +700,106 @@ def _asking(monkeypatch):
     (hypergraph_for_rho_m, solver._MULTI_BAND),
     (hypergraph_for_rho_s, solver._SIMPLE_BAND),
 ], ids=["rho_m", "rho_s"])
-def test_above_band_scan_asks_only_smallest(monkeypatch, to_hyper, band):
+def test_above_band_scan_asks_each_pair_once(monkeypatch, to_hyper, band):
     G = _random_cubic(1, 120)
     H = to_hyper(G)
     asked = _asking(monkeypatch)
     m, W = solver._scan(H, G.n, band)
     assert m > band and W is None
-    assert [mode for mode, *_ in asked] == [SMALLEST] * G.n
+    assert [(mode, below) for mode, below, *_ in asked] == [(LARGEST, band + 1)] * G.n
 
 
-def test_in_band_scan_asks_largest_only_for_in_band_pins(monkeypatch):
-    # each pin pair is asked once under SMALLEST; exactly the pairs whose
-    # value lies in the band are asked again under LARGEST, right after their
-    # own SMALLEST ask, and that re-ask reads the flow just run and runs none
+def test_in_band_scan_asks_each_pair_once(monkeypatch):
+    # each pin pair is asked once, under LARGEST with the band's top plus one
+    # as its cutoff; a pair whose value lies in the band gets its witness
+    # from that one ask, the largest minimizer of the pair's family
     asked = _asking(monkeypatch)
     rng = random.Random(99)
-    in_band = skipped = 0
+    in_band = mixed = 0
     for trial in range(120):
-        if trial % 2 == 0:
-            heavy, to_hyper, band = MULTI, hypergraph_for_rho_m, solver._MULTI_BAND
-        else:
-            heavy, to_hyper, band = GADGET, hypergraph_for_rho_s, solver._SIMPLE_BAND
-        n = rng.randrange(3, 10)
-        p = rng.uniform(0.2, 0.7)
-        raw = [
-            (u, v, heavy if rng.random() < 0.15 else SINGLE)
-            for u, v in itertools.combinations(range(n), 2)
-            if rng.random() < p
-        ]
-        G = normalize(n, raw, [FP if rng.random() < 0.3 else UNCOLORED for _ in range(n)])
-        H = to_hyper(G)
+        H, n, band = _random_level(rng, trial)
         asked.clear()
         m, W = solver._scan(H, n, band)
-        sweep = {(f, b): r for mode, f, b, r, _ in asked if mode == SMALLEST}
-        assert len(sweep) == n == sum(mode == SMALLEST for mode, *_ in asked)
-        for i, (mode, f, b, r, flows) in enumerate(asked):
-            if mode == LARGEST:
-                assert i > 0 and asked[i - 1][:4] == (SMALLEST, f, b, r)
-                assert flows == 0
-        again = [(f, b) for mode, f, b, *_ in asked if mode == LARGEST]
-        assert again == [pair for pair, r in sweep.items() if r <= band]
+        assert len(asked) == n == len({(f, b) for _, _, f, b, *_ in asked})
+        pairs_in_band = 0
+        for mode, below, f, b, W_pair, r in asked:
+            assert (mode, below) == (LARGEST, band + 1)
+            if r <= band:
+                pairs_in_band += 1
+                assert W_pair == _pinned_largest(H, f, b)
+            else:
+                assert W_pair is None
         if m <= band:
             in_band += 1
-            skipped += len(again) < n
-    assert in_band >= 40 and skipped >= 10
+            mixed += pairs_in_band < n
+    assert in_band >= 40 and mixed >= 10
+
+
+def _random_level(rng, trial):
+    """A level to scan, with no independent tags: (H, n, band), for rho_m on
+    even trials and rho_s on odd ones."""
+    if trial % 2 == 0:
+        heavy, to_hyper, band = MULTI, hypergraph_for_rho_m, solver._MULTI_BAND
+    else:
+        heavy, to_hyper, band = GADGET, hypergraph_for_rho_s, solver._SIMPLE_BAND
+    n = rng.randrange(3, 10)
+    p = rng.uniform(0.2, 0.7)
+    raw = [
+        (u, v, heavy if rng.random() < 0.15 else SINGLE)
+        for u, v in itertools.combinations(range(n), 2)
+        if rng.random() < p
+    ]
+    G = normalize(n, raw, [FP if rng.random() < 0.3 else UNCOLORED for _ in range(n)])
+    return to_hyper(G), n, band
+
+
+def test_in_band_scan_runs_no_bfs_after_a_repaired_flow(monkeypatch):
+    # A repaired flow that reaches its maximum ends with its failed path
+    # search and labels nothing more: the scan reads an in-band witness by
+    # one search from s, and no solver path reads the nodes that reach t
+    kernel, levels = FlowNetwork.max_flow, FlowNetwork._levels
+    repairing = False
+    repaired = bfs_in_repair = 0
+
+    def flow(self, s, t, limit=None, open_arcs=None):
+        nonlocal repairing, repaired
+        repairing = open_arcs is not None
+        repaired += repairing
+        try:
+            return kernel(self, s, t, limit, open_arcs)
+        finally:
+            repairing = False
+
+    def counted_levels(self, *args):
+        nonlocal bfs_in_repair
+        bfs_in_repair += repairing
+        return levels(self, *args)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", flow)
+    monkeypatch.setattr(FlowNetwork, "_levels", counted_levels)
+    rng = random.Random(31)
+    in_band = 0
+    for trial in range(60):
+        H, n, band = _random_level(rng, trial)
+        in_band += solver._scan(H, n, band)[0] <= band
+    assert in_band >= 20 and repaired >= 200
+    assert bfs_in_repair == 0
+
+
+def _pinned_largest(H, force, ban):
+    """By enumeration: the union of the minimizers of rho over the subsets
+    that contain `force` and miss `ban`."""
+    best, union = None, frozenset()
+    for bits in range(1 << H.n):
+        W = frozenset(v for v in range(H.n) if bits >> v & 1)
+        if not W.issuperset(force) or W.intersection(ban):
+            continue
+        r = sum(H.vertex_weights[v] for v in W) - sum(w for members, w in H.edges if members <= W)
+        if best is None or r < best:
+            best, union = r, W
+        elif r == best:
+            union |= W
+    return union
 
 
 def _fresh_hypergraph(G, weights):
@@ -1236,6 +1282,41 @@ def test_drivers_leave_the_recursion_limit_alone():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)
+
+
+def _petersen_chain(k):
+    """k Petersen graphs in a row, each joined to the next by a path through
+    3 new vertices: every block is a split level of its own."""
+    singles = [(10 * b + u, 10 * b + v) for b in range(k) for u, v in PETERSEN]
+    n = 10 * k
+    for b in range(k - 1):
+        walk = [10 * b + 1, n, n + 1, n + 2, 10 * (b + 1)]
+        singles += zip(walk, walk[1:])
+        n += 3
+    return graph(n, singles=singles)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="each split level adds worker frames (ROADMAP item 4)")
+@pytest.mark.parametrize("driver", [color_multigraph, color_simple], ids=["multi", "simple"])
+def test_a_chain_of_blocks_needs_no_deeper_stack(driver):
+    # 200 frames above this test's own stack hold a chain of 40 blocks but
+    # not one of 60: each split level recurses into its component and then
+    # into its peeled core, so the depth grows by a few frames per block
+    G = _petersen_chain(60)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 200)
+    try:
+        out = driver(G)
+    finally:
+        sys.setrecursionlimit(old)
+    assert isinstance(out, Colored)
 
 
 def test_agreement_with_oracle():
