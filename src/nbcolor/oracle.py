@@ -1,9 +1,13 @@
 """Exhaustive reference algorithms, trusted on small inputs only.
 
-The searcher walks vertices in a connectivity-friendly order assigning F or I,
-pruning as soon as an edge lands inside I, a multi or gadget lands inside F,
-or a single edge closes a cycle inside F (detected by a rollback union-find).
-Everything else in the package is measured against these routines.
+One iterative search (_colorings) serves the brute-force base, the
+enumeration and the solver's structured endgame.  It walks a given vertex
+order, trying at each vertex the sides its caller allows, in the caller's
+order, and prunes as soon as an edge lands inside I, a multi or gadget lands
+inside F, or a single edge closes a cycle inside F (detected by a rollback
+union-find).  It keeps its place on an explicit list, so its stack depth
+does not grow with the graph.  Everything else in the package is measured
+against these routines.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph_core import (
+    F_SIDE,
     FP,
+    I_SIDE,
     IP,
     MULTI,
     SINGLE,
@@ -23,8 +29,7 @@ from .potential import KindError, hypergraph_for_sparsity
 
 DEFAULT_THRESHOLD = 22
 
-_F, _I = 0, 1
-_SIDE_NAME = {_F: "F", _I: "I"}
+_TAG_SIDES = {FP: (F_SIDE,), IP: (I_SIDE,)}
 
 
 class OracleSizeError(ValueError):
@@ -51,31 +56,24 @@ def _search_order(G: Graph) -> list[int]:
     return order
 
 
-def _colorings(G: Graph):
+def _colorings(G: Graph, order: list[int], sides):
+    """Every valid coloring of G that gives each vertex v one of sides[v],
+    depth first over `order` (which lists every vertex once), trying each
+    vertex's sides in the order given.  Tags are not read: the caller's
+    sides carry them."""
     n = G.n
-    order = _search_order(G)
     adj = [[(u, G.kind_of(v, u)) for u in G.adj[v]] for v in range(n)]
-    color: list[int | None] = [None] * n
+    color: list[str | None] = [None] * n
 
     parent = list(range(n))
     size = [1] * n
     trail: list[int] = []
 
     def find(x: int) -> int:
+        # no path compression, so undo can restore the forest
         while parent[x] != x:
             x = parent[x]
         return x
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if size[ra] > size[rb]:
-            ra, rb = rb, ra
-        parent[ra] = rb
-        size[rb] += size[ra]
-        trail.append(ra)
-        return True
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
@@ -84,62 +82,66 @@ def _colorings(G: Graph):
             size[rb] -= size[ra]
             parent[ra] = ra
 
-    def sides_for(v: int):
-        tag = G.precolor[v]
-        if tag == FP:
-            return (_F,)
-        if tag == IP:
-            return (_I,)
-        return (_F, _I)
+    def place(v: int, side: str) -> bool:
+        """Colors v, or leaves everything as it was on a conflict."""
+        if side == I_SIDE:
+            if any(color[u] == I_SIDE for u, _ in adj[v]):
+                return False
+        else:
+            mark = len(trail)
+            for u, kind in adj[v]:
+                if color[u] != F_SIDE:
+                    continue
+                ra, rb = find(u), find(v)
+                if kind != SINGLE or ra == rb:
+                    undo(mark)
+                    return False
+                if size[ra] > size[rb]:
+                    ra, rb = rb, ra
+                parent[ra] = rb
+                size[rb] += size[ra]
+                trail.append(ra)
+        color[v] = side
+        return True
 
-    def place(v: int, side: int) -> int | None:
-        """Returns a union-find trail mark on success, None on conflict."""
-        mark = len(trail)
-        if side == _I:
-            for u, _ in adj[v]:
-                if color[u] == _I:
-                    return None
-            return mark
-        for u, kind in adj[v]:
-            if color[u] != _F:
-                continue
-            if kind != SINGLE or not union(u, v):
-                undo(mark)
-                return None
-        return mark
-
-    def dfs(i: int):
-        if i == len(order):
-            yield Coloring(tuple(_SIDE_NAME[c] for c in color))
-            return
+    if not order:
+        yield Coloring(())
+        return
+    # the search's place: per depth, the sides still to try at its vertex,
+    # and the union-find trail mark from before that vertex was placed
+    tries = [iter(sides[order[0]])]
+    marks = [0] * len(order)
+    while tries:
+        i = len(tries) - 1
         v = order[i]
-        for side in sides_for(v):
-            mark = place(v, side)
-            if mark is None:
-                continue
-            color[v] = side
-            yield from dfs(i + 1)
+        if color[v] is not None:  # back at v: take its side back
             color[v] = None
-            undo(mark)
+            undo(marks[i])
+        marks[i] = len(trail)
+        # any() stops at the first side that fits and leaves the rest to try
+        if not any(place(v, side) for side in tries[i]):
+            tries.pop()
+        elif len(tries) == len(order):
+            yield Coloring(tuple(color))
+        else:
+            tries.append(iter(sides[order[i + 1]]))
 
-    try:
-        yield from dfs(0)
-    finally:
-        del dfs  # the generator function refers to itself; drop the cycle once done
+
+def _tagged_colorings(G: Graph, threshold: int):
+    if G.n > threshold:
+        raise OracleSizeError(f"{G.n} vertices exceeds the oracle threshold {threshold}")
+    sides = [_TAG_SIDES.get(tag, (F_SIDE, I_SIDE)) for tag in G.precolor]
+    return _colorings(G, _search_order(G), sides)
 
 
 def brute_nb_color(G: Graph, threshold: int = DEFAULT_THRESHOLD) -> Coloring | None:
     """First valid coloring found, or None when there is none."""
-    if G.n > threshold:
-        raise OracleSizeError(f"{G.n} vertices exceeds the oracle threshold {threshold}")
-    return next(_colorings(G), None)
+    return next(_tagged_colorings(G, threshold), None)
 
 
 def enumerate_nb_colorings(G: Graph, threshold: int = DEFAULT_THRESHOLD):
     """Yields every valid coloring; same size guard as brute_nb_color."""
-    if G.n > threshold:
-        raise OracleSizeError(f"{G.n} vertices exceeds the oracle threshold {threshold}")
-    yield from _colorings(G)
+    yield from _tagged_colorings(G, threshold)
 
 
 def is_nb_critical(G: Graph, threshold: int = DEFAULT_THRESHOLD) -> bool:

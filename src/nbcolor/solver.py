@@ -63,8 +63,12 @@ peeled core, so the stack grows by a few frames per split level.  The
 benchmark corpora, and cubic graphs, prisms and Moebius ladders of up to 400
 vertices, stay within 36 Python frames below the driver call, but a chain of
 250 Petersen graphs joined by 3-vertex paths splits at every block and
-raises RecursionError in either driver (ROADMAP item 4).  The drivers leave
-the interpreter's recursion limit alone.
+raises RecursionError in either driver (ROADMAP item 4).  Apart from the
+workers' own recursion, no stack depth grows with the input: the structured
+endgame's tree split is a loop and its exhaustive search is the oracle's
+iterative one, so a structured level of 5,006 vertices colors within the
+default limit.  The drivers leave the
+interpreter's recursion limit alone.
 
 The per-level subset scan (_scan) is exact in the band and a certified floor
 above it: one max-flow per vertex, forcing v inside and banning its
@@ -138,7 +142,7 @@ from .graph_core import (
     validate_coloring,
 )
 from .min_potential import LARGEST, min_potential_constrained, min_potential_pinned
-from .oracle import DEFAULT_THRESHOLD, brute_nb_color
+from .oracle import DEFAULT_THRESHOLD, _colorings, brute_nb_color
 from .peel import Rule, Spec, peel
 from .potential import (
     RHO_M,
@@ -404,7 +408,8 @@ def _closure(G: Graph, W, absorbs: str, room: int) -> frozenset[int]:
 def tree_split(T: Graph, s_in, s_out) -> frozenset[int]:
     """Independent set S of a tree whose non-leaves all have degree three,
     with S_in inside S, S_out outside it, and every component of T - S
-    containing at most one leaf of T.  Requires |S_out| odd."""
+    containing at most one leaf of T.  Requires |S_out| odd.  The tree is
+    cut down one cherry at a time in a loop, so no input is too deep."""
     adj = {v: set(T.adj[v]) for v in range(T.n)}
     if len(T.edges) != T.n - 1 or len(T.components()) != 1:
         raise ValueError("tree_split expects a tree")
@@ -412,6 +417,11 @@ def tree_split(T: Graph, s_in, s_out) -> frozenset[int]:
 
 
 def _tree_split_adj(adj: dict, s_in: set, s_out: set) -> set:
+    """tree_split on an adjacency dict of sets, consuming adj, s_in and
+    s_out.  Each step takes the smallest non-leaf with exactly two leaf
+    neighbours (a cherry) and removes its two leaves, and with them itself
+    when both go into S, until at most three leaves are left.  Finding the
+    cherry scans the whole dict, so a tree of n vertices costs O(n^2)."""
     leaves = {v for v, nb in adj.items() if len(nb) <= 1}
     for v, nb in adj.items():
         if v not in leaves and len(nb) != 3:
@@ -420,46 +430,47 @@ def _tree_split_adj(adj: dict, s_in: set, s_out: set) -> set:
         raise ValueError("leaf partition does not match the leaves")
     if len(s_out) % 2 == 0:
         raise ValueError("the outside part must have odd size")
-    k = len(leaves)
-    if k == 1:
-        return set()
-    if k == 2:
-        return set(s_in)
-    if k == 3:
-        center = next(v for v, nb in adj.items() if len(nb) == 3)
-        if len(s_out) == 3:
-            return {center}
-        return set(s_in)
-    # some non-leaf has exactly two leaf neighbors
-    v = min(
-        v
-        for v, nb in adj.items()
-        if v not in leaves and sum(1 for u in nb if u in leaves) == 2
-    )
-    w1, w2 = sorted(u for u in adj[v] if u in leaves)
-    both_out = (w1 in s_out) + (w2 in s_out)
-    if both_out == 2:
-        sub = {u: set(nb) for u, nb in adj.items() if u not in (w1, w2)}
-        sub[v] -= {w1, w2}
-        return _tree_split_adj(sub, s_in | {v}, s_out - {w1, w2})
-    if both_out == 1:
-        out_leaf = w1 if w1 in s_out else w2
-        in_leaf = w2 if out_leaf == w1 else w1
-        sub = {u: set(nb) for u, nb in adj.items() if u not in (w1, w2)}
-        sub[v] -= {w1, w2}
-        S = _tree_split_adj(sub, s_in - {in_leaf}, (s_out - {out_leaf}) | {v})
-        return S | {in_leaf}
-    # both leaves forced inside: drop them with v and suppress v's third leg
-    x = next(u for u in adj[v] if u not in (w1, w2))
-    sub = {u: set(nb) for u, nb in adj.items() if u not in (v, w1, w2)}
-    sub[x] -= {v}
-    # x was interior (degree three) and loses only v, so it is suppressed
-    a, b = sorted(sub[x])
-    del sub[x]
-    sub[a] = (sub[a] - {x}) | {b}
-    sub[b] = (sub[b] - {x}) | {a}
-    S = _tree_split_adj(sub, s_in - {w1, w2}, set(s_out))
-    return S | {w1, w2}
+    # each step keeps the tree's shape and the parity of s_out, so the
+    # checks above hold for every smaller tree too
+    S: set = set()
+    while len(leaves) > 3:
+        # a tree with four or more leaves and no degree-two vertex has a cherry
+        v = min(
+            v
+            for v, nb in adj.items()
+            if v not in leaves and sum(1 for u in nb if u in leaves) == 2
+        )
+        w1, w2 = sorted(u for u in adj[v] if u in leaves)
+        both_out = (w1 in s_out) + (w2 in s_out)
+        del adj[w1], adj[w2]
+        leaves -= {w1, w2}
+        adj[v] -= {w1, w2}
+        if both_out == 2:
+            leaves.add(v)
+            s_in.add(v)
+            s_out -= {w1, w2}
+        elif both_out == 1:
+            out_leaf = w1 if w1 in s_out else w2
+            in_leaf = w2 if out_leaf == w1 else w1
+            leaves.add(v)
+            s_in.discard(in_leaf)
+            s_out.discard(out_leaf)
+            s_out.add(v)
+            S.add(in_leaf)
+        else:
+            # both leaves forced inside: drop them with v, and suppress v's
+            # third neighbour x, which was interior and loses only v
+            (x,) = adj.pop(v)
+            a, b = adj.pop(x) - {v}
+            adj[a] = (adj[a] - {x}) | {b}
+            adj[b] = (adj[b] - {x}) | {a}
+            s_in -= {w1, w2}
+            S |= {w1, w2}
+    if len(leaves) == 2:
+        S |= s_in
+    elif len(leaves) == 3:
+        S |= {next(v for v, nb in adj.items() if len(nb) == 3)} if len(s_out) == 3 else s_in
+    return S
 
 
 def extend_to_forest(G: Graph, partial: dict[int, str], components) -> Coloring | None:
@@ -951,56 +962,15 @@ def _has_cycle_inside(edges, inside: set) -> bool:
     return False
 
 
-def _endgame_engine(G: Graph, Lset, F_B: frozenset[int]):
-    """Exact search for an assignment of L with the B split fixed.
-
-    Depth-first over the trees of G[L], with a rollback union-find tracking
-    the F-side forest (the fixed F-components of G[B] enter as its roots).
-    Returns an I-set over all of G, or None."""
-    n = G.n
-    I_B = [v for v in range(n) if v not in Lset and v not in F_B]
-    i_b_set = set(I_B)
-
-    # components of the fixed F part over non-gadget edges
-    croot: dict[int, int] = {}
-    for v in sorted(F_B):
-        if v in croot:
-            continue
-        croot[v] = v
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in G.adj[x]:
-                if y in F_B and y not in croot and G.kind_of(x, y) != GADGET:
-                    croot[y] = v
-                    stack.append(y)
-
-    parent: dict[object, object] = {}
-    for r in set(croot.values()):
-        parent[("b", r)] = ("b", r)
-
-    trail: list[object] = []
-
-    def root(x):
-        # no path compression, so undo can restore the forest
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(a, b) -> bool:
-        ra, rb = root(a), root(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        trail.append(ra)
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            ra = trail.pop()
-            parent[ra] = ra
-
-    order: list[int] = []
+def _endgame_engine(G: Graph, Lset, F_B: frozenset[int]) -> Coloring | None:
+    """Exact search for an assignment of L with the B split fixed, run on
+    the oracle's search: every vertex outside L first, each on its side of
+    the split, then depth first over the trees of G[L], each L vertex trying
+    I before F.  The first part never backtracks: _candidate_fb puts an end
+    of every plain B-edge and exactly one end of every gadget into F_B and
+    keeps F_B acyclic, so F_B enters the search's union-find as the forest
+    components of G[B] on that side.  Returns the first coloring, or None."""
+    order = [v for v in range(G.n) if v not in Lset]
     for comp in _l_components(G, Lset):
         stack = [comp[0]]
         seen = {comp[0]}
@@ -1011,53 +981,19 @@ def _endgame_engine(G: Graph, Lset, F_B: frozenset[int]):
                 if y in Lset and y not in seen:
                     seen.add(y)
                     stack.append(y)
-
-    side: dict[int, str] = {}
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        # independent side
-        ok = True
-        for u in G.adj[v]:
-            if u in i_b_set or side.get(u) == I_SIDE:
-                ok = False
-                break
-        if ok:
-            side[v] = I_SIDE
-            if place(i + 1):
-                return True
-            del side[v]
-        # forest side
-        mark = len(trail)
-        parent[v] = v
-        ok = True
-        for u in G.adj[v]:
-            target = None
-            if u in F_B:
-                target = ("b", croot[u])
-            elif side.get(u) == F_SIDE:
-                target = u
-            if target is not None and not union(v, target):
-                ok = False
-                break
-        if ok:
-            side[v] = F_SIDE
-            if place(i + 1):
-                return True
-            del side[v]
-        undo(mark)
-        del parent[v]
-        return False
-
-    if not place(0):
-        return None
-    i_set = set(I_B) | {v for v in order if side[v] == I_SIDE}
-    return i_set
+    sides = [
+        (I_SIDE, F_SIDE) if v in Lset else (F_SIDE,) if v in F_B else (I_SIDE,)
+        for v in range(G.n)
+    ]
+    return next(_colorings(G, order, sides), None)
 
 
 def _endgame_run(G: Graph, report: DischargeReport, ctx: _Ctx, step: str) -> Outcome:
+    """Sweep the forest-side candidates for B.  Each is extended over the
+    trees of G[L] by the tree-split lemma and, failing that, searched
+    exhaustively by _endgame_engine; a coloring from either is validated
+    before it is returned.  Past the candidates come brute force on small
+    graphs, a forbidden-subgraph certificate, then a Diagnostic."""
     Lset = report.L
     comps = _l_components(G, Lset)
     for F_B in _candidate_fb(G, report):
@@ -1067,13 +1003,9 @@ def _endgame_run(G: Graph, report: DischargeReport, ctx: _Ctx, step: str) -> Out
         col = extend_to_forest(G, partial, comps)
         if col is not None and validate_coloring(G, col) is None:
             return Colored(col)
-        i_set = _endgame_engine(G, Lset, F_B)
-        if i_set is not None:
-            col = Coloring(
-                tuple(I_SIDE if v in i_set else F_SIDE for v in range(G.n))
-            )
-            if validate_coloring(G, col) is None:
-                return Colored(col)
+        col = _endgame_engine(G, Lset, F_B)
+        if col is not None and validate_coloring(G, col) is None:
+            return Colored(col)
     if G.n <= ctx.brute_threshold:
         c = brute_nb_color(G, ctx.brute_threshold)
         if c is not None:
@@ -1535,6 +1467,9 @@ def _canon_cycle(cyc) -> tuple[int, ...]:
 
 
 def _shortest_l_cycle(G: Graph, Lset):
+    # a breadth-first search over a forest meets no non-tree edge
+    if not _has_cycle_inside(((u, v) for u, v, _ in G.edges), Lset):
+        return None
     adjL = {v: [u for u in G.adj[v] if u in Lset] for v in Lset}
     best: tuple[int, ...] | None = None
     for s in sorted(Lset):

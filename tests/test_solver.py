@@ -138,17 +138,37 @@ def test_tree_split_rejects():
 
 
 def random_cubic_tree(rng, grows):
+    """A tree whose non-leaves have degree three, grown from an edge by
+    splitting a random leaf `grows` times."""
     edges = [(0, 1)]
-    n = 2
+    leaves = [0, 1]  # increasing, since new leaves get the largest ids
     for _ in range(grows):
-        deg = {}
-        for a, b in edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        v = rng.choice([u for u in range(n) if deg[u] == 1])
+        v = rng.choice(leaves)
+        n = len(edges) + 1
+        leaves.remove(v)
+        leaves += [n, n + 1]
         edges += [(v, n), (v, n + 1)]
-        n += 2
-    return graph(n, singles=edges)
+    return graph(len(edges) + 1, singles=edges)
+
+
+def structured_instance(rng, grows, b_edges=1):
+    """A random cubic tree, the degree-three part L, whose leaves each send
+    two edges into a set B of degree-four vertices with b_edges plain edges
+    inside B.  The tree grows once more when B's degrees would not come out
+    even.  With one B-edge the whole graph has rho_s = -2 and discharges to a
+    structured level with ell = 1 and e'(B) = 1."""
+    T = random_cubic_tree(rng, grows + (grows + b_edges) % 2)
+    leaves = [v for v in range(T.n) if T.nsize(v) == 1]
+    slots = [T.n + b for b in range((len(leaves) + b_edges) // 2) for _ in range(4)]
+    while True:
+        rng.shuffle(slots)
+        pairs = list(zip(slots[::2], slots[1::2]))
+        inside = pairs[len(leaves):]
+        if all(a != b for a, b in pairs) and len({frozenset(e) for e in inside}) == b_edges:
+            break
+    singles = [(u, v) for u, v, _ in T.edges] + inside
+    singles += [(w, b) for w, pair in zip(leaves, pairs) for b in pair]
+    return graph(T.n + len(slots) // 4, singles=singles)
 
 
 def test_tree_split_random():
@@ -447,6 +467,116 @@ def test_finish_structured_colors():
         out = finish_structured(G, discharge_classify(G))
         assert isinstance(out, Colored)
         assert validate_coloring(G, out.coloring) is None
+
+
+def _recursive_engine(G, Lset, F_B):
+    """The structured endgame's own search before it ran on the oracle's:
+    a rollback union-find seeded with the F-components of G[B], and a
+    recursive place over the same vertex order.  Returns an I-set or None."""
+    I_B = [v for v in range(G.n) if v not in Lset and v not in F_B]
+    i_b_set = set(I_B)
+    croot = {}
+    for v in sorted(F_B):
+        if v in croot:
+            continue
+        croot[v] = v
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for y in G.adj[x]:
+                if y in F_B and y not in croot and G.kind_of(x, y) != GADGET:
+                    croot[y] = v
+                    stack.append(y)
+    parent = {("b", r): ("b", r) for r in set(croot.values())}
+    trail = []
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = root(a), root(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+        trail.append(ra)
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            ra = trail.pop()
+            parent[ra] = ra
+
+    order = []
+    for comp in solver._l_components(G, Lset):
+        stack = [comp[0]]
+        seen = {comp[0]}
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y in sorted(G.adj[x], reverse=True):
+                if y in Lset and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    side = {}
+
+    def place(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        if not any(u in i_b_set or side.get(u) == I_SIDE for u in G.adj[v]):
+            side[v] = I_SIDE
+            if place(i + 1):
+                return True
+            del side[v]
+        mark = len(trail)
+        parent[v] = v
+        ok = True
+        for u in G.adj[v]:
+            target = ("b", croot[u]) if u in F_B else u if side.get(u) == F_SIDE else None
+            if target is not None and not union(v, target):
+                ok = False
+                break
+        if ok:
+            side[v] = F_SIDE
+            if place(i + 1):
+                return True
+            del side[v]
+        undo(mark)
+        del parent[v]
+        return False
+
+    if not place(0):
+        return None
+    return set(I_B) | {v for v in order if side[v] == I_SIDE}
+
+
+def test_endgame_engine_matches_the_recursive_search():
+    # every candidate split of small structured inputs, gadget variants
+    # (step-9 levels) and an obstruction, where no split extends over L
+    rng = random.Random(25)
+    graphs = [
+        instance_a(),
+        instance_b(),
+        instance_c(),
+        instance_b().set_kind(8, 9, GADGET),
+        instance_c().set_kind(16, 17, GADGET).set_kind(18, 19, GADGET),
+    ]
+    graphs += [structured_instance(rng, rng.randint(1, 6), rng.randint(1, 4)) for _ in range(60)]
+    colored = blocked = 0
+    for G in graphs:
+        rep = discharge_classify(G)
+        for F_B in solver._candidate_fb(G, rep):
+            want = _recursive_engine(G, rep.L, F_B)
+            got = solver._endgame_engine(G, rep.L, F_B)
+            if want is None:
+                assert got is None
+                blocked += 1
+            else:
+                assert got is not None and got.i_set == want
+                colored += 1
+    assert colored > 500 and blocked > 50
 
 
 def test_finish_structured_needs_frame():
@@ -1317,6 +1447,30 @@ def test_a_chain_of_blocks_needs_no_deeper_stack(driver):
     finally:
         sys.setrecursionlimit(old)
     assert isinstance(out, Colored)
+
+
+def test_structured_endgame_needs_no_deeper_stack():
+    # a 1,004-vertex tree over 252 degree-four vertices reaches the
+    # structured endgame at level 0; its tree split and its exhaustive
+    # search once took one frame per step or per tree vertex
+    G = structured_instance(random.Random(500), 500)
+    rep = discharge_classify(G)
+    F_B = next(solver._candidate_fb(G, rep))
+    T = random_cubic_tree(random.Random(2_000), 1_998)
+    leaves = [v for v in range(T.n) if T.nsize(v) == 1]
+    trace = []
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        out = color_simple(G, trace=trace)
+        S = tree_split(T, leaves[1:], leaves[:1])
+        col = solver._endgame_engine(G, rep.L, F_B)
+    finally:
+        sys.setrecursionlimit(old)
+    assert G.n == 1_256 and len(rep.L) == 1_004 and "10 structured endgame" in trace
+    assert isinstance(out, Colored) and validate_coloring(G, out.coloring) is None
+    assert len(leaves) == 2_000 and set(leaves[1:]) <= S and leaves[0] not in S
+    assert col is not None and validate_coloring(G, col) is None
 
 
 def test_agreement_with_oracle():
