@@ -363,17 +363,21 @@ def induced_subgraph(G: Graph, W) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(table), rec, pre), table
 
 
-def induced_cycles(G: Graph, allowed):
-    """Induced cycles of length 3 and 5 with every vertex in `allowed`.
+def induced_cycles(G: Graph, allowed, lengths=(3, 5)):
+    """Induced cycles of each length in `lengths` (3, 5 or both) with every
+    vertex in `allowed`.
 
     Triangles come first, as (u, v, w) with u < v < w in edge-record order;
     then five-cycles, each once as (a, b, c, d, e) with a its smallest vertex
     and b < e, in order of a.  Any edge record counts as adjacency."""
-    for u, v, _ in G.edges:
-        if u in allowed and v in allowed:
-            for w in G.adj[u]:
-                if w > v and w in allowed and G.kind_of(v, w) is not None:
-                    yield (u, v, w)
+    if 3 in lengths:
+        for u, v, _ in G.edges:
+            if u in allowed and v in allowed:
+                for w in G.adj[u]:
+                    if w > v and w in allowed and G.kind_of(v, w) is not None:
+                        yield (u, v, w)
+    if 5 not in lengths:
+        return
     for a in sorted(allowed):
         for b in G.adj[a]:
             if b <= a or b not in allowed:

@@ -52,13 +52,15 @@ feasible again, and augmenting it until no path is left gives a max flow of
 the new instance.  potential hands back the same hypergraph object for
 repeated builds on one graph, so a driver's entry screen and the first level
 scan of a graph that does not peel share one record, and the scan's first
-instance starts from the screen's last flow.  An instance on the pins of a
-maximal flow runs none: its set, in any mode, is read off the network.
-Nothing read from the flow depends on which max flow it is, as below, so
-every W and value is the one a flow from zero would give.  An instance
-empties its thread's memo while it changes the network, so one cut short
-(an exception, an interrupt) leaves no record that disagrees with its
-network, and the next ask builds the network afresh.
+instance starts from the screen's last flow; when the deficit certificate
+(below) settles the screen, the scan's first instance builds the record.
+An instance on the pins of a maximal flow runs none: its set, in any mode,
+is read off the network.  Nothing read from the flow depends on which max
+flow it is, as below, so every W and value is the one a flow from zero
+would give.  An instance empties its thread's memo while it changes the
+network, so one cut short (an exception, an interrupt) leaves no record
+that disagrees with its network, and the next ask builds the network
+afresh.
 
 The warm flow starts from a greedy flow: one pass over the hyperedges e,
 and for each member v in head[e] order, push as much as both s->v and e->t
@@ -147,10 +149,25 @@ least value of all open ones.  The cutoff never changes an answer below the
 threshold: if the window minimum is rho(X) < below, every branch taken up to
 and including the answer ranks no higher than the answer, so its value is at
 most rho(X) < below, and the search takes the same branches and returns the
-same W as without the cutoff.  A screen for a nonempty set below a negative
-floor (both drivers' floors are) runs the warm flow alone.  The root's value
-is the unconstrained minimum.  If it is below the floor, the root's set is
-not empty, since rho(empty set) = 0, so it lies in the window and is the
+same W as without the cutoff.
+
+A nonpositive `below` is first tried against the deficit certificate,
+which builds no network and runs no flow.  By the identity of
+potential.deficits, 2 rho(X) >= N for every subset X, the empty one
+included, where N is the sum of the negative deficits c(v) = 2w(v) - the
+sum over the edges e at v of 2w(e)/|e|.  N is summed exactly (ints for
+pair edges with int weights, Fractions otherwise), so N/2 is a lower bound
+on the window minimum, whatever the window; when N/2 >= below the search
+returns (None, N/2), which meets the contract below <= value <= the window
+minimum.  N <= 0, so a positive cutoff never fires.  On a cubic graph every
+c(v) is 0 under rho_m and 1 under rho_s, so both drivers' entry screens are
+settled here.  A settled query leaves the memo alone: the next ask on H
+builds the warm record itself.
+
+Otherwise a screen for a nonempty set below a negative floor (both
+drivers' floors are) runs the warm flow alone.  The root's value is the
+unconstrained minimum.  If it is below the floor, the root's set is not
+empty, since rho(empty set) = 0, so it lies in the window and is the
 answer.  Otherwise the search stops at the root, before any set is read:
 the root's rank is rho of its set, which is the warm value less the total
 hyperedge weight, scaled.
@@ -190,7 +207,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 
-from .potential import WeightedHypergraph
+from .potential import WeightedHypergraph, deficits
 
 LARGEST = "largest"
 SMALLEST = "smallest"
@@ -765,16 +782,22 @@ def min_potential_constrained(
 
     With `below` set, a caller that only asks whether some window set has
     rho < below gets the same (W, rho) when one does, and otherwise
-    (None, v) with below <= v <= the window minimum: the search stops at
-    the first branch whose value reaches `below`, and each branch's flow
-    stops once it proves the branch's minimum reaches `below` (module
-    docstring).
+    (None, v) with below <= v <= the window minimum: a nonpositive `below`
+    at or under the deficit bound returns that bound before any network is
+    built, the search stops at the first branch whose value reaches
+    `below`, and each branch's flow stops once it proves the branch's
+    minimum reaches `below` (module docstring).
     """
     n = H.n
     if extremal not in EXTREMAL_MODES:
         raise ValueError(f"unknown extremal mode {extremal!r}")
     if m1 < 0 or m2 < 0 or m1 > n - m2:
         raise ValueError(f"no subset satisfies {m1} <= |W| <= {n} - {m2}")
+    if below is not None and below <= 0:
+        # the deficit certificate: no network, no flow (module docstring)
+        bound = Fraction(sum(x for x in deficits(H) if x < 0), 2)
+        if bound >= below:
+            return None, bound
 
     # best first over branches (forced, banned); see the module docstring
     rec = _warm(H)

@@ -196,31 +196,42 @@ def check_sparse(G: Graph, a, b) -> tuple[bool, frozenset[int] | None]:
 
 
 def _k_colorable(G: Graph, k: int) -> bool:
+    """Whether G has a proper k-coloring: a depth-first search over
+    _search_order, on an explicit stack so that no input is too deep, that
+    tries the colours at each position in increasing order and opens at
+    most one new colour per position."""
     if G.has_gadget:
         raise KindError("chromatic checks do not accept gadget edges")
     order = _search_order(G)
-    color = [-1] * G.n
+    n = len(order)
     adj = G.adj
-
-    def dfs(i: int, used: int) -> bool:
-        if i == len(order):
+    color = [-1] * G.n
+    used = [0] * (n + 1)  # colours in use before each position
+    nxt = [0] * n  # the next colour to try at each position
+    banned = [0] * n  # the colours of each position's placed neighbours
+    i = 0
+    while i >= 0:
+        if i == n:
             return True
-        v = order[i]
-        banned = 0
-        for u in adj[v]:
-            if color[u] >= 0:
-                banned |= 1 << color[u]
-        limit = min(k, used + 1)  # new colors enter in one fixed order
-        for c in range(limit):
-            if banned >> c & 1:
-                continue
-            color[v] = c
-            if dfs(i + 1, max(used, c + 1)):
-                return True
-            color[v] = -1
-        return False
-
-    return dfs(0, 0)
+        c = nxt[i]
+        limit = min(k, used[i] + 1)  # new colors enter in one fixed order
+        while c < limit and banned[i] >> c & 1:
+            c += 1
+        if c == limit:
+            color[order[i]] = -1
+            i -= 1
+            continue
+        color[order[i]] = c
+        nxt[i] = c + 1
+        used[i + 1] = max(used[i], c + 1)
+        i += 1
+        if i < n:
+            nxt[i] = 0
+            banned[i] = 0
+            for u in adj[order[i]]:
+                if color[u] >= 0:
+                    banned[i] |= 1 << color[u]
+    return False
 
 
 def is_4_critical(G: Graph) -> bool:

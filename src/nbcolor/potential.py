@@ -136,6 +136,27 @@ def rho_hyper(H: WeightedHypergraph, X) -> Fraction:
     return total
 
 
+def deficits(H: WeightedHypergraph) -> list:
+    """The deficit c(v) = 2w(v) - sum over the edges e at v of 2w(e)/|e|,
+    for every vertex v of H: ints when every edge is a pair with an int
+    weight (then c(v) = 2w(v) - deg_w(v), deg_w(v) the total debit of v's
+    edges), Fractions otherwise, so the sums below are exact.
+
+    The identity: summed over a set X, c debits an edge e inside X by 2w(e)
+    in all, and an edge that X cuts by 2w(e)|e & X|/|e|, which is positive
+    and less than 2w(e).  So 2 rho(X) = sum_{v in X} c(v) + the sum over the
+    cut edges of 2w(e)|e & X|/|e|, and for pair edges the last sum is the
+    weight w(dX) of X's boundary.  Hence 2 rho(X) >= N, the sum of the
+    negative c(v), for every X, the empty set included (N <= 0), and
+    2 rho(X) >= N + w(e) for any X with a boundary pair edge e."""
+    c = [2 * w for w in H.vertex_weights]
+    for members, w in H.edges:
+        share = w if len(members) == 2 else Fraction(2 * w, len(members))
+        for v in members:
+            c[v] -= share
+    return c
+
+
 # -- graph -> hypergraph reductions ---------------------------------------
 
 

@@ -11,10 +11,14 @@ validated coloring or reports why it cannot:
   Diagnostic         a structural dead end with the step that hit it
 
 The potential screen asks only whether some nonempty subset beats the
-floor, so min_potential stops its search at the floor (`below`): one max
-flow per screen, and the same subset as the exact minimum whenever the
-screen fires.  The flow runs first on a kernel of the hypergraph
-(potential.screen_kernel): a vertex whose credit pays for all its edges
+floor, so min_potential stops its search at the floor (`below`): at most
+one max flow per screen, and the same subset as the exact minimum whenever
+the screen fires.  Both floors are negative, so min_potential first tries
+the deficit certificate (potential.deficits): half the sum of the negative
+deficits is a lower bound on every subset's potential, and when it reaches
+the floor the screen is settled without a network or a flow.  A cubic
+graph is settled so under either potential.  The query runs first on a
+kernel of the hypergraph (potential.screen_kernel): a vertex whose credit pays for all its edges
 goes, and so does one whose credit pays for each of its two edges, which
 become one edge of their combined weight less that credit.  Neither rule
 changes the nonempty minimum where it is negative, and both floors are,
@@ -63,7 +67,7 @@ peeled core, so the stack grows by a few frames per split level.  The
 benchmark corpora, and cubic graphs, prisms and Moebius ladders of up to 400
 vertices, stay within 36 Python frames below the driver call, but a chain of
 250 Petersen graphs joined by 3-vertex paths splits at every block and
-raises RecursionError in either driver (ROADMAP item 4).  Apart from the
+raises RecursionError in either driver (ROADMAP item 1).  Apart from the
 workers' own recursion, no stack depth grows with the input: the structured
 endgame's tree split is a loop and its exhaustive search is the oracle's
 iterative one, so a structured level of 5,006 vertices colors within the
@@ -82,7 +86,9 @@ pins it drops and raising the two it adds, which gives the same subsets a
 flow from zero would.  On a graph that neither splits nor peels, the level-0
 scan gets the entry screen's hypergraph object back (potential memoises its
 latest build), so it reuses the screen's warm network and its first instance
-starts from the warm flow, the only flow the screen runs.  The sweep asks
+starts from the warm flow, the only flow the screen runs; a screen that the
+deficit certificate settled built no network, and the scan's first instance
+builds it and runs the warm flow.  The sweep asks
 each pair once, under LARGEST, with the band's top plus one as the cutoff
 (`below`), so a pair above the band stops its flow as soon as the flow's
 value proves it, and a pair whose value lies in the band runs its flow to
@@ -93,18 +99,19 @@ compare it to the band.
 
 The simple worker's step 3 acts only on a window set of potential at most
 0, and one linear pass over the level's hypergraph often proves there is
-none (_deficit_bound).  Put c(v) = 2w(v) - deg_w(v), with deg_w(v) the
-total debit of v's edges.  The sum of c over X debits each edge inside X
-twice and each boundary edge once, so 2 rho(X) = sum_{v in X} c(v) +
-w(dX).  A level is connected once _open is done, so every proper nonempty
-X has a boundary edge and 2 rho(X) is at least the sum of the negative c(v)
-plus the least edge debit; when that is positive every window set has rho
->= 1, and step 3 cannot act.  Such a level (every cubic one: c(v) = 1
-throughout) skips the scan at step 3 and runs it at step 5, only when step
-4 has not returned.  It is the scan step 3 would have run, from the same
-warm flow, since step 4 runs no flow before it returns or falls through,
-and its in-band witness is canonical, so no answer and no trace line
-changes; a level where the bound fails scans at step 3, as before.  The
+none (_deficit_bound).  It reads the deficits c(v) = 2w(v) - deg_w(v) of
+potential.deficits, whose identity 2 rho(X) = sum_{v in X} c(v) + w(dX)
+also settles the entry screens.  A level is connected once _open is done,
+so every proper nonempty X has a boundary edge and 2 rho(X) is at least
+the sum of the negative c(v) plus the least edge debit; when that is
+positive every window set has rho >= 1, and step 3 cannot act.  Such a
+level (every cubic one: c(v) = 1 throughout) skips the scan at step 3 and
+runs it at step 5, only when step 4 has not returned.  It is the scan step
+3 would have run, from the same warm flow, since step 4 runs no flow before
+it returns or falls through, and its in-band witness is canonical, so no
+answer and no trace line changes; a level where the bound fails scans at
+step 3, as before.  Step 4 lists the level's induced triangles alone; the
+five-cycles are listed at step 6, the only step that reads them.  The
 multigraph worker has no such pass: there a bridge already gives rho = 1,
 inside its band.
 
@@ -116,6 +123,7 @@ family is not constructively enumerable.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -148,6 +156,7 @@ from .potential import (
     RHO_M,
     RHO_S,
     KindError,
+    deficits,
     hypergraph_for_rho_m,
     hypergraph_for_rho_s,
     rho_m,
@@ -369,18 +378,12 @@ def _deficit_bound(H) -> bool:
     X of H, the hypergraph of a graph potential (pair edges, int weights) on
     a connected graph.
 
-    Put c(v) = 2w(v) - deg_w(v), with deg_w(v) the total debit of v's edges.
-    The sum of c over X debits each edge inside X twice and each edge of the
-    boundary dX once, so 2 rho(X) = sum_{v in X} c(v) + w(dX).  A proper
-    nonempty X of a connected graph has a boundary edge, so 2 rho(X) is at
-    least the sum of the negative c(v) plus the least edge debit; when that
-    is positive, the integer rho(X) is at least 1."""
-    c = [2 * w for w in H.vertex_weights]
-    for members, w in H.edges:
-        for v in members:
-            c[v] -= w
+    A proper nonempty X of a connected graph has a boundary edge, so by the
+    deficit identity (potential.deficits) 2 rho(X) is at least the sum of
+    the negative deficits plus the least edge debit; when that is positive,
+    the integer rho(X) is at least 1."""
     least = min((w for _, w in H.edges), default=0)
-    return sum(x for x in c if x < 0) + least > 0
+    return sum(x for x in deficits(H) if x < 0) + least > 0
 
 
 def _closure(G: Graph, W, absorbs: str, room: int) -> frozenset[int]:
@@ -420,8 +423,16 @@ def _tree_split_adj(adj: dict, s_in: set, s_out: set) -> set:
     """tree_split on an adjacency dict of sets, consuming adj, s_in and
     s_out.  Each step takes the smallest non-leaf with exactly two leaf
     neighbours (a cherry) and removes its two leaves, and with them itself
-    when both go into S, until at most three leaves are left.  Finding the
-    cherry scans the whole dict, so a tree of n vertices costs O(n^2)."""
+    when both go into S, until at most three leaves are left.
+
+    The cherries wait in a heap of vertex ids, checked when popped, so a
+    tree of n vertices costs O(n log n).  A vertex's cherry status reads
+    only its own neighbours and which of them are leaves, and a step
+    changes those for three vertices at most: v itself, which becomes a
+    leaf or goes, the neighbour x it keeps when it becomes a leaf, and the
+    two ends a, b of the edge that replaces x when v and x go.  The step
+    pushes x, or a and b, so every cherry is in the heap, and the least
+    entry that passes the check is the smallest cherry."""
     leaves = {v for v, nb in adj.items() if len(nb) <= 1}
     for v, nb in adj.items():
         if v not in leaves and len(nb) != 3:
@@ -433,13 +444,17 @@ def _tree_split_adj(adj: dict, s_in: set, s_out: set) -> set:
     # each step keeps the tree's shape and the parity of s_out, so the
     # checks above hold for every smaller tree too
     S: set = set()
+
+    def cherry(v) -> bool:
+        return v in adj and v not in leaves and sum(1 for u in adj[v] if u in leaves) == 2
+
+    heap = [v for v in adj if cherry(v)]
+    heapq.heapify(heap)
     while len(leaves) > 3:
         # a tree with four or more leaves and no degree-two vertex has a cherry
-        v = min(
-            v
-            for v, nb in adj.items()
-            if v not in leaves and sum(1 for u in nb if u in leaves) == 2
-        )
+        v = heapq.heappop(heap)
+        if not cherry(v):
+            continue
         w1, w2 = sorted(u for u in adj[v] if u in leaves)
         both_out = (w1 in s_out) + (w2 in s_out)
         del adj[w1], adj[w2]
@@ -449,6 +464,7 @@ def _tree_split_adj(adj: dict, s_in: set, s_out: set) -> set:
             leaves.add(v)
             s_in.add(v)
             s_out -= {w1, w2}
+            heapq.heappush(heap, next(iter(adj[v])))
         elif both_out == 1:
             out_leaf = w1 if w1 in s_out else w2
             in_leaf = w2 if out_leaf == w1 else w1
@@ -457,6 +473,7 @@ def _tree_split_adj(adj: dict, s_in: set, s_out: set) -> set:
             s_out.discard(out_leaf)
             s_out.add(v)
             S.add(in_leaf)
+            heapq.heappush(heap, next(iter(adj[v])))
         else:
             # both leaves forced inside: drop them with v, and suppress v's
             # third neighbour x, which was interior and loses only v
@@ -466,6 +483,8 @@ def _tree_split_adj(adj: dict, s_in: set, s_out: set) -> set:
             adj[b] = (adj[b] - {x}) | {a}
             s_in -= {w1, w2}
             S |= {w1, w2}
+            heapq.heappush(heap, a)
+            heapq.heappush(heap, b)
     if len(leaves) == 2:
         S |= s_in
     elif len(leaves) == 3:
@@ -1298,8 +1317,7 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
         and G.nsize(v) == 3
         and all(G.kind_of(v, u) == SINGLE for u in G.adj[v])
     )
-    cycles = list(induced_cycles(G, Lset))
-    c3 = min((c for c in cycles if len(c) == 3), default=None)
+    c3 = min(induced_cycles(G, Lset, (3,)), default=None)
     if c3 is not None:
         zs = _attachments(G, c3)
         if len(set(zs)) == 1:
@@ -1322,7 +1340,7 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
             return out
 
     # step 6: five-cycles in the degree-three part
-    c5 = min((c for c in cycles if len(c) == 5), default=None)
+    c5 = min(induced_cycles(G, Lset, (5,)), default=None)
     if c5 is not None:
         pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
         out = _cycle_device_route(G, ctx, depth, c5, pairs, "6")
@@ -1723,9 +1741,13 @@ def _drive(G: Graph, ctx: _Ctx, hyper, spec: Spec, worker) -> Outcome:
     vertices and leaves a single vertex to the base (at a brute threshold
     of 1 or more).  So level 0 peels, splits or ends in the base, and no
     scan asks for G's hypergraph.  An empty K fires on nothing and runs no
-    flow.  Each screen passes the floor as `below`, so it runs the warm
-    flow alone.  When r beats the floor, W is the exact query's set;
-    otherwise W is None and r only a bound at least the floor
+    flow.  Each screen passes the floor as `below`.  min_potential then
+    settles it with no network when the deficit bound of K reaches the
+    floor (a cubic graph, or a long sparse graph whose kernel is the
+    Petersen graph), and otherwise runs the warm flow alone.  Either way the screen is one
+    min_potential_constrained call, and a settled one leaves the warm
+    record to the level-0 scan.  When r beats the floor, W is the exact
+    query's set; otherwise W is None and r only a bound at least the floor
     (min_potential module docstring)."""
     if G.n == 0:
         return Colored(Coloring(()))

@@ -23,7 +23,7 @@ from nbcolor.min_potential import (
     min_potential_subset,
 )
 from nbcolor.graph_core import FP, SINGLE, UNCOLORED, normalize
-from nbcolor.potential import hypergraph, hypergraph_for_rho_m, hypergraph_for_rho_s, rho_hyper
+from nbcolor.potential import WeightedHypergraph, deficits, hypergraph, hypergraph_for_rho_m, hypergraph_for_rho_s, rho_hyper
 
 
 # worked example: six vertices u..z with the two-triangle-plus-tail shape
@@ -59,6 +59,16 @@ def test_worked_example_network_cut():
     assert value == 31
     W = {v for v in range(WORKED.n) if aux.vertex_node[v] not in reach}
     assert W == {0, 1, 2, 3}
+
+
+def _deficit_floor(H):
+    """Half the sum of the negative deficits, from the weights directly:
+    each vertex's weight less an equal share of each edge it lies in."""
+    share = [Fraction(w) for w in H.vertex_weights]
+    for members, w in H.edges:
+        for v in members:
+            share[v] -= Fraction(w) / len(members)
+    return sum((x for x in share if x < 0), Fraction(0))
 
 
 def random_hypergraph(rng, max_n=7, max_edges=10, max_w=12):
@@ -504,6 +514,55 @@ def test_cutoff_matches_enumeration():
     assert kept == cut >= 1000 and early >= 50
 
 
+def test_deficit_cutoff_matches_enumeration(monkeypatch):
+    # A nonpositive cutoff at or under the deficit bound N/2 (half the sum
+    # of the negative deficits) is answered (None, N/2) with no network
+    # built; any other cutoff is answered as before.  Pair edges with int
+    # weights (the graph potentials' shape), edges of up to three members,
+    # and Fraction weights, all with zero-weight vertices.
+    built = []
+    build = min_potential.build_aux_network
+    monkeypatch.setattr(min_potential, "build_aux_network", lambda H: built.append(H) or build(H))
+    rng = random.Random(2626)
+    settled = flowed = 0
+    for trial in range(90):
+        shape = trial % 3
+        if shape == 0:
+            n = rng.randint(1, 8)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+            H = WeightedHypergraph(n, tuple(rng.choice((0, 1, 3, 8)) for _ in range(n)), tuple((frozenset(e), rng.choice((2, 4, 5, 11))) for e in pairs))
+        elif shape == 1:
+            H = random_hypergraph(rng, max_n=8, max_edges=12)
+        else:
+            H = _fraction_hypergraph(rng, 8)
+        floor = _deficit_floor(H)
+        assert shape or all(type(c) is int for c in deficits(H))
+        windows = [(m1, m2) for m1, m2 in itertools.product(range(3), repeat=2) if m1 <= H.n - m2]
+        for m1, m2 in rng.sample(windows, min(2, len(windows))):
+            mode = rng.choice((None, LARGEST, SMALLEST))
+            W_low, low = min_potential_enum(H, m1, m2, mode)
+            assert floor <= low
+            for below in {floor - 1, floor - Fraction(1, 2), floor, floor + Fraction(1, 3), low, low + 1, 0, -1}:
+                if below > 0:
+                    continue
+                del built[:]
+                min_potential._memo.record = None
+                W, v = min_potential_constrained(H, m1, m2, mode, below=below)
+                if floor >= below:
+                    assert (W, v) == (None, floor)
+                    assert built == []
+                    settled += 1
+                    continue
+                assert len(built) == 1
+                flowed += 1
+                if low < below:
+                    assert v == low
+                    assert mode is None or W == W_low
+                else:
+                    assert W is None and below <= v <= low
+    assert settled >= 300 and flowed >= 300
+
+
 def _pinned_cut_oracle(H, force, ban, mode, below):
     """min_potential_pinned's answer by enumeration: the uncut one when the
     pinned minimum lies below the threshold, and otherwise (None, below)."""
@@ -840,7 +899,8 @@ def test_unpinned_asks_release_the_pins_before_them(monkeypatch):
     # thresholds) it releases their pins and repairs the flow.  Every
     # unpinned entry point, in all three modes, with and without a cutoff,
     # must give enumeration's answer and the one it gives from an empty
-    # memo, and run at most one flow.
+    # memo, and run at most one flow.  A constrained ask whose cutoff the
+    # deficit bound reaches gives that bound instead, with no flow.
     flows = 0
     kernel = FlowNetwork.max_flow
 
@@ -872,7 +932,8 @@ def test_unpinned_asks_release_the_pins_before_them(monkeypatch):
             for below in (None, *_thresholds(low, fractional)):
                 W, r = _pinned_cut_oracle(H, (), (), mode, below)
                 asks.append((min_potential_pinned, (H, (), (), mode, below), (W, r)))
-                asks.append((min_potential_constrained, (H, 0, 0, mode, below), (W, low)))
+                settled = below is not None and _deficit_floor(H) >= below
+                asks.append((min_potential_constrained, (H, 0, 0, mode, below), (None, _deficit_floor(H)) if settled else (W, low)))
         for ask, args, want in asks:
             empty_memo()
             assert ask(*args) == want, (trial, ask.__name__, args)

@@ -1,5 +1,6 @@
 """Brute-force reference deciders."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,14 @@ def test_4_critical_spot():
     assert not is_4_critical(graph(3, singles=[(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(KindError):
         is_4_critical(graph(2, multis=[(0, 1)]))
+
+
+def test_4_critical_needs_no_deeper_stack():
+    # the colouring search runs on an explicit stack: a path longer than
+    # the default recursion limit is 2-colorable, hence not 4-critical
+    n = 1_500
+    assert sys.getrecursionlimit() < n
+    assert not is_4_critical(graph(n, singles=[(i, i + 1) for i in range(n - 1)]))
 
 
 def test_search_leaves_no_reference_cycles():

@@ -5,7 +5,7 @@ grows with the input comes in unseen.
 The check sees direct self-calls only.  The drivers' workers recurse through
 one another (a worker calls _open, which calls the worker again on a
 component or a peeled core, and _recurse calls it on a reduced child), and
-that mutual recursion, one set of frames per split level, is ROADMAP item 4;
+that mutual recursion, one set of frames per split level, is ROADMAP item 1;
 tests/test_solver.py::test_a_chain_of_blocks_needs_no_deeper_stack marks it.
 """
 
@@ -17,7 +17,6 @@ LIBRARY = sorted((ROOT / "src" / "nbcolor").glob("*.py"))
 
 ALLOWED = {
     "forbidden._extend": "one frame per pattern vertex: at most MEMBER_VERTEX_CAP",
-    "oracle._k_colorable.dfs": "one frame per vertex; only is_4_critical (`nbcolor check 4critical`) runs it",
 }
 
 

@@ -990,12 +990,13 @@ def _lcf(n, shifts):
 def test_unpeeled_graph_builds_one_network(monkeypatch, driver):
     # a cubic graph neither splits nor peels, so the entry screen and the
     # level-0 scan ask for the same G's hypergraph: one network is built
-    # for it, and the scan runs on the screen's hypergraph object, starting
-    # from the screen's warm flow, the only flow the screen runs.  A cubic
-    # level passes the simple worker's deficit bound, so its scan waits for
-    # step 5, which a triangle or induced 4-cycle pre-empts at step 4: the
-    # simple case takes the Tutte-Coxeter graph (girth 8, 30 vertices,
-    # above the brute threshold), whose level 0 reaches step 5
+    # for it, and the scan runs on the screen's hypergraph object.  The
+    # deficit bound settles a cubic graph's screen without a network, so
+    # the scan's first ask builds it.  A cubic level passes the simple
+    # worker's deficit bound, so its scan waits for step 5, which a
+    # triangle or induced 4-cycle pre-empts at step 4: the simple case
+    # takes the Tutte-Coxeter graph (girth 8, 30 vertices, above the brute
+    # threshold), whose level 0 reaches step 5
     G = _random_cubic(8, 24) if driver is color_multigraph else _lcf(30, [-13, -9, 7, -7, 9, 13])
     default_catalog()  # its first build runs flows of its own
     built, scanned = [], []
@@ -1171,12 +1172,27 @@ def test_entry_screen_runs_one_flow(monkeypatch, driver, to_hyper):
     # On a cycle, and on a cubic graph under rho_s, every nonempty set has
     # positive potential, so the union of minimizers is empty and the exact
     # nonempty minimum forces each vertex in turn.  The screen only asks
-    # for a set below the floor and stops after the warm flow.  A cubic
-    # graph is its own screen kernel; a cycle's kernel is empty, so its
-    # screen runs no flow at all.
+    # for a set below the floor.  A cubic graph is its own screen kernel,
+    # and its deficits (0 under rho_m, 1 under rho_s) settle the screen
+    # with no flow; a cycle's kernel is empty, so its screen runs no flow
+    # either.  Where the deficit bound misses the floor, the screen stops
+    # after the warm flow: under rho_m a cubic graph with a chord (two
+    # deficits of -2) and, to keep the full-set potential at the floor,
+    # one edge subdivided, which the kernel merges back; under rho_s a
+    # cubic graph with one F-tagged vertex (deficit -9), its own kernel.
     screens = _entry_screen_flows(monkeypatch)
     limit = sys.getrecursionlimit()
-    for G, expected in ((_random_cubic(11, 60), [1]), (_cycle(5000), [])):
+    cubic = _random_cubic(11, 60)
+    if driver is color_multigraph:
+        p = 0
+        q = min(v for v in range(1, 60) if v not in cubic.adj[p])
+        near = {p, q, *cubic.adj[p], *cubic.adj[q]}
+        u, v, _ = next(e for e in cubic.edges if not {e[0], e[1]} & near)
+        edges = [e for e in cubic.edges if e[:2] != (u, v)]
+        missed = normalize(61, edges + [(p, q, SINGLE), (u, 60, SINGLE), (v, 60, SINGLE)])
+    else:
+        missed = cubic.with_precolor(0, FP)
+    for G, expected in ((cubic, [0]), (_cycle(5000), []), (missed, [1])):
         assert isinstance(driver(G), Colored)
         assert screens == expected
         screens.clear()
@@ -1433,7 +1449,7 @@ def _stack_depth():
     return depth
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="each split level adds worker frames (ROADMAP item 4)")
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="each split level adds worker frames (ROADMAP item 1)")
 @pytest.mark.parametrize("driver", [color_multigraph, color_simple], ids=["multi", "simple"])
 def test_a_chain_of_blocks_needs_no_deeper_stack(driver):
     # 200 frames above this test's own stack hold a chain of 40 blocks but
@@ -1569,7 +1585,8 @@ PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
 PETERSEN += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
 # a cubic graph with one extra edge, (1, 2), found by densifying a seeded
 # random cubic graph while the simple floor and the catalog screen held:
-# full-set simple potential 0, so the entry screen settles in one flow
+# full-set simple potential 0, and the deficit bound of its two degree-four
+# vertices is the floor, so the entry screen settles without a flow
 DENSE10 = [(0, 7), (0, 8), (0, 9), (1, 2), (1, 3), (1, 5), (1, 9), (2, 4), (2, 6),
            (2, 7), (3, 4), (3, 6), (4, 5), (5, 6), (7, 8), (8, 9)]
 
@@ -1635,11 +1652,19 @@ def test_peel_rebuilds_and_validates_a_constant_number_of_times(monkeypatch):
     assert calls == {"induced_subgraph": 1, "validate_coloring": 2}
 
 
+# PETERSEN with the chord (0, 2) and its edge (6, 8) subdivided by vertex
+# 10: the chord's ends have multigraph deficit -2 each, so the deficit
+# bound N/2 = -2 misses the floor -1
+PETERSEN_CHORD = [e for e in PETERSEN if e != (6, 8)] + [(0, 2), (6, 10), (8, 10)]
+
+
 def test_long_sparse_entry_builds_no_whole_hypergraph(monkeypatch):
     # the entry kernel reads G.edges, and a kernel that reduces means the
-    # level-0 peel runs, so the whole graph's hypergraph is never built:
-    # the one network is the kernel's, and the core goes to brute force
-    G = hung_on(PETERSEN, 10, 5_000, chains=5, chain_len=100)
+    # level-0 peel runs, so the whole graph's hypergraph is never built,
+    # and the core goes to brute force.  On a Petersen core the kernel is
+    # the Petersen graph, whose deficits are all 0, so the deficit bound
+    # settles the screen and no network is built at all.  On the chorded
+    # core the bound fails, and the one network is the 10-vertex kernel's
     default_catalog()  # its first build runs flows of its own
     hypers, networks = [], []
     hyper, build = solver.hypergraph_for_rho_m, min_potential.build_aux_network
@@ -1650,10 +1675,13 @@ def test_long_sparse_entry_builds_no_whole_hypergraph(monkeypatch):
 
     monkeypatch.setattr(solver, "hypergraph_for_rho_m", lambda G: hypers.append(G.n) or hyper(G))
     monkeypatch.setattr(min_potential, "build_aux_network", counting_build)
-    out = color_multigraph(G)
-    assert isinstance(out, Colored)
-    assert hypers == []
-    assert networks and max(networks) <= 30
+    for core, core_n, expected in ((PETERSEN, 10, []), (PETERSEN_CHORD, 11, [10])):
+        G = hung_on(core, core_n, 5_000, chains=5, chain_len=100)
+        out = color_multigraph(G)
+        assert isinstance(out, Colored)
+        assert hypers == []
+        assert networks == expected
+        networks.clear()
 
 
 def test_driver_rejects_an_invalid_base_coloring(monkeypatch):
