@@ -1,17 +1,36 @@
 """Minimum-potential subsets via max-flow.
 
-The reduction: a network with source s, sink t, one node per hypergraph
-vertex, one node per hyperedge.  Arcs s->v with capacity w_v, f->t with
-capacity w_f, and v->f with infinite capacity whenever v sits in f.  A
-minimum s-t cut corresponds to the subset W of vertices on its sink side, and
-its weight equals rho(W) plus the total hyperedge weight, so a max-flow
-computation finds a minimizer of rho.
+The reduction is a cut function on the vertices (Goldberg, *Finding a
+maximum density subgraph*, UCB/CSD-84-171, 1984), read off the deficit
+identity of potential.deficits.  Clear the weights' denominators by L, so
+that every weight is an integer, and put c(v) = 2L w(v) - the sum of
+L w(e) over the pair edges e at v - the sum of 2L w(e) over the singleton
+edges {v}.  A pair edge {u, v} inside X is debited 2L w(e) by 2L rho(X),
+and c charges half of that to each end, so summing c over X charges it in
+full, and charges a pair edge that X cuts L w(e), which rho does not debit;
+a singleton inside X is charged in full by c alone.  So 2L rho(X) =
+sum_{v in X} c(v) + the sum of L w(e) over the pair edges X cuts - the sum
+of 2L w(e) over the larger edges inside X.
+
+The network has a source s, a sink t and one node per vertex.  Every
+vertex v has arcs s->v of capacity max(c(v), 0) and v->t of capacity
+max(-c(v), 0), so exactly one of them is cut, and the one cut costs
+c(v) + max(-c(v), 0) when v lies on the sink side and max(-c(v), 0) when it
+does not.  Every pair edge {u, v} is an arc u->v and an arc v->u, each of
+capacity L w(e), so exactly one is cut when the edge crosses.  Only an edge
+f of three or more members keeps a node of its own, with an arc f->t of
+capacity 2L w(f) and an infinite arc v->f from each member v: f can sit on
+the sink side, uncut, only when all its members do.  So a minimum s-t cut
+picks the subset X of vertices on its sink side, and its weight is
+rho(X) * scale + offset, with scale = 2L and offset = the sum of the
+max(-c(v), 0) plus the sum of the 2L w(f): a max-flow computation finds a
+minimizer of rho.  No node stands for a pair or a singleton edge, so the
+graph potentials' networks have n + 2 nodes.
 
 All arithmetic is integer.  The hypergraphs of the two graph potentials
-carry int weights, so their networks take the weights as they are (scale
-1); a hypergraph with Fraction weights has its denominators cleared once,
-when its network is built.  A Fraction is built only for the value handed
-back to the caller.
+carry int weights (L = 1, scale 2); a hypergraph with Fraction weights has
+its denominators cleared once, when its network is built.  A Fraction is
+built only for the value handed back to the caller.
 
 The nodes that can reach t in the residual graph of any maximum flow form
 the smallest sink side of a minimum cut, and the nodes s cannot reach form
@@ -22,54 +41,64 @@ vertex part is a minimizer, so the two node sets give the intersection and
 the union of all minimizers: the unique SMALLEST and LARGEST sets.  So one
 plain network and one max flow serve every mode.
 
-Membership constraints are terminal arcs.  Besides its s->v arc, every vertex
-has a v->t arc of capacity zero.  Banning v raises its s->v arc by the
-network's infinite capacity, so v stays on the source side; forcing v raises
-its v->t arc, so v stays on the sink side.  Infinite is one more than the
-sum of all finite capacities, so no minimum cut crosses a raised arc, and
-over the subsets that honour the constraints the cut weight is the
-unconstrained one, rho(W) plus the total hyperedge weight: a raised arc is
-never cut, and a hyperedge through a banned vertex stays on the source side
-and is cut, as it is whenever it is not inside W.
+Membership constraints are terminal arcs.  Banning v raises its s->v arc by
+the network's infinite capacity, so v stays on the source side; forcing v
+raises its v->t arc, so v stays on the sink side.  Infinite exceeds every
+finite cut (below), so no minimum cut crosses a raised arc, and over the
+subsets that honour the constraints the cut weight is the unconstrained
+one: a raised arc is never cut, and an edge node through a banned vertex
+stays on the source side and is cut, as it is whenever its edge is not
+inside the set.
 
 Warm start (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989): each thread
 keeps one record, for the latest hypergraph it solved on: its network, the
-value of its unconstrained max flow (the warm flow), and the pins and value
-of the flow the network holds now.  Every ask is one instance on that
-network, and an unpinned one is no exception: on a fresh record it reads the
-warm flow, and after pinned instances it releases their pins like any other
-instance.  An instance changes the flow in place, and the next one starts
-from the flow it leaves.  Raising the arcs it adds keeps the flow feasible.
+value of its unconstrained max flow (the warm flow), the pins and value of
+the flow the network holds now, and the shift, the amount by which released
+pins have raised every cut.  Every ask is one instance on that network, and
+an unpinned one is no exception: on a fresh record it reads the warm flow,
+and after pinned instances it releases their pins like any other instance.
+An instance changes the flow in place, and the next one starts from the
+flow it leaves.  Raising the arcs it adds keeps the flow feasible.
 Releasing an arc the previous instance raised lowers its capacity by
-infinite, and its flow may then exceed the capacity; the excess is cancelled
-along paths s->v->t and s->v->e->t.  v's only in-arc is s->v, so a released
-v->t carries no more than s->v does, and lowering both by the excess keeps v
-balanced.  A released s->v carried no more than v's out-arcs
-(v->t and the arcs v->e) carry together, so the excess can be taken off
-those, and each unit taken off v->e is also taken off e->t, whose flow is
-the sum over e's in-arcs.  Every other capacity only rose, so the flow is
-feasible again, and augmenting it until no path is left gives a max flow of
-the new instance.  potential hands back the same hypergraph object for
-repeated builds on one graph, so a driver's entry screen and the first level
-scan of a graph that does not peel share one record, and the scan's first
-instance starts from the screen's last flow; when the deficit certificate
-(below) settles the screen, the scan's first instance builds the record.
-An instance on the pins of a maximal flow runs none: its set, in any mode,
-is read off the network.  Nothing read from the flow depends on which max
-flow it is, as below, so every W and value is the one a flow from zero
-would give.  An instance empties its thread's memo while it changes the
-network, so one cut short (an exception, an interrupt) leaves no record
-that disagrees with its network, and the next ask builds the network
-afresh.
+infinite, and its flow may then exceed the capacity by some r > 0.  The
+release moves no flow: it raises both of v's terminal arcs by r (Kohli &
+Torr, IEEE TPAMI 2007), so the released arc carries exactly its capacity
+and the other has r to spare, and the flow is feasible again, with the
+same value.  Every cut crosses exactly one of v's terminal arcs, so every
+cut rises by r, and the minimizers are unchanged.  The record adds r to its
+shift, so a release costs O(1) whatever the flow through v.  Every other
+capacity only rose, and augmenting the flow until no path is left gives a
+max flow of the new instance, whose cut of X is rho(X) * scale + offset +
+shift.  The value of the warm flow is read before any shift.
 
-The warm flow starts from a greedy flow: one pass over the hyperedges e,
-and for each member v in head[e] order, push as much as both s->v and e->t
-still carry along s->v->e->t.  v->e is infinite, so this flow is feasible,
-and Dinic's algorithm then augments it to a maximum flow; every set and value
-below is read off a maximum flow and none depends on which one it is, so the
-answers are those of a flow from zero.  On long sparse graphs the greedy
-flow carries about 98 % of the warm value, and on cubic ones 93-96 %, so
-Dinic runs few phases over the whole network.  Dinic measures its level
+Infinite is (F + 1) << _HEADROOM, F the sum of the finite capacities at
+build time.  A shift adds to each cut, and the cut of the forced set, which
+honours every pin, is at most F + shift; so while F + shift < infinite, a
+minimum cut crosses no raised arc and no flow reaches infinite.  An instance
+whose releases would bring F + shift to infinite discards the network and
+rebuilds its record in place: a fresh network, its warm flow, and no pins,
+from which the instance raises its own.  The headroom is 2^24 times the
+finite capacities, and a release adds at most the flow through one vertex,
+so the rebuild is a guard: on the benchmark's workloads the shift stays
+below a millionth of the headroom.
+
+potential hands back the same hypergraph object for repeated builds on one
+graph, so a driver's entry screen and the first level scan of a graph that
+does not peel share one record, and the scan's first instance starts from
+the screen's last flow; when the deficit certificate (below) settles the
+screen, the scan's first instance builds the record.  An instance on the
+pins of a maximal flow runs none: its set, in any mode, is read off the
+network.  Nothing read from the flow depends on which max flow it is, as
+below, so every W and value is the one a flow from zero would give.  An
+instance empties its thread's memo while it changes the network, so one cut
+short (an exception, an interrupt) leaves no record that disagrees with its
+network, and the next ask builds the network afresh.
+
+The warm flow is Dinic's algorithm from zero, with no greedy start.  Where
+every deficit is nonnegative, as on a cubic level under either potential
+(c = 0 under rho_m, 1 under rho_s) and on the Petersen core a long sparse
+graph's entry kernel leaves, no arc into t has capacity, so the warm flow
+is 0 and Dinic stops after one search from t.  Dinic measures its level
 graph from the sink (the distance labels of Goldberg & Tarjan, J. ACM 1988):
 each phase labels nodes by their residual distance d to t, and the
 blocking-flow search follows only arcs u->v with d(v) = d(u) - 1.  Every
@@ -83,12 +112,12 @@ zero is plain Dinic.
 
 A pinned instance repairs the flow it starts from instead of running Dinic
 over the whole network (compare Goldberg, Hed, Kaplan, Tarjan & Werneck, ESA
-2011, and Kohli & Torr, IEEE TPAMI 2007).  The record keeps open-arc sets, a
-superset of the terminal arcs with residual capacity: the warm flow's open
-ones, listed when the first pinned instance runs, plus every terminal arc an
-instance opens.  An instance opens the s->u arcs of the vertices it bans and
-the v->t arcs of those it forces, and a release opens the arcs it takes flow
-back off: s->v, e->t (through head[e][0]) and v->t.  An augmenting path is
+2011).  The record keeps open-arc sets, a superset of the terminal arcs with
+residual capacity: the warm flow's open ones, listed when the first pinned
+instance runs, plus every terminal arc an instance opens.  An instance opens
+the s->u arcs of the vertices it bans and the v->t arcs of those it forces,
+and a release opens the terminal arc it raises without pinning: v->t when
+it releases a ban on v, s->v when it releases a force.  An augmenting path is
 simple, so it never enters s or leaves t: it lowers the residual of its
 first and last arcs and reopens no terminal arc, so the sets stay a
 superset, and a search drops the arcs it finds closed.  Every augmenting
@@ -98,11 +127,11 @@ augmented one path at a time, each path adding at least one unit of integer
 capacity, until no path is left or the cutoff below is reached.  The search
 runs from both ends and meets in the middle, labelling the nodes near the
 arcs it starts from, not the whole network.  On the simple driver's networks
-about a quarter of the source arcs stay open after the warm flow, so a set
-larger than the other side's and than _SEED_CAP is not scanned once per
-path: the search runs from the other side alone, and meets s or t by an O(1)
-check of each labelled node's own terminal arc.  The path searches keep no
-labels between calls.
+most source arcs stay open after the warm flow (on a cubic level, all of
+them), so a set larger than the other side's and than _SEED_CAP is not
+scanned once per path: the search runs from the other side alone, and meets
+s or t by an O(1) check of each labelled node's own terminal arc.  The path
+searches keep no labels between calls.
 
 W is read off the residual graph of the max flow, from two node sets that
 are the same for every maximum flow.  The nodes s reaches form the
@@ -169,12 +198,12 @@ drivers' floors are) runs the warm flow alone.  The root's value is the
 unconstrained minimum.  If it is below the floor, the root's set is not
 empty, since rho(empty set) = 0, so it lies in the window and is the
 answer.  Otherwise the search stops at the root, before any set is read:
-the root's rank is rho of its set, which is the warm value less the total
-hyperedge weight, scaled.
+the root's rank is rho of its set, scaled, which is the warm value less
+the offset.
 
 A pinned instance takes `below` too, and its flow stops as soon as its value
 reaches the cut of a set of potential `below`: ceil(below * scale) plus the
-total hyperedge weight.  Cut values are integers, and a Fraction threshold
+offset plus the record's shift.  Cut values are integers, and a Fraction threshold
 need not lie on the scaled grid, hence the ceiling.  By weak duality the
 value of any feasible flow is at most the minimum cut, so the instance's
 minimum is then at least `below`, and the answer is exactly (None, below),
@@ -184,15 +213,13 @@ answer depends on the hypergraph, the pins and `below` alone, never on the
 flow the instance started from.  An instance whose minimum lies below the
 threshold never reaches the target, so its flow runs to a maximum one and W
 is the uncut one.  max_flow checks the target before each search and after
-each augmenting path, and the record keeps the flow's value up to date: a
-raise moves no flow, and each release cancels its excess along an s-t path,
-so it lowers the value by the excess (re-summing the sink's arcs instead
-would cost a pass over every vertex and hyperedge per instance).  A stopped
-flow is feasible, which is all the release argument above needs, so the
-next instance starts from it as from a maximum flow.  Its residual graph
-gives no minimizer, though, so a set is read off the network only when its
-flow is maximal; an instance on a stopped flow's own pins augments that
-flow further.  The window search passes `below` to every branch's flow, and
+each augmenting path, and the record keeps the flow's value up to date:
+neither a raise nor a release moves any flow.  A stopped flow is feasible,
+which is all the release argument above needs, so the next instance starts
+from it as from a maximum flow.  Its residual graph gives no minimizer,
+though, so a set is read off the network only when its flow is maximal; an
+instance on a stopped flow's own pins augments that flow further, and one
+read off a maximal flow compares the same shifted target with its value.  The window search passes `below` to every branch's flow, and
 a branch whose flow stops enters the heap at rank below * scale.  That rank
 is no more than the branch's minimum, so the search still returns a lower
 bound on the window minimum, and every branch taken up to an answer below
@@ -508,10 +535,16 @@ class FlowNetwork:
         return seen
 
 
+# a raised pin adds `infinite` = (finite + 1) << _HEADROOM to its arc, so
+# released pins may shift every cut by up to about that much before the
+# warm record is rebuilt
+_HEADROOM = 24
+
+
 @dataclass(frozen=True)
 class AuxNetwork:
-    """The cut network for one hypergraph: a minimum source-side cut picks
-    out a minimum-potential subset, offset by the total edge weight.
+    """The cut network for one hypergraph: the cut of a vertex set X, the
+    sink side, is rho(X) * scale + offset.
 
     Weights are cleared of denominators by `scale`, and the capacities are
     those integers in every mode."""
@@ -520,12 +553,13 @@ class AuxNetwork:
     source: int
     sink: int
     vertex_node: tuple[int, ...]
-    scale: int                      # integer weights are weight * scale
-    total_edge_weight_scaled: int
+    scale: int                      # twice the weights' denominator scale
+    offset: int                     # the cut of the empty set
     weights: tuple[int, ...]        # vertex weights * scale
     edges: tuple[tuple[frozenset[int], int], ...]  # hyperedges, weight * scale
     source_arc: tuple[int, ...]     # s->v of each vertex, raised to ban v
     sink_arc: tuple[int, ...]       # v->t of each vertex, raised to force v
+    finite: int                     # the sum of the finite capacities
     infinite: int                   # above every finite cut
 
     def rho_scaled(self, W) -> int:
@@ -533,10 +567,11 @@ class AuxNetwork:
         return sum(self.weights[v] for v in W) - sum(w for members, w in self.edges if members <= W)
 
     def cut_target(self, below) -> int:
-        """The least cut value of any set with rho >= below: a flow that
-        reaches it proves that every set the instance admits has rho >= below.
-        Cut values are integers, hence the ceiling."""
-        return ceil(below * self.scale) + self.total_edge_weight_scaled
+        """The least cut value of any set with rho >= below, before any
+        release shifts the cuts: a flow that reaches it proves that every set
+        the instance admits has rho >= below.  Cut values are integers, hence
+        the ceiling."""
+        return ceil(below * self.scale) + self.offset
 
     def sink_side(self, extremal: str | None) -> frozenset[int]:
         """Vertices on a sink side of a minimum cut, after a max flow: under
@@ -558,24 +593,40 @@ def _denominator_scale(H: WeightedHypergraph) -> int:
 
 
 def build_aux_network(H: WeightedHypergraph) -> AuxNetwork:
-    """H's network before any flow; no terminal arc is raised."""
-    L = _denominator_scale(H)
+    """H's network before any flow; no terminal arc is raised.  A pair edge
+    is an arc each way, a singleton folds into its vertex's deficit, and
+    only an edge of three or more members gets a node (module docstring)."""
+    scale = 2 * _denominator_scale(H)
     n = H.n
-    weights = tuple(int(w * L) for w in H.vertex_weights)
-    edges = tuple((members, int(w * L)) for members, w in H.edges)
-    total_e = sum(w for _, w in edges)
-    infinite = sum(weights) + total_e + 1
-    net = FlowNetwork(2 + n + len(edges))
+    weights = tuple(int(w * scale) for w in H.vertex_weights)
+    edges = tuple((members, int(w * scale)) for members, w in H.edges)
+    c = list(weights)  # the deficits, scaled
+    pairs, nodes = [], []
+    for members, w in edges:
+        if len(members) > 2:
+            nodes.append((members, w))
+            continue
+        for v in members:
+            c[v] -= w // len(members)  # w is even, since scale is
+        if len(members) == 2:
+            pairs.append((*members, w // 2))
+    edge_weight = sum(w for _, w in nodes)
+    finite = sum(map(abs, c)) + 2 * sum(w for _, _, w in pairs) + edge_weight
+    infinite = (finite + 1) << _HEADROOM
+    net = FlowNetwork(2 + n + len(nodes))
     s, t = 0, 1
-    vnode = tuple(2 + v for v in range(n))
-    source_arc = tuple(net.add_arc(s, vnode[v], weights[v]) for v in range(n))
-    sink_arc = tuple(net.add_arc(vnode[v], t, 0) for v in range(n))
-    for j, (members, w) in enumerate(edges):
-        enode = 2 + n + j
-        net.add_arc(enode, t, w)  # first in head[enode]; _solve_device relies on it
+    vnode = tuple(range(2, 2 + n))
+    source_arc = tuple(net.add_arc(s, vnode[v], max(x, 0)) for v, x in enumerate(c))
+    sink_arc = tuple(net.add_arc(vnode[v], t, max(-x, 0)) for v, x in enumerate(c))
+    for u, v, w in pairs:
+        net.add_arc(vnode[u], vnode[v], w)
+        net.add_arc(vnode[v], vnode[u], w)
+    for enode, (members, w) in enumerate(nodes, 2 + n):
+        net.add_arc(enode, t, w)
         for v in sorted(members):
             net.add_arc(vnode[v], enode, infinite)
-    return AuxNetwork(net, s, t, vnode, L, total_e, weights, edges, source_arc, sink_arc, infinite)
+    offset = sum(-x for x in c if x < 0) + edge_weight
+    return AuxNetwork(net, s, t, vnode, scale, offset, weights, edges, source_arc, sink_arc, finite, infinite)
 
 
 def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
@@ -584,68 +635,37 @@ def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
     return value, aux.flow.source_side(aux.source)
 
 
-@dataclass(eq=False)
 class _Warm:
-    """A thread's warm record.  `root_value` is the warm flow's value;
-    `forced`, `banned` and `value` describe the flow aux.flow holds, and
-    `maximal` is False when it stopped at a cutoff."""
+    """A thread's warm record for H.  `root_value` is the warm flow's value;
+    `forced`, `banned` and `value` describe the flow aux.flow holds,
+    `maximal` is False when it stopped at a cutoff, and `shift` is what the
+    released pins have added to every cut."""
 
-    H: WeightedHypergraph
-    aux: AuxNetwork
-    root_value: int
-    open_arcs: OpenArcs | None      # built by the first pinned instance
-    forced: frozenset[int]
-    banned: frozenset[int]
-    value: int
-    maximal: bool
+    def __init__(self, H: WeightedHypergraph):
+        self.H = H
+        self.reset()
+
+    def reset(self) -> None:
+        """A fresh network for H and its warm flow, Dinic's from zero, with
+        no pins."""
+        self.aux = aux = build_aux_network(self.H)
+        self.root_value = self.value = aux.flow.max_flow(aux.source, aux.sink)
+        self.open_arcs: OpenArcs | None = None  # built by the first pinned instance
+        self.forced = self.banned = frozenset()
+        self.maximal = True
+        self.shift = 0
 
 
 # `record`: this thread's _Warm, keyed by H's identity
 _memo = threading.local()
 
 
-def _greedy_flow(aux: AuxNetwork) -> int:
-    """Push a feasible flow into aux's empty network and return its value:
-    for each hyperedge e and each member v in head[e] order, as much as
-    both s->v and e->t still carry, along s->v->e->t."""
-    net = aux.flow
-    cap, head, to = net.cap, net.head, net.to
-    source_arc = aux.source_arc
-    total = 0
-    # build_aux_network's layout: vertex v is node 2 + v, hyperedges follow
-    for e in range(2 + len(source_arc), net.n):
-        arcs = head[e]
-        out = arcs[0]  # e->t
-        room = cap[out]
-        for r in arcs[1:]:  # the reverse arcs of v->e
-            if not room:
-                break
-            a = source_arc[to[r] - 2]
-            d = cap[a]
-            if d:
-                if d > room:
-                    d = room
-                cap[a] -= d
-                cap[a ^ 1] += d
-                cap[r ^ 1] -= d
-                cap[r] += d
-                room -= d
-        d = cap[out] - room
-        cap[out] = room
-        cap[out ^ 1] += d
-        total += d
-    return total
-
-
 def _warm(H: WeightedHypergraph) -> _Warm:
     """This thread's warm record for H, built anew unless it already is
-    H's.  The warm flow starts from `_greedy_flow` and Dinic augments it to
-    a maximum flow."""
+    H's."""
     rec = getattr(_memo, "record", None)
     if rec is None or rec.H is not H:
-        aux = build_aux_network(H)
-        value = _greedy_flow(aux) + aux.flow.max_flow(aux.source, aux.sink)
-        rec = _memo.record = _Warm(H, aux, value, None, frozenset(), frozenset(), value, True)
+        rec = _memo.record = _Warm(H)
     return rec
 
 
@@ -663,20 +683,17 @@ def _open_arcs(aux: AuxNetwork) -> OpenArcs:
     return OpenArcs({a for a in out_of_s if cap[a]}, {a for a in into_t if cap[a]}, from_s, to_t)
 
 
-def _take_back(cap: list[int], a: int, amount: int) -> None:
-    """Lower the flow on arc a by `amount`."""
-    cap[a] += amount
-    cap[a ^ 1] -= amount
-
-
-def _lower(cap: list[int], a: int, by: int) -> int:
-    """Lower arc a's capacity by `by` and return the flow above the new
-    capacity, which is taken off the arc."""
-    cap[a] -= by
+def _release(cap: list[int], a: int, b: int, opened: set[int], inf: int) -> int:
+    """Lower pinned arc a's capacity by `inf`.  If its flow then exceeds the
+    capacity by r > 0, raise a and its vertex's other terminal arc b by r,
+    add b to `opened`, and return r, which every cut has risen by."""
+    cap[a] -= inf
     excess = -cap[a]
     if excess <= 0:
         return 0
-    _take_back(cap, a, excess)
+    cap[a] = 0
+    cap[b] += excess
+    opened.add(b)
     return excess
 
 
@@ -688,56 +705,43 @@ def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset
 
     The pins of a maximal current flow, the warm flow's empty pins
     included, are read off the network.  Any other instance changes the
-    flow in place: raises the arcs of the pins it adds, releases those of
-    the pins it drops, adds every terminal arc it opens to the record's
-    open-arc sets, and repairs the flow by path searches seeded from them,
-    stopping once the value reaches `below`'s cut.  The memo is
-    empty until `rec` is up to date again.  See the module docstring."""
+    flow in place: releases the pins it drops by raising both terminal arcs
+    of each by the excess its arc carries, which shifts every cut by that
+    much and moves no flow, rebuilds the record when the shift would use up
+    the headroom of `infinite`, raises the arcs of the pins it adds, adds
+    every terminal arc it opens to the record's open-arc sets, and repairs
+    the flow by path searches seeded from them, stopping once the value
+    reaches `below`'s shifted cut.  The memo is empty until `rec` is up to
+    date again.  See the module docstring."""
     aux = rec.aux
-    # no flow reaches `infinite`: the set of the forced vertices has a finite cut
-    target = aux.infinite if below is None else aux.cut_target(below)
-    forced0, banned0, value = rec.forced, rec.banned, rec.value
-    if rec.maximal and forced == forced0 and banned == banned0:
-        return None if value >= target else aux.sink_side(extremal)
+    if rec.maximal and forced == rec.forced and banned == rec.banned:
+        stopped = below is not None and rec.value >= aux.cut_target(below) + rec.shift
+        return None if stopped else aux.sink_side(extremal)
     _memo.record = None
-    net = aux.flow
-    cap, head, to, inf = net.cap, net.head, net.to, aux.infinite
     if rec.open_arcs is None:
         rec.open_arcs = _open_arcs(aux)
-    # every terminal arc raised or given flow back goes in the open-arc sets
-    out_of_s, into_t = rec.open_arcs.out_of_s, rec.open_arcs.into_t
-    for v in banned - banned0:
+    cap, inf, arcs, shift = aux.flow.cap, aux.infinite, rec.open_arcs, rec.shift
+    for v in rec.forced - forced:
+        shift += _release(cap, aux.sink_arc[v], aux.source_arc[v], arcs.out_of_s, inf)
+    for v in rec.banned - banned:
+        shift += _release(cap, aux.source_arc[v], aux.sink_arc[v], arcs.into_t, inf)
+    if aux.finite + shift >= inf:
+        # a finite cut could reach `infinite`: start again from no pins
+        rec.reset()
+        aux = rec.aux
+        rec.open_arcs = arcs = _open_arcs(aux)
+        cap, inf, shift = aux.flow.cap, aux.infinite, 0
+    for v in banned - rec.banned:
         cap[aux.source_arc[v]] += inf
-        out_of_s.add(aux.source_arc[v])
-    for v in forced - forced0:
+        arcs.out_of_s.add(aux.source_arc[v])
+    for v in forced - rec.forced:
         cap[aux.sink_arc[v]] += inf
-        into_t.add(aux.sink_arc[v])
-    for v in forced0 - forced:
-        # v's in-flow all comes over s->v: take the excess back off it
-        excess = _lower(cap, aux.sink_arc[v], inf)
-        if excess:
-            _take_back(cap, aux.source_arc[v], excess)
-            out_of_s.add(aux.source_arc[v])
-            value -= excess
-    for v in banned0 - banned:
-        # take the excess back off v's out-arcs, and off e->t behind v->e
-        excess = _lower(cap, aux.source_arc[v], inf)
-        value -= excess
-        for a in head[aux.vertex_node[v]]:
-            if not excess:
-                break
-            if a & 1 or not cap[a ^ 1]:
-                continue  # the reverse of s->v, or an arc without flow
-            d = min(cap[a ^ 1], excess)
-            _take_back(cap, a, d)
-            if to[a] != aux.sink:
-                a = head[to[a]][0]
-                _take_back(cap, a, d)
-            into_t.add(a)
-            excess -= d
-    value += net.max_flow(aux.source, aux.sink, target - value, rec.open_arcs)
+        arcs.into_t.add(aux.sink_arc[v])
+    # no flow reaches `infinite`: the set of the forced vertices has a finite cut
+    target = inf if below is None else aux.cut_target(below) + shift
+    value = rec.value + aux.flow.max_flow(aux.source, aux.sink, target - rec.value, arcs)
     stopped = value >= target
-    rec.forced, rec.banned, rec.value, rec.maximal = forced, banned, value, not stopped
+    rec.forced, rec.banned, rec.value, rec.maximal, rec.shift = forced, banned, value, not stopped, shift
     _memo.record = rec
     if stopped:
         return None
@@ -805,7 +809,7 @@ def min_potential_constrained(
     cut_rank = None if below is None else below * aux.scale
     # the root's value, rho of its set times scale, decides a cutoff there
     # before any set is read
-    root = rec.root_value - aux.total_edge_weight_scaled
+    root = rec.root_value - aux.offset
     if below is not None and root >= cut_rank:
         return None, Fraction(root, aux.scale)
     W = _solve_device(rec, frozenset(), frozenset(), extremal)

@@ -80,12 +80,16 @@ successor in a cyclic order, since every proper nonempty subset has such a
 boundary pair in any cyclic order.  The order is a depth-first preorder of
 the level's graph, so the forced and the banned vertex are nearly always
 neighbours.  None of these flows starts from zero: min_potential solves the
-level's hypergraph once without constraints, and each forced and banned
+level's hypergraph once without constraints, on a network with one node
+per vertex and an arc each way per edge, and each forced and banned
 instance starts from the previous instance's max flow, releasing the two
 pins it drops and raising the two it adds, which gives the same subsets a
-flow from zero would.  On a graph that neither splits nor peels, the level-0
-scan gets the entry screen's hypergraph object back (potential memoises its
-latest build), so it reuses the screen's warm network and its first instance
+flow from zero would.  A release moves no flow: it raises the released
+vertex's two terminal arcs by the flow its pinned arc carries beyond
+capacity, which shifts every cut alike, so it costs O(1).  On a graph that
+neither splits nor peels, the level-0 scan gets the entry screen's
+hypergraph object back (potential memoises its latest build), so it reuses
+the screen's warm network and its first instance
 starts from the warm flow, the only flow the screen runs; a screen that the
 deficit certificate settled built no network, and the scan's first instance
 builds it and runs the warm flow.  The sweep asks
@@ -326,7 +330,9 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     window is open to one of the n flows, whatever the order.  The order is
     depth-first (_sweep_order), so nearly every banned vertex is a neighbour
     of the forced one, and each flow starts from the one before it
-    (min_potential chains them) and moves only what those two pins change.
+    (min_potential chains them), releasing the two pins it drops in O(1)
+    by raising each released vertex's terminal arcs, and augments only
+    what those two pins change.
 
     Each pair is asked once, under LARGEST, with band_top + 1 as its cutoff,
     so the flow of a pair above the band stops once its value proves that,

@@ -126,16 +126,16 @@ def test_02_worked_example():
     assert W == frozenset({0, 1, 2, 3})
     assert r == -12
     aux = build_aux_network(WORKED)
-    assert aux.scale == 1
-    assert aux.total_edge_weight_scaled == 43
+    assert aux.scale == 2
+    assert aux.offset == 38
     value, reach = max_flow(aux)
-    assert value == 31
+    assert value == 14
     cut_side = frozenset(
         v for v in range(WORKED.n) if aux.vertex_node[v] not in reach
     )
     assert cut_side == W
-    # min cut equals rho of the recovered subset plus the total edge weight
-    assert value == r * aux.scale + aux.total_edge_weight_scaled
+    # min cut equals rho of the recovered subset, scaled, plus the offset
+    assert value == r * aux.scale + aux.offset
     report(2, "worked example", t0, 1.0)
 
 

@@ -52,13 +52,14 @@ def test_worked_example_minimum():
 
 def test_worked_example_network_cut():
     aux = build_aux_network(WORKED)
-    assert aux.scale == 1
-    assert aux.total_edge_weight_scaled == 43
+    assert aux.scale == 2
+    assert aux.offset == 38
     value, reach = max_flow(aux)
-    # min cut = rho(W) + total edge weight
-    assert value == 31
+    # min cut = rho(W) * scale + offset
+    assert value == 14
     W = {v for v in range(WORKED.n) if aux.vertex_node[v] not in reach}
     assert W == {0, 1, 2, 3}
+    assert value == min_potential_subset(WORKED)[1] * aux.scale + aux.offset
 
 
 def _deficit_floor(H):
@@ -1155,8 +1156,10 @@ def test_terminal_arcs_are_listed_once_per_flow(monkeypatch):
 
 
 def test_one_network_serves_every_mode(monkeypatch):
-    # one plain network per hypergraph: every s->v arc carries the vertex's
-    # weight, every v->t arc nothing, and the union and the intersection of
+    # one plain network per hypergraph: a vertex's s->v and v->t arcs carry
+    # the positive and the negative part of its scaled deficit (its weight
+    # less half of each pair edge and all of each singleton), `infinite`
+    # clears the finite capacities by the headroom, and the union and the intersection of
     # the minimizers both come off its max flow.  All three entry points in
     # all three modes match enumeration, zero-weight vertices included, and
     # a mode change on the pins just solved reads that flow and runs none.
@@ -1182,9 +1185,22 @@ def test_one_network_serves_every_mode(monkeypatch):
         H = hypergraph(n, weights, edges)
         aux = build_aux_network(H)
         cap = aux.flow.cap
-        assert [cap[a] for a in aux.source_arc] == [int(w * aux.scale) for w in H.vertex_weights]
-        assert [cap[a] for a in aux.sink_arc] == [0] * n
-        assert aux.infinite == sum(aux.weights) + aux.total_edge_weight_scaled + 1
+        assert aux.scale == 2 * lcm(*(Fraction(w).denominator for w in weights), *(w.denominator for _, w in edges))
+        c = [w * aux.scale for w in H.vertex_weights]
+        finite = 0  # the pair arcs' and the edge nodes' capacities
+        for members, w in H.edges:
+            w *= aux.scale
+            if len(members) > 2:
+                finite += w
+                continue
+            for v in members:
+                c[v] -= w / len(members)
+            if len(members) == 2:
+                finite += w
+        assert [cap[a] for a in aux.source_arc] == [max(x, 0) for x in c]
+        assert [cap[a] for a in aux.sink_arc] == [max(-x, 0) for x in c]
+        assert aux.finite == finite + sum(map(abs, c))
+        assert aux.infinite == (aux.finite + 1) << min_potential._HEADROOM
         assert min_potential_subset(H) == _pinned_oracle(H, (), (), None)
         for mode in rng.sample(modes, 3):
             for m1, m2 in itertools.product(range(3), repeat=2):
@@ -1226,25 +1242,23 @@ def _check_feasible(aux, value):
     assert not any(balance[2:])
 
 
-def test_greedy_warm_flow_is_completed_to_a_maximum_flow():
-    # The warm flow starts from a greedy flow along s->v->e->t, which Dinic
-    # augments.  The greedy flow is feasible, the warm value is Dinic's from
-    # zero on a fresh network, and every unpinned and pinned answer matches
-    # enumeration: int and Fraction weights, zero-weight vertices, hyperedges
-    # of one to three members
+def test_warm_flow_is_a_maximum_flow():
+    # The warm flow is Dinic's from zero on the fresh network, with no
+    # greedy start.  It is feasible, its value is the record's root value,
+    # and every unpinned and pinned answer matches enumeration: int and
+    # Fraction weights, zero-weight vertices, hyperedges of one to three
+    # members
     rng = random.Random(8118)
     modes = (None, LARGEST, SMALLEST)
-    greedy_total = 0
+    warm_total = 0
     for trial in range(60):
         H = _fraction_hypergraph(rng, 8) if trial % 2 else random_hypergraph(rng, max_n=8, max_edges=16)
         aux = build_aux_network(H)
-        greedy = min_potential._greedy_flow(aux)
-        _check_feasible(aux, greedy)
-        greedy_total += greedy
-        value = greedy + aux.flow.max_flow(aux.source, aux.sink)
+        value = aux.flow.max_flow(aux.source, aux.sink)
         _check_feasible(aux, value)
+        warm_total += value
         fresh = build_aux_network(H)
-        assert value == fresh.flow.max_flow(fresh.source, fresh.sink)
+        assert value == max_flow(fresh)[0]
         assert min_potential._warm(H).root_value == value
         assert min_potential_subset(H) == _pinned_oracle(H, (), (), None)
         for mode in modes:
@@ -1257,4 +1271,113 @@ def test_greedy_warm_flow_is_completed_to_a_maximum_flow():
             mode = rng.choice(modes)
             got = min_potential_pinned(H, picked[:k], picked[k:], extremal=mode)
             assert got == _pinned_oracle(H, picked[:k], picked[k:], mode)
-    assert greedy_total > 0
+    assert warm_total > 0
+
+
+def _cut_capacity(aux, X):
+    """The capacity of the cut with the vertices of X and t on the sink
+    side, read off the fresh network's arcs; an edge node sits on the sink
+    side exactly when all its members do, which is its cheaper side."""
+    net = aux.flow
+    sink_side = {aux.sink} | {aux.vertex_node[v] for v in X}
+    for enode in range(2 + len(aux.vertex_node), net.n):
+        if all(net.to[a] in sink_side for a in net.head[enode] if a & 1):
+            sink_side.add(enode)
+    return sum(
+        net.cap[a]
+        for a in range(0, len(net.to), 2)
+        if net.to[a ^ 1] not in sink_side and net.to[a] in sink_side
+    )
+
+
+def test_cut_is_the_scaled_potential_plus_the_offset():
+    # A pair edge is an arc each way and a singleton folds into its vertex,
+    # so on hypergraphs of such edges the network has one node per vertex
+    # and every subset X's cut is rho(X) * scale + offset, the empty set and
+    # the whole set included: int and Fraction weights, zero-weight
+    # vertices, parallel pairs.  With edges of three members too, each keeps
+    # a node, the identity holds with the node on its cheaper side, and the
+    # window and pinned answers match enumeration
+    rng = random.Random(2727)
+    checked = triples = 0
+    for trial in range(80):
+        n = rng.randint(1, 7)
+        big = trial % 4 == 3
+        fractional = trial % 2 == 1
+        weight = (lambda: Fraction(rng.randint(0, 12), rng.choice((1, 2, 3)))) if fractional else (lambda: rng.randint(0, 12))
+        weights = [weight() for _ in range(n)]
+        edges = [
+            (rng.sample(range(n), rng.randint(1, min(3 if big else 2, n))), weight() or 1)
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        H = hypergraph(n, weights, edges)
+        aux = build_aux_network(H)
+        nodes = sum(len(members) > 2 for members, _ in H.edges)
+        assert aux.flow.n == 2 + n + nodes
+        triples += nodes
+        for X in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(n + 1)):
+            assert _cut_capacity(aux, set(X)) == rho_hyper(H, X) * aux.scale + aux.offset
+            checked += 1
+        if big:
+            for mode in (LARGEST, SMALLEST):
+                for m1, m2 in ((0, 0), (1, 0), (2, 1)):
+                    if m1 <= n - m2:
+                        assert min_potential_constrained(H, m1, m2, mode) == min_potential_enum(H, m1, m2, mode)
+            for _ in range(10):
+                picked = rng.sample(range(n), rng.randint(1, min(3, n)))
+                k = rng.randint(0, len(picked))
+                mode = rng.choice((None, LARGEST, SMALLEST))
+                got = min_potential_pinned(H, picked[:k], picked[k:], extremal=mode)
+                assert got == _pinned_oracle(H, picked[:k], picked[k:], mode)
+    assert checked >= 2_000 and triples >= 20
+
+
+def test_released_pins_shift_every_cut(monkeypatch):
+    # A released pin keeps its flow: both of the vertex's terminal arcs rise
+    # by the excess its arc carries, so the flow stays feasible, its value
+    # is unchanged, and every cut rises by the record's shift.  Long chains
+    # of pinned instances, scan-shaped and random, in mixed modes and with
+    # mixed cutoffs: after each one the network holds a feasible flow of the
+    # record's value and the answer is enumeration's.  With the headroom
+    # shrunk to one bit, `infinite` is 2 * finite + 2, a few releases use it
+    # up, and the record is rebuilt in place with the same answers
+    resets = 0
+    reset = min_potential._Warm.reset
+
+    def counted(self):
+        nonlocal resets
+        resets += hasattr(self, "aux")
+        reset(self)
+
+    monkeypatch.setattr(min_potential._Warm, "reset", counted)
+    modes = (None, LARGEST, SMALLEST)
+    for headroom in (min_potential._HEADROOM, 1):
+        monkeypatch.setattr(min_potential, "_HEADROOM", headroom)
+        rng = random.Random(2828)
+        instances = shifted = 0
+        resets = 0
+        for trial in range(40):
+            fractional = trial % 3 == 2
+            H = _fraction_hypergraph(rng, 8) if fractional else random_hypergraph(rng, max_n=8, max_edges=16)
+            rec = min_potential._warm(H)
+            order = rng.sample(range(H.n), H.n)
+            for i in range(3 * H.n):
+                if i % 2:
+                    picked = rng.sample(range(H.n), rng.randint(0, min(3, H.n)))
+                    k = rng.randint(0, len(picked))
+                    force, ban = picked[:k], picked[k:]
+                else:
+                    v = order[i // 2 % H.n]
+                    force, ban = [v], [] if H.n == 1 else [order[(i // 2 + 1) % H.n]]
+                mode = rng.choice(modes)
+                below = rng.choice([None, *_thresholds(_pinned_oracle(H, force, ban, mode)[1], fractional)])
+                before = rec.shift
+                got = min_potential_pinned(H, force, ban, mode, below)
+                assert got == _pinned_cut_oracle(H, force, ban, mode, below), (trial, force, ban, mode, below)
+                assert _record() is rec
+                _check_feasible(rec.aux, rec.value)
+                assert rec.aux.finite + rec.shift < rec.aux.infinite
+                shifted += rec.shift > before
+                instances += 1
+        assert instances >= 500 and shifted >= 200
+        assert resets >= 40 if headroom == 1 else resets == 0

@@ -193,7 +193,7 @@ def test_integer_hypergraph_matches_the_canonical_one(to_hyper, weights, heavy):
         assert all(type(w) is int for w in H.vertex_weights)
         assert all(type(w) is int for _, w in H.edges)
         net, ref_net = build_aux_network(H), build_aux_network(ref)
-        assert net.scale == ref_net.scale == 1
+        assert net.scale == ref_net.scale == 2
         assert net.flow.head == ref_net.flow.head
         assert net.flow.to == ref_net.flow.to
         assert net.flow.cap == ref_net.flow.cap

@@ -35,7 +35,6 @@ from nbcolor.graph_core import (
 from nbcolor.min_potential import (
     LARGEST,
     FlowNetwork,
-    _greedy_flow,
     build_aux_network,
     min_potential_constrained,
     min_potential_enum,
@@ -51,6 +50,7 @@ from nbcolor.potential import (
     hypergraph_for_rho_s,
     rho_m,
     rho_s,
+    screen_kernel,
 )
 from nbcolor.solver import (
     Blocked,
@@ -1623,15 +1623,19 @@ def test_simple_peel_at_scale():
 
 
 @pytest.mark.parametrize("to_hyper", [hypergraph_for_rho_m, hypergraph_for_rho_s])
-def test_greedy_flow_carries_most_of_the_warm_flow(to_hyper):
-    # the greedy start leaves Dinic little to add on a long sparse graph and
-    # on a cubic one (measured: 100 % on the long graph under both
-    # potentials, 93.6 % / 96.1 % on the cubic one under rho_m / rho_s)
+def test_sparse_networks_have_no_arc_into_the_sink(to_hyper):
+    # the warm flow needs no greedy start on the networks a long sparse
+    # graph and a cubic one run their flows on (the long graph's entry
+    # kernel is its Petersen core): every deficit there is 0 under rho_m
+    # and 1 under rho_s, so no v->t arc has capacity and the warm value is 0
+    weights = RHO_M if to_hyper is hypergraph_for_rho_m else RHO_S
     for G in (hung_on(PETERSEN, 10, 5_000), _random_cubic(1, 120)):
-        aux = build_aux_network(to_hyper(G))
-        greedy = _greedy_flow(aux)
-        value = greedy + aux.flow.max_flow(aux.source, aux.sink)
-        assert greedy >= 0.9 * value > 0
+        H = screen_kernel(G, weights) or to_hyper(G)
+        aux = build_aux_network(H)
+        net = aux.flow
+        assert H.n in (10, 120)
+        assert not any(net.cap[r ^ 1] for r in net.head[aux.sink])
+        assert net.max_flow(aux.source, aux.sink) == 0
 
 
 def test_peel_rebuilds_and_validates_a_constant_number_of_times(monkeypatch):
