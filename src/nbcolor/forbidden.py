@@ -487,17 +487,27 @@ def save_catalog(cat: Catalog, dirpath) -> None:
 
 
 def load_catalog(dirpath) -> Catalog:
+    """The catalog saved under `dirpath`.  Every member file must match its
+    hash and have at most the manifest's vertex_bound vertices, which may
+    not exceed MEMBER_VERTEX_CAP, so a member's own automorphism search
+    (_link_table) stays as shallow as any seed's."""
     root = Path(dirpath)
     try:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CatalogError(f"no manifest.json under {root}") from None
+    bound = int(manifest["vertex_bound"])
+    if bound > MEMBER_VERTEX_CAP:
+        raise CatalogError(f"vertex_bound {bound} exceeds the member cap {MEMBER_VERTEX_CAP}")
     entries = []
     for rec in manifest["members"]:
         text = (root / rec["file"]).read_text(encoding="utf-8")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         if digest != rec["sha256"]:
             raise CatalogError(f"hash mismatch for {rec['file']}")
+        G = parse_nbg(text)
+        if G.n > bound:
+            raise CatalogError(f"{rec['file']} has {G.n} vertices, above the vertex_bound {bound}")
         cyc = tuple(rec["witness_cycle"]) if rec.get("witness_cycle") else None
-        entries.append(CatalogEntry(rec["name"], parse_nbg(text), rec["role"], cyc))
-    return Catalog(tuple(entries), int(manifest["vertex_bound"]))
+        entries.append(CatalogEntry(rec["name"], G, rec["role"], cyc))
+    return Catalog(tuple(entries), bound)

@@ -32,7 +32,7 @@ hypergraph is built only when no vertex reduces or when the kernel fires,
 for the exact certificate; a long sparse graph never builds it (_drive).
 
 Workers assume the screened invariants (potential floor on every nonempty
-subset, no catalog member) and re-establish them for every recursive call by
+subset, no catalog member) and re-establish them for every child level by
 construction; a breach at any point turns into a Diagnostic, never a wrong
 answer.  Every lifted coloring is validated at its level, and the driver
 validates the final coloring once more against its own input (step "final").
@@ -60,19 +60,20 @@ at deletion time (independent side, parallel pairs and gadgets, a
 union-find over the F forest, its tag); since a level's tags are never
 stronger than the level below's, these checks are exactly one full
 validation per level. Trace lines and diagnostics are the ones the
-recursion would produce.  The reductions after the peel still recurse, one
-worker frame per step.  A peel stops at its first split, and _open then
-recurses into a worker per component, whose own _open recurses into its
-peeled core, so the stack grows by a few frames per split level.  The
-benchmark corpora, and cubic graphs, prisms and Moebius ladders of up to 400
-vertices, stay within 36 Python frames below the driver call, but a chain of
-250 Petersen graphs joined by 3-vertex paths splits at every block and
-raises RecursionError in either driver (ROADMAP item 1).  Apart from the
-workers' own recursion, no stack depth grows with the input: the structured
-endgame's tree split is a loop and its exhaustive search is the oracle's
-iterative one, so a structured level of 5,006 vertices colors within the
-default limit.  The drivers leave the
-interpreter's recursion limit alone.
+recursion would produce.
+
+The workers' levels run on one explicit stack (_run).  A level is a
+generator: where it needs a child colored (a component, the peeled core,
+the child of a reduction step) it yields the child and gets the child's
+Colored back, so a level adds no Python frame below its parent's.  _run
+owns what a level does with its child's outcome: it checks that the child
+is smaller, starts it, and throws any other outcome into the parent, which
+ends with it unless it retries (the lone-triangle labelings of step 5d).  A
+child's certificate names the child's vertices, so it reaches the parent as
+a Diagnostic of the parent's step.  The structured endgame's tree split is
+a loop and its exhaustive search is the oracle's iterative one, so no stack
+depth grows with the input, and the drivers leave the interpreter's
+recursion limit alone.
 
 The per-level subset scan (_scan) is exact in the band and a certified floor
 above it: one max-flow per vertex, forcing v inside and banning its
@@ -1070,9 +1071,9 @@ def finish_structured(
 # -- the multigraph worker -------------------------------------------------
 
 
-def _multi_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
-    # steps 2a-2d run in the level opening's peel
-    out = _open(G, ctx, depth, rho_m, _MULTI_PEEL, _multi_worker)
+def _multi_worker(G: Graph, ctx: _Ctx, depth: int):
+    # a level generator (_run); steps 2a-2d run in the level opening's peel
+    out = yield from _open(G, ctx, depth, rho_m, _MULTI_PEEL)
     if out is not None:
         return out
     n = G.n
@@ -1083,7 +1084,7 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     if W is None and m <= _MULTI_BAND:
         return Diagnostic("3", "in-band scan floor without an actionable witness")
     if W is not None:
-        return _multi_tight_route(G, ctx, depth, W)
+        return (yield from _multi_tight_route(G, ctx, depth, W))
 
     # step 5a: a forest-tagged vertex with two plain neighbors
     for v in range(n):
@@ -1095,9 +1096,7 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
         ctx.note(depth, f"5a v={v}")
         sub, idmap = _delete(G, {v})
         child = sub.with_edge(idmap[w], idmap[x], SINGLE)
-        out = _recurse(G, child, ctx, depth, _multi_worker)
-        if not isinstance(out, Colored):
-            return out
+        out = yield child, depth + 1, "5a"
         return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: F_SIDE}), "5a")
 
     # step 5b: no other precolored vertex can survive to this point
@@ -1123,29 +1122,21 @@ def _multi_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
             ctx.note(depth, f"5c v={v} multi={x} single={w}")
             sub, idmap = _delete(G, {v})
             child = sub.with_precolor(idmap[w], FP) if sub.precolor[idmap[w]] == UNCOLORED else sub
-            out = _recurse(G, child, ctx, depth, _multi_worker)
-            if not isinstance(out, Colored):
-                return out
+            out = yield child, depth + 1, "5c"
             xside = out.coloring.assignment[idmap[x]]
             return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: _opp(xside)}), "5c")
         return Diagnostic("5c", "every parallel pair has both endpoints above degree three")
 
     # step 5d: triangles
-    out = _multi_triangles(G, ctx, depth)
+    out = yield from _multi_triangles(G, ctx, depth)
     if out is not None:
         return out
 
     # step 6: split a degree-three vertex
-    return _multi_finish(G, ctx, depth)
+    return (yield from _multi_finish(G, ctx, depth))
 
 
-def _recurse(parent: Graph, child: Graph, ctx: _Ctx, depth: int, worker) -> Outcome:
-    if _measure(child) >= _measure(parent):
-        raise AssertionError("recursion without progress")
-    return worker(child, ctx, depth + 1)
-
-
-def _multi_tight_route(G: Graph, ctx: _Ctx, depth: int, W) -> Outcome:
+def _multi_tight_route(G: Graph, ctx: _Ctx, depth: int, W):
     W2 = _closure(G, W, MULTI, G.n - 1)
     r = rho_m(G, W2)
     if r < MULTI_FLOOR:
@@ -1154,11 +1145,11 @@ def _multi_tight_route(G: Graph, ctx: _Ctx, depth: int, W) -> Outcome:
     if r == 1:
         # pin a boundary vertex of W to the forest side
         pin = next(v for v in sorted(W2) if any(u not in W2 for u in G.adj[v]))
-        return _contract_route(G, W2, pin, ctx, depth, "4", "multi", _multi_worker)
-    return _contract_route(G, W2, None, ctx, depth, "3", "multi", _multi_worker)
+        return (yield from _contract_route(G, W2, pin, depth, "4", "multi"))
+    return (yield from _contract_route(G, W2, None, depth, "3", "multi"))
 
 
-def _contract_route(G: Graph, W, pin, ctx: _Ctx, depth: int, step: str, mode: str, worker) -> Outcome:
+def _contract_route(G: Graph, W, pin, depth: int, step: str, mode: str):
     """Color G[W] (with `pin` forest-tagged when uncolored), contract W by
     that coloring, color the contracted graph and lift."""
     inner = sorted(W)
@@ -1167,26 +1158,16 @@ def _contract_route(G: Graph, W, pin, ctx: _Ctx, depth: int, step: str, mode: st
         i = table.index(pin)
         if sub.precolor[i] == UNCOLORED:
             sub = sub.with_precolor(i, FP)
-    out = _recurse(G, sub, ctx, depth, worker)
-    if not isinstance(out, Colored):
-        return _unwrap_inner(out, step)
+    out = yield sub, depth + 1, step
     try:
         Gp, lift = contract_colored_subset(G, inner, out.coloring, mode)
     except ContractionRejected as exc:
         return Diagnostic(step, f"outside vertex {exc.vertex} still holds two edges into the subset")
-    out = _recurse(G, Gp, ctx, depth, worker)
-    if not isinstance(out, Colored):
-        return _unwrap_inner(out, step)
+    out = yield Gp, depth + 1, step
     return _ok(G, lift.lift(out.coloring), step)
 
 
-def _unwrap_inner(out: Outcome, step: str) -> Outcome:
-    if isinstance(out, Diagnostic):
-        return out
-    return Diagnostic(step, f"subset recursion returned {type(out).__name__}")
-
-
-def _multi_triangles(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
+def _multi_triangles(G: Graph, ctx: _Ctx, depth: int):
     n = G.n
     tri_edges: dict[tuple[int, int], list[int]] = {}
     for u, v, _ in G.edges:
@@ -1208,9 +1189,7 @@ def _multi_triangles(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
             return Diagnostic("5d", "four mutually adjacent vertices survived the screen")
         ctx.note(depth, f"5d shared edge={u1},{u2} corners={v},{y}")
         child, idmap = _identify(G, {u1, u2}, v, y)
-        out = _recurse(G, child, ctx, depth, _multi_worker)
-        if not isinstance(out, Colored):
-            return out
+        out = yield child, depth + 1, "5d"
         out = _lift_pair(G, out.coloring, idmap, u1, u2)
         return out if out is not None else Diagnostic("5d", "no corner assignment over the shared edge lifts")
 
@@ -1243,18 +1222,22 @@ def _multi_triangles(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
                 if G.kind_of(w, y) is not None:
                     continue
                 attempts.append((v, w, x, y))
-    last: Outcome | None = None
+    # the one level that goes on after a failed child: it tries the next
+    # labeling and ends with the last failure
+    last = Diagnostic("5d", "no usable lone triangle labeling")
     for v, w, x, y in attempts[:3]:
         ctx.note(depth, f"5d lone v={v} w={w} x={x} y={y}")
         child, idmap = _identify(G, {v, x}, w, y)
-        out = _recurse(G, child, ctx, depth, _multi_worker)
-        if isinstance(out, Colored):
-            out = _lift_pair(G, out.coloring, idmap, v, x)
-            if out is not None:
-                return out
-            out = Diagnostic("5d", "no apex assignment over the lone triangle lifts")
-        last = out
-    return last if last is not None else Diagnostic("5d", "no usable lone triangle labeling")
+        try:
+            out = yield child, depth + 1, "5d"
+        except _Failed as failed:
+            last = failed.out
+            continue
+        out = _lift_pair(G, out.coloring, idmap, v, x)
+        if out is not None:
+            return out
+        last = Diagnostic("5d", "no apex assignment over the lone triangle lifts")
+    return last
 
 
 def _lift_pair(G: Graph, c_child: Coloring, idmap: dict[int, int], a: int, b: int) -> Colored | None:
@@ -1268,7 +1251,7 @@ def _lift_pair(G: Graph, c_child: Coloring, idmap: dict[int, int], a: int, b: in
     return None
 
 
-def _multi_finish(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
+def _multi_finish(G: Graph, ctx: _Ctx, depth: int):
     n = G.n
     v = next((u for u in range(n) if G.degree(u) == 3), None)
     if v is None:
@@ -1280,9 +1263,7 @@ def _multi_finish(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
         return Diagnostic("6", "triangle survived to the finish")
     ctx.note(depth, f"6 v={v} merge={w},{x} spare={y}")
     child, idmap = _identify(G, {v}, w, x)
-    out = _recurse(G, child, ctx, depth, _multi_worker)
-    if not isinstance(out, Colored):
-        return out
+    out = yield child, depth + 1, "6"
     sigma = out.coloring.assignment[idmap[w]]
     yside = out.coloring.assignment[idmap[y]]
     vside = I_SIDE if (sigma == F_SIDE and yside == F_SIDE) else F_SIDE
@@ -1292,10 +1273,10 @@ def _multi_finish(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
 # -- the simple worker -----------------------------------------------------
 
 
-def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
-    # step 2 (independent-tagged, degree at most one, plain degree two) runs
-    # in the level opening's peel
-    out = _open(G, ctx, depth, rho_s, _SIMPLE_PEEL, _simple_worker)
+def _simple_worker(G: Graph, ctx: _Ctx, depth: int):
+    # a level generator (_run); step 2 (independent-tagged, degree at most
+    # one, plain degree two) runs in the level opening's peel
+    out = yield from _open(G, ctx, depth, rho_s, _SIMPLE_PEEL)
     if out is not None:
         return out
     n = G.n
@@ -1310,7 +1291,7 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
         if W is None and m <= _SIMPLE_BAND:
             return Diagnostic("3", "in-band scan floor without an actionable witness")
         if m <= 0:
-            out = _simple_tight_route(G, H, ctx, depth, W, "3")
+            out = yield from _simple_tight_route(G, H, ctx, depth, W, "3")
             if out is not None:
                 return out
             W = None
@@ -1328,11 +1309,10 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
         zs = _attachments(G, c3)
         if len(set(zs)) == 1:
             return Diagnostic("4", "triangle attachments collapse to one vertex")
-        out = _cycle_device_route(G, ctx, depth, c3, [(0, 1), (1, 2), (2, 0)], "4")
-        return out if out is not None else Diagnostic("4", "every triangle attachment pair is linked")
+        return (yield from _cycle_device_route(G, ctx, depth, c3, [(0, 1), (1, 2), (2, 0)], "4", "triangle"))
     c4 = _first_induced_c4(G, Lset)
     if c4 is not None:
-        return _cycle_pin_route(G, ctx, depth, c4, "4")
+        return (yield from _cycle_pin_route(G, ctx, depth, c4, "4"))
 
     # step 5: the remaining in-band witnesses, scanning here when step 3
     # did not
@@ -1341,7 +1321,7 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
         if W is None and m <= _SIMPLE_BAND:
             return Diagnostic("3", "in-band scan floor without an actionable witness")
     if W is not None:
-        out = _simple_tight_route(G, H, ctx, depth, W, "5")
+        out = yield from _simple_tight_route(G, H, ctx, depth, W, "5")
         if out is not None:
             return out
 
@@ -1349,11 +1329,10 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     c5 = min(induced_cycles(G, Lset, (5,)), default=None)
     if c5 is not None:
         pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-        out = _cycle_device_route(G, ctx, depth, c5, pairs, "6")
-        return out if out is not None else Diagnostic("6", "every five-cycle attachment pair is linked")
+        return (yield from _cycle_device_route(G, ctx, depth, c5, pairs, "6", "five-cycle"))
 
     # step 7: residual degree-two vertices
-    out = _simple_degree_two(G, ctx, depth)
+    out = yield from _simple_degree_two(G, ctx, depth)
     if out is not None:
         return out
 
@@ -1364,10 +1343,9 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
         if k < 6:
             return Diagnostic("8", "short cycle survived the dedicated steps")
         if k % 2 == 0:
-            return _cycle_pin_route(G, ctx, depth, cyc, "8")
+            return (yield from _cycle_pin_route(G, ctx, depth, cyc, "8"))
         pairs = [(j, (j + 1) % k) for j in range(k)]
-        out = _cycle_device_route(G, ctx, depth, cyc, pairs, "8")
-        return out if out is not None else Diagnostic("8", "every cycle attachment pair is linked")
+        return (yield from _cycle_device_route(G, ctx, depth, cyc, pairs, "8", "cycle"))
 
     # steps 9 and 10: discharging and the structured endgame
     try:
@@ -1389,7 +1367,7 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int) -> Outcome:
     return _endgame_run(G, report, ctx, "9")
 
 
-def _simple_tight_route(G: Graph, H, ctx: _Ctx, depth: int, W, step: str) -> Outcome | None:
+def _simple_tight_route(G: Graph, H, ctx: _Ctx, depth: int, W, step: str):
     n = G.n
     W2 = _closure(G, W, GADGET, n - 2)
     if len(W2) == n - 1:
@@ -1405,7 +1383,7 @@ def _simple_tight_route(G: Graph, H, ctx: _Ctx, depth: int, W, step: str) -> Out
     if r < SIMPLE_FLOOR:
         return Diagnostic(step, f"subset potential {r} breaches the floor")
     ctx.note(depth, f"{step} tight W={sorted(W2)} rho={r}")
-    return _contract_route(G, W2, None, ctx, depth, step, "simple", _simple_worker)
+    return (yield from _contract_route(G, W2, None, depth, step, "simple"))
 
 
 def _attachments(G: Graph, C) -> list[int]:
@@ -1419,7 +1397,7 @@ def _attachments(G: Graph, C) -> list[int]:
     return zs
 
 
-def _cycle_device_route(G, ctx, depth, C, pairs, step) -> Outcome | None:
+def _cycle_device_route(G, ctx, depth, C, pairs, step, what):
     zs = _attachments(G, C)
     sub, pos = _delete(G, C)
     for a, b in pairs:
@@ -1430,21 +1408,17 @@ def _cycle_device_route(G, ctx, depth, C, pairs, step) -> Outcome | None:
             continue
         ctx.note(depth, f"{step} cycle={list(C)} tie={za},{zb}")
         child, lift = reduce_cycle_gadget(G, C, za, zb)
-        out = _recurse(G, child, ctx, depth, _simple_worker)
-        if not isinstance(out, Colored):
-            return _unwrap_inner(out, step)
+        out = yield child, depth + 1, step
         return _ok(G, lift.lift(out.coloring), step)
-    return None
+    return Diagnostic(step, f"every {what} attachment pair is linked")
 
 
-def _cycle_pin_route(G, ctx, depth, C, step) -> Outcome:
+def _cycle_pin_route(G, ctx, depth, C, step):
     z1 = _attachments(G, C)[0]
     sub, pos = _delete(G, C)
     child = sub.with_precolor(pos[z1], FP) if sub.precolor[pos[z1]] == UNCOLORED else sub
     ctx.note(depth, f"{step} cycle={list(C)} pin={z1}")
-    out = _recurse(G, child, ctx, depth, _simple_worker)
-    if not isinstance(out, Colored):
-        return _unwrap_inner(out, step)
+    out = yield child, depth + 1, step
     partial = {orig: out.coloring.assignment[i] for orig, i in pos.items()}
     col = extend_over_induced_cycle(G, C, partial)
     if isinstance(col, Blocked):
@@ -1518,7 +1492,7 @@ def _shortest_l_cycle(G: Graph, Lset):
     return best
 
 
-def _simple_degree_two(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
+def _simple_degree_two(G: Graph, ctx: _Ctx, depth: int):
     n = G.n
     for v in range(n):
         if G.nsize(v) != 2:
@@ -1536,9 +1510,7 @@ def _simple_degree_two(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
             ctx.note(depth, f"7 case1 v={v}")
             sub, idmap = _delete(G, {v})
             child = sub.with_precolor(idmap[w2], FP) if sub.precolor[idmap[w2]] == UNCOLORED else sub
-            out = _recurse(G, child, ctx, depth, _simple_worker)
-            if not isinstance(out, Colored):
-                return out
+            out = yield child, depth + 1, "7"
             w1side = out.coloring.assignment[idmap[w1]]
             return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: _opp(w1side)}), "7")
         if G.precolor[v] != FP:
@@ -1559,9 +1531,7 @@ def _simple_degree_two(G: Graph, ctx: _Ctx, depth: int) -> Outcome | None:
                 return Diagnostic("7", "neighbors of a tagged degree-two vertex are linked")
             ctx.note(depth, f"7 case3 v={v}")
             child = sub.with_edge(idmap[w1], idmap[w2], SINGLE)
-        out = _recurse(G, child, ctx, depth, _simple_worker)
-        if not isinstance(out, Colored):
-            return out
+        out = yield child, depth + 1, "7"
         return _ok(G, _lift_deleted(G, out.coloring, idmap, {v: F_SIDE}), "7")
     return None
 
@@ -1641,15 +1611,16 @@ _SIMPLE_PEEL = Spec(
 )
 
 
-def _open(G: Graph, ctx: _Ctx, depth: int, rho, spec: Spec, worker) -> Outcome | None:
+def _open(G: Graph, ctx: _Ctx, depth: int, rho, spec: Spec):
     """Open a worker level: the empty graph, the full-set potential `rho`
     against the floor ("entry"), the brute-force base, the split into
-    components, then the degree <= 2 peel, whose core `worker` colors one
-    level per deletion deeper.  Returns None when the level stays open for
-    the worker's own steps.  `rho` is the public potential function the
-    worker looked up (spec.weights holds the same weights); it and the
-    rebuilds and validations go through this module's names, so wrappers
-    installed on them see every call."""
+    components, each a child level (step "1"), then the degree <= 2 peel,
+    whose core is a child one level per deletion deeper, asked for at the
+    last deletion's step.  Returns None when the level stays open for the
+    worker's own steps.  `rho` is the public potential function the worker
+    looked up (spec.weights holds the same weights); it and the rebuilds
+    and validations go through this module's names, so wrappers installed
+    on them see every call."""
     n = G.n
     if n == 0:
         return Colored(Coloring(()))
@@ -1668,9 +1639,7 @@ def _open(G: Graph, ctx: _Ctx, depth: int, rho, spec: Spec, worker) -> Outcome |
         assign: list[str | None] = [None] * n
         for comp in comps:
             sub, table = induced_subgraph(G, comp)
-            out = worker(sub, ctx, depth + 1)
-            if not isinstance(out, Colored):
-                return out
+            out = yield sub, depth + 1, "1"
             for i, orig in enumerate(table):
                 assign[orig] = out.coloring.assignment[i]
         return _ok(G, Coloring(tuple(assign)), "1")
@@ -1683,11 +1652,56 @@ def _open(G: Graph, ctx: _Ctx, depth: int, rho, spec: Spec, worker) -> Outcome |
         return Diagnostic(*run.failure)
     core, table = induced_subgraph(G, run.keep)
     core = Graph(core.n, core.edges, tuple(run.tags[v] for v in table))
-    out = worker(core, ctx, depth + len(run.records))
-    if not isinstance(out, Colored):
-        return out
+    out = yield core, depth + len(run.records), run.records[-1][1]
     lifted = run.lift(core, table, out.coloring, validate_coloring, induced_subgraph)
     return Colored(lifted) if isinstance(lifted, Coloring) else Diagnostic(*lifted)
+
+
+# -- the level loop --------------------------------------------------------
+
+
+class _Failed(Exception):
+    """A child level's outcome other than Colored, thrown into its parent
+    at the yield that asked for the child."""
+
+    def __init__(self, out: Outcome):
+        self.out = out
+
+
+def _run(worker, G: Graph, ctx: _Ctx) -> Outcome:
+    """Color G with `worker` and every level below it on one explicit stack.
+
+    A level is a generator.  It yields (child, depth, step) and gets the
+    child's Colored back.  Each frame holds (graph, generator, step), the
+    step being the one its parent asked for it at.  A child must be smaller
+    than its parent (_measure), or AssertionError is raised.  Any other
+    outcome is thrown into the parent as _Failed: a Diagnostic unchanged,
+    and a certificate as Diagnostic(step, ...), since it names the child's
+    vertices and so never certifies the parent.  A parent that does not
+    catch it ends with that outcome.  The root's outcome is returned as it
+    is."""
+    frames = [(G, worker(G, ctx, 0), None)]
+    reply = None
+    while True:
+        graph, level, _ = frames[-1]
+        try:
+            child, depth, step = level.throw(reply) if isinstance(reply, _Failed) else level.send(reply)
+        except StopIteration as done:
+            out = done.value
+        except _Failed as failed:
+            out = failed.out
+        else:
+            if _measure(child) >= _measure(graph):
+                raise AssertionError("recursion without progress")
+            frames.append((child, worker(child, ctx, depth), step))
+            reply = None
+            continue
+        _, _, step = frames.pop()
+        if not frames:
+            return out
+        if not isinstance(out, (Colored, Diagnostic)):
+            out = Diagnostic(step, f"subset recursion returned {type(out).__name__}")
+        reply = out if isinstance(out, Colored) else _Failed(out)
 
 
 # -- public drivers --------------------------------------------------------
@@ -1768,7 +1782,7 @@ def _drive(G: Graph, ctx: _Ctx, hyper, spec: Spec, worker) -> Outcome:
     hit = find_forbidden_subgraph(G, ctx.catalog)
     if hit is not None:
         return CertForbidden(hit[0], hit[1])
-    out = worker(G, ctx, 0)
+    out = _run(worker, G, ctx)
     if isinstance(out, Colored):
         bad = validate_coloring(G, out.coloring)
         if bad is not None:

@@ -111,3 +111,16 @@ def test_step_9_trades_the_tagged_vertex(monkeypatch, index, tagged):
         assert "9 strata endgame" in trace
         assert [type(x) for x in calls["_eliminate_b3f"]] == [Colored]
         assert calls["_tree_path"]
+
+
+def test_a_failed_lone_triangle_labeling_is_retried():
+    # atlas graph 877, plain: the child of step 5d's first lone-triangle
+    # labeling is colored but does not lift, and the second labeling colors
+    # the graph (the one retry counted over 59,363 multigraph solves, R1 in
+    # ROADMAP item 2)
+    g = nx.graph_atlas(877)
+    G = normalize(g.number_of_nodes(), [(u, v, SINGLE) for u, v in sorted(tuple(sorted(e)) for e in g.edges())])
+    trace = []
+    out = color_multigraph(G, brute_threshold=3, trace=trace)
+    assert isinstance(out, Colored) and validate_coloring(G, out.coloring) is None
+    assert [line.split()[:2] for line in trace if line.startswith("5d")] == [["5d", "lone"]] * 2

@@ -1,8 +1,10 @@
 """Embedding search, the obstruction catalog, and linkage certificates."""
 
 import gc
+import hashlib
 import importlib.util
 import itertools
+import json
 import random
 import sys
 import threading
@@ -28,7 +30,7 @@ from nbcolor.forbidden import (
     verify_member,
     witness_cycle,
 )
-from nbcolor.graph_core import FP, GADGET, IP, MULTI, SINGLE, UNCOLORED, Graph, graph, normalize
+from nbcolor.graph_core import FP, GADGET, IP, MULTI, SINGLE, UNCOLORED, Graph, graph, normalize, write_nbg
 
 
 def cycle(n):
@@ -177,6 +179,26 @@ def test_catalog_load_errors(tmp_path):
     target.write_text(target.read_text() + "# tampered\n")
     with pytest.raises(CatalogError):
         load_catalog(tmp_path / "cat")
+
+
+def test_catalog_load_refuses_members_above_the_bound(tmp_path):
+    # a 3,000-vertex path member once loaded and then exhausted its own
+    # automorphism search one frame per vertex; the manifest's bound, itself
+    # capped, now stops it before any search runs
+    root = tmp_path / "cat"
+    save_catalog(default_catalog(), root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    text = write_nbg(graph(3_000, singles=[(i, i + 1) for i in range(2_999)]))
+    (root / "path.nbg").write_text(text)
+    member = {"name": "path", "file": "path.nbg", "role": "derived", "witness_cycle": None,
+              "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    for bound, members in ((manifest["vertex_bound"], manifest["members"] + [member]),
+                           (forbidden.MEMBER_VERTEX_CAP + 1, manifest["members"])):
+        (root / "manifest.json").write_text(json.dumps({"vertex_bound": bound, "members": members}))
+        with pytest.raises(CatalogError, match="vertex_bound"):
+            load_catalog(root)
+    (root / "manifest.json").write_text(json.dumps({**manifest, "vertex_bound": forbidden.MEMBER_VERTEX_CAP}))
+    assert load_catalog(root).names() == default_catalog().names()
 
 
 def test_embedding_search_leaves_no_reference_cycles():

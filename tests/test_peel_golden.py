@@ -161,10 +161,10 @@ def solve(driver, call, G, threshold):
         cat = default_catalog()
         if driver == "multi":
             ctx = solver._Ctx(cat.restrict(("k4", "m7")), threshold, trace)
-            out = solver._multi_worker(G, ctx, 0)
+            out = solver._run(solver._multi_worker, G, ctx)
         else:
             ctx = solver._Ctx(cat, threshold, trace)
-            out = solver._simple_worker(G, ctx, 0)
+            out = solver._run(solver._simple_worker, G, ctx)
     return outcome_record(out), trace
 
 

@@ -1449,12 +1449,11 @@ def _stack_depth():
     return depth
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="each split level adds worker frames (ROADMAP item 1)")
 @pytest.mark.parametrize("driver", [color_multigraph, color_simple], ids=["multi", "simple"])
 def test_a_chain_of_blocks_needs_no_deeper_stack(driver):
-    # 200 frames above this test's own stack hold a chain of 40 blocks but
-    # not one of 60: each split level recurses into its component and then
-    # into its peeled core, so the depth grows by a few frames per block
+    # each block is a split level, with a component and then a peeled core
+    # below it; when the levels recursed, 200 frames above this test's own
+    # stack held a chain of 40 blocks but not one of 60
     G = _petersen_chain(60)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 200)
@@ -1463,6 +1462,100 @@ def test_a_chain_of_blocks_needs_no_deeper_stack(driver):
     finally:
         sys.setrecursionlimit(old)
     assert isinstance(out, Colored)
+
+
+def test_a_chain_of_tight_routes_needs_no_deeper_stack():
+    # hk(50) less the edge (0, 1) is colored by a chain of simple step-3
+    # tight routes, each contracting the whole level but one widget, so each
+    # nests one level deeper; when the levels recursed, 200 frames above
+    # this test's own stack held hk(40) but not hk(50)
+    G = gen_hk(50).without_edge(0, 1)
+    trace = []
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 200)
+    try:
+        out = color_simple(G, trace=trace)
+    finally:
+        sys.setrecursionlimit(old)
+    assert isinstance(out, Colored) and validate_coloring(G, out.coloring) is None
+    assert sum(line.lstrip().startswith("3 tight") for line in trace) >= 40
+
+
+def _toy_run(levels, n):
+    """solver._run from n isolated vertices, with levels[G.n](depth) as the
+    generator of each level G."""
+    return solver._run(lambda G, ctx, depth: levels[G.n](depth), graph(n), None)
+
+
+def _asks(m, step):
+    """A toy level that asks for a child of m vertices and ends with the
+    child's Colored."""
+    def level(depth):
+        return (yield graph(m), depth + 1, step)
+    return level
+
+
+def _ends(out):
+    """A toy level that ends with `out` and asks for no child."""
+    def level(depth):
+        return out
+        yield
+    return level
+
+
+def test_run_passes_a_child_outcome_to_its_parent():
+    colored, diag = Colored(Coloring((F_SIDE,))), Diagnostic("deep", "dead end")
+    cert = CertForbidden("k4", {0: 0})
+    chain = {3: _asks(2, "a"), 2: _asks(1, "b")}
+    assert _toy_run({**chain, 1: _ends(colored)}, 3) is colored
+    assert _toy_run({**chain, 1: _ends(diag)}, 3) is diag
+    # a child's certificate names the child's vertices: its parent ends with
+    # a Diagnostic of the step it asked at, and so does every level above
+    assert _toy_run({**chain, 1: _ends(cert)}, 3) == Diagnostic("b", "subset recursion returned CertForbidden")
+    assert _toy_run({1: _ends(cert)}, 1) is cert
+    with pytest.raises(AssertionError, match="without progress"):
+        _toy_run({2: _asks(2, "a")}, 2)
+    with pytest.raises(AssertionError, match="without progress"):
+        _toy_run({2: _asks(3, "a")}, 2)
+
+
+def test_run_lets_a_level_catch_a_failed_child():
+    colored = Colored(Coloring((F_SIDE, F_SIDE)))
+    caught, depths = [], []
+
+    def retry(depth):
+        for m in (3, 2):
+            try:
+                out = yield graph(m), depth + 1, "r"
+            except solver._Failed as failed:
+                caught.append(failed.out)
+                continue
+            depths.append(depth)
+            return out
+
+    levels = {4: retry, 3: _ends(CertLowPotential(frozenset({0}), -2, -1)), 2: _ends(colored)}
+    assert _toy_run(levels, 4) is colored
+    assert caught == [Diagnostic("r", "subset recursion returned CertLowPotential")] and depths == [0]
+
+
+def test_run_keeps_the_stack_flat():
+    # a chain of 1,000 toy levels under a limit 50 frames above this test's
+    # own stack; each level gets the depth its parent asked for
+    n, depths = 1_000, []
+
+    def level(depth):
+        depths.append(depth)
+        return (yield graph(n - depth - 1), depth + 1, "s")
+
+    levels = {m: level for m in range(1, n + 1)}
+    levels[0] = _ends(Colored(Coloring(())))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        out = _toy_run(levels, n)
+    finally:
+        sys.setrecursionlimit(old)
+    assert out == Colored(Coloring(())) and depths == list(range(n))
 
 
 def test_structured_endgame_needs_no_deeper_stack():
