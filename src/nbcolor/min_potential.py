@@ -16,16 +16,27 @@ The network has a source s, a sink t and one node per vertex.  Every
 vertex v has arcs s->v of capacity max(c(v), 0) and v->t of capacity
 max(-c(v), 0), so exactly one of them is cut, and the one cut costs
 c(v) + max(-c(v), 0) when v lies on the sink side and max(-c(v), 0) when it
-does not.  Every pair edge {u, v} is an arc u->v and an arc v->u, each of
-capacity L w(e), so exactly one is cut when the edge crosses.  Only an edge
-f of three or more members keeps a node of its own, with an arc f->t of
-capacity 2L w(f) and an infinite arc v->f from each member v: f can sit on
-the sink side, uncut, only when all its members do.  So a minimum s-t cut
-picks the subset X of vertices on its sink side, and its weight is
-rho(X) * scale + offset, with scale = 2L and offset = the sum of the
-max(-c(v), 0) plus the sum of the 2L w(f): a max-flow computation finds a
-minimizer of rho.  No node stands for a pair or a singleton edge, so the
-graph potentials' networks have n + 2 nodes.
+does not.  Every pair edge {u, v} is one arc pair, an arc u->v whose
+reverse arc v->u starts with the same capacity L w(e) (every other reverse
+arc starts at 0), so the cut charges L w(e) when the edge crosses, either
+way.  Only an edge f of three or more members keeps a node of its own,
+with an arc f->t of capacity 2L w(f) and an infinite arc v->f from each
+member v: f can sit on the sink side, uncut, only when all its members do.
+So a minimum s-t cut picks the subset X of vertices on its sink side, and
+its weight is rho(X) * scale + offset, with scale = 2L and offset = the
+sum of the max(-c(v), 0) plus the sum of the 2L w(f): a max-flow
+computation finds a minimizer of rho.  No node stands for a pair or a
+singleton edge, so the graph potentials' networks have n + 2 nodes.
+
+The arc pair is exactly two opposite arcs of capacity L w(e), each with a
+reverse of capacity 0, merged into one.  Under net flow f from u to v the
+two arcs leave residual L w(e) - f from u to v and L w(e) + f back,
+counting each arc's reverse, and so does the pair.  So every residual
+graph has the same reachability under either layout, and with it every
+max-flow value, cut and LARGEST or SMALLEST set; only the augmenting paths
+differ, since one path through the pair cancels flow and pushes new flow
+in one step.  The sum of the finite capacities counts the pair's capacity
+each way, 2L w(e), as it counted the two arcs.
 
 All arithmetic is integer.  The hypergraphs of the two graph potentials
 carry int weights (L = 1, scale 2); a hypergraph with Fraction weights has
@@ -594,8 +605,9 @@ def _denominator_scale(H: WeightedHypergraph) -> int:
 
 def build_aux_network(H: WeightedHypergraph) -> AuxNetwork:
     """H's network before any flow; no terminal arc is raised.  A pair edge
-    is an arc each way, a singleton folds into its vertex's deficit, and
-    only an edge of three or more members gets a node (module docstring)."""
+    is one arc pair with its capacity each way, a singleton folds into its
+    vertex's deficit, and only an edge of three or more members gets a node
+    (module docstring)."""
     scale = 2 * _denominator_scale(H)
     n = H.n
     weights = tuple(int(w * scale) for w in H.vertex_weights)
@@ -619,8 +631,8 @@ def build_aux_network(H: WeightedHypergraph) -> AuxNetwork:
     source_arc = tuple(net.add_arc(s, vnode[v], max(x, 0)) for v, x in enumerate(c))
     sink_arc = tuple(net.add_arc(vnode[v], t, max(-x, 0)) for v, x in enumerate(c))
     for u, v, w in pairs:
-        net.add_arc(vnode[u], vnode[v], w)
-        net.add_arc(vnode[v], vnode[u], w)
+        a = net.add_arc(vnode[u], vnode[v], w)
+        net.cap[a ^ 1] = w  # the reverse arc is the arc v->u
     for enode, (members, w) in enumerate(nodes, 2 + n):
         net.add_arc(enode, t, w)
         for v in sorted(members):

@@ -82,12 +82,13 @@ boundary pair in any cyclic order.  The order is a depth-first preorder of
 the level's graph, so the forced and the banned vertex are nearly always
 neighbours.  None of these flows starts from zero: min_potential solves the
 level's hypergraph once without constraints, on a network with one node
-per vertex and an arc each way per edge, and each forced and banned
-instance starts from the previous instance's max flow, releasing the two
-pins it drops and raising the two it adds, which gives the same subsets a
-flow from zero would.  A release moves no flow: it raises the released
-vertex's two terminal arcs by the flow its pinned arc carries beyond
-capacity, which shifts every cut alike, so it costs O(1).  On a graph that
+per vertex and one arc pair per edge, with the edge's capacity each way,
+and each forced and banned instance starts from the previous instance's
+max flow, releasing the two pins it drops and raising the two it adds,
+which gives the same subsets a flow from zero would.  A release moves no
+flow: it raises the released vertex's two terminal arcs by the flow its
+pinned arc carries beyond capacity, which shifts every cut alike, so it
+costs O(1).  On a graph that
 neither splits nor peels, the level-0 scan gets the entry screen's
 hypergraph object back (potential memoises its latest build), so it reuses
 the screen's warm network and its first instance
@@ -115,10 +116,16 @@ runs it at step 5, only when step 4 has not returned.  It is the scan step
 3 would have run, from the same warm flow, since step 4 runs no flow before
 it returns or falls through, and its in-band witness is canonical, so no
 answer and no trace line changes; a level where the bound fails scans at
-step 3, as before.  Step 4 lists the level's induced triangles alone; the
-five-cycles are listed at step 6, the only step that reads them.  The
-multigraph worker has no such pass: there a bridge already gives rho = 1,
-inside its band.
+step 3, as before.  Step 4 lists the level's induced triangles alone, and
+its induced 4-cycle when there is no triangle; the five-cycles are listed
+at step 6, the only step that reads them.  Both short cycles are listed
+before step 3, since step 4 returns whenever it has one: then step 5 never
+runs, and the step-3 scan asks for band 0 alone (cutoff 1).  Step 3 reads
+only m <= 0, and a pair of value at most 0 is answered in full under
+either cutoff, so (m, W) is the same whenever m <= 0; otherwise the scan
+returns m >= 1 and no set, and step 4 returns.  Pairs above 0 stop their
+flows a little sooner.  The multigraph worker has no such pass: there a
+bridge already gives rho = 1, inside its band.
 
 Completeness of the simple driver is relative to the supplied catalog: a
 cycle whose attachment pairs are all linked through catalog members is
@@ -350,7 +357,8 @@ def _scan(H, n: int, band_top: int) -> tuple[int, frozenset[int] | None]:
     it to the band.  The multigraph worker scans every level at its step 3;
     the simple worker scans at step 3 unless _deficit_bound rules out every
     window set of potential <= 0, and then at step 5, and only when step 4
-    has not returned.  Singleton potentials
+    has not returned.  Its step-3 scan runs at band 0 when step 4 has a
+    cycle to act on, and at _SIMPLE_BAND otherwise.  Singleton potentials
     keep the bound val+1 out of every band this module uses (the peel
     removes every independent-tagged vertex, the only kind of potential 0,
     before a level scans).  So an in-band answer is the same for every
@@ -1280,23 +1288,8 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int):
     if out is not None:
         return out
     n = G.n
-
-    # step 3: the scan, with window sets of potential <= 0 consumed here.
-    # When the deficit bound rules those out, the scan waits for step 5,
-    # the only step left that reads it
-    H = hypergraph_for_rho_s(G)
-    eager = not _deficit_bound(H)
-    if eager:
-        m, W = _scan(H, n, _SIMPLE_BAND)
-        if W is None and m <= _SIMPLE_BAND:
-            return Diagnostic("3", "in-band scan floor without an actionable witness")
-        if m <= 0:
-            out = yield from _simple_tight_route(G, H, ctx, depth, W, "3")
-            if out is not None:
-                return out
-            W = None
-
-    # step 4: short cycles in the degree-three part
+    # the degree-three part and step 4's short cycles in it, read before
+    # step 3, whose scan they narrow
     Lset = frozenset(
         v
         for v in range(n)
@@ -1305,12 +1298,31 @@ def _simple_worker(G: Graph, ctx: _Ctx, depth: int):
         and all(G.kind_of(v, u) == SINGLE for u in G.adj[v])
     )
     c3 = min(induced_cycles(G, Lset, (3,)), default=None)
+    c4 = _first_induced_c4(G, Lset) if c3 is None else None
+
+    # step 3: the scan, with window sets of potential <= 0 consumed here.
+    # When the deficit bound rules those out, the scan waits for step 5,
+    # the only step left that reads it.  When step 4 has a cycle, it
+    # returns and step 5 never runs, so the scan asks for band 0 alone
+    H = hypergraph_for_rho_s(G)
+    eager = not _deficit_bound(H)
+    if eager:
+        band = 0 if c3 is not None or c4 is not None else _SIMPLE_BAND
+        m, W = _scan(H, n, band)
+        if W is None and m <= band:
+            return Diagnostic("3", "in-band scan floor without an actionable witness")
+        if m <= 0:
+            out = yield from _simple_tight_route(G, H, ctx, depth, W, "3")
+            if out is not None:
+                return out
+            W = None
+
+    # step 4: short cycles in the degree-three part
     if c3 is not None:
         zs = _attachments(G, c3)
         if len(set(zs)) == 1:
             return Diagnostic("4", "triangle attachments collapse to one vertex")
         return (yield from _cycle_device_route(G, ctx, depth, c3, [(0, 1), (1, 2), (2, 0)], "4", "triangle"))
-    c4 = _first_induced_c4(G, Lset)
     if c4 is not None:
         return (yield from _cycle_pin_route(G, ctx, depth, c4, "4"))
 

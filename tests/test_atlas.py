@@ -82,6 +82,36 @@ def test_atlas_agrees_with_the_oracle(order):
     assert diagnostics == {d for d in EXPECTED_DIAGNOSTICS if nx.graph_atlas(d[0]).number_of_nodes() == order}
 
 
+def test_band_zero_step_3_matches_the_simple_band(monkeypatch):
+    # A simple level whose deficit bound fails and whose step 4 will return
+    # scans at band 0; every outcome and trace equals a run whose eager scan
+    # always takes the simple band, as before.  Over the atlas slice at
+    # threshold 3, 18 of the 47 simple scans run at band 0, and no scan has
+    # m <= 0, so step 3 never acts here
+    scan = solver._scan
+    bands = []
+
+    def recorded(H, n, band_top):
+        bands.append(band_top)
+        return scan(H, n, band_top)
+
+    runs = 0
+    for index, g in _ATLAS:
+        for variant, G in _variants(g):
+            if G.has_multi:
+                continue
+            monkeypatch.setattr(solver, "_scan", recorded)
+            trace = []
+            out = color_simple(G, brute_threshold=3, trace=trace)
+            monkeypatch.setattr(solver, "_scan", lambda H, n, band_top: scan(H, n, solver._SIMPLE_BAND))
+            ref_trace = []
+            ref = color_simple(G, brute_threshold=3, trace=ref_trace)
+            assert repr(out) == repr(ref) and trace == ref_trace, (index, variant)
+            runs += 1
+    assert runs > 5_000
+    assert bands.count(0) >= 15 and bands.count(solver._SIMPLE_BAND) >= 15
+
+
 # (atlas index, forest-tagged vertex): 7 vertices and 11 edges each, the
 # inputs on which simple step 9 trades the tagged degree-three vertex
 STEP_9_INPUTS = [(875, 4), (875, 5), (876, 0), (876, 1), (877, 3), (877, 6)]

@@ -1033,6 +1033,46 @@ def _reference_max_flow(net, s, t):
                 break
 
 
+def _two_arc_aux_network(H):
+    """build_aux_network as it was before a pair edge became one arc pair:
+    a pair edge {u, v} is an arc u->v and an arc v->u, each of capacity
+    L w(e) and each with a reverse arc of capacity 0.  Kept as the reference
+    for the one-pair layout, which must give every answer it gives."""
+    scale = 2 * min_potential._denominator_scale(H)
+    n = H.n
+    weights = tuple(int(w * scale) for w in H.vertex_weights)
+    edges = tuple((members, int(w * scale)) for members, w in H.edges)
+    c = list(weights)
+    pairs, nodes = [], []
+    for members, w in edges:
+        if len(members) > 2:
+            nodes.append((members, w))
+            continue
+        for v in members:
+            c[v] -= w // len(members)
+        if len(members) == 2:
+            pairs.append((*members, w // 2))
+    edge_weight = sum(w for _, w in nodes)
+    finite = sum(map(abs, c)) + 2 * sum(w for _, _, w in pairs) + edge_weight
+    infinite = (finite + 1) << min_potential._HEADROOM
+    net = FlowNetwork(2 + n + len(nodes))
+    s, t = 0, 1
+    vnode = tuple(range(2, 2 + n))
+    source_arc = tuple(net.add_arc(s, vnode[v], max(x, 0)) for v, x in enumerate(c))
+    sink_arc = tuple(net.add_arc(vnode[v], t, max(-x, 0)) for v, x in enumerate(c))
+    for u, v, w in pairs:
+        net.add_arc(vnode[u], vnode[v], w)
+        net.add_arc(vnode[v], vnode[u], w)
+    for enode, (members, w) in enumerate(nodes, 2 + n):
+        net.add_arc(enode, t, w)
+        for v in sorted(members):
+            net.add_arc(vnode[v], enode, infinite)
+    offset = sum(-x for x in c if x < 0) + edge_weight
+    return min_potential.AuxNetwork(
+        net, s, t, vnode, scale, offset, weights, edges, source_arc, sink_arc, finite, infinite
+    )
+
+
 def _same_flow_as_reference(net, s, t, kernel=FlowNetwork.max_flow):
     """Runs the kernel on net and the reference on a twin; both must add the
     same amount and leave the same residual capacities and the same nodes
@@ -1227,17 +1267,23 @@ def test_one_network_serves_every_mode(monkeypatch):
     assert reads >= 150
 
 
-def _check_feasible(aux, value):
-    """aux's network holds a flow of `value`: no residual is negative and
-    every node but s and t passes on what it takes in.  Every reverse arc
-    starts at capacity zero, so an arc's flow is its reverse's residual."""
+def _check_feasible(H, aux, value):
+    """aux, H's network, holds a flow of `value`: no residual is negative
+    and every node but s and t passes on what it takes in.  Raising or
+    releasing a pin changes only a forward arc, so the flow on arc a is the
+    fresh network's residual of its reverse arc less the current one: a
+    terminal or edge-node arc's reverse starts at 0, and a pair edge's
+    reverse arc, the arc the other way, at its capacity."""
     net = aux.flow
     cap, to = net.cap, net.to
+    fresh = build_aux_network(H).flow.cap
+    assert len(fresh) == len(cap)
     assert min(cap) >= 0
     balance = [0] * net.n
     for a in range(0, len(to), 2):
-        balance[to[a ^ 1]] -= cap[a ^ 1]
-        balance[to[a]] += cap[a ^ 1]
+        f = cap[a ^ 1] - fresh[a ^ 1]
+        balance[to[a ^ 1]] -= f
+        balance[to[a]] += f
     assert balance[aux.source] == -value and balance[aux.sink] == value
     assert not any(balance[2:])
 
@@ -1255,7 +1301,7 @@ def test_warm_flow_is_a_maximum_flow():
         H = _fraction_hypergraph(rng, 8) if trial % 2 else random_hypergraph(rng, max_n=8, max_edges=16)
         aux = build_aux_network(H)
         value = aux.flow.max_flow(aux.source, aux.sink)
-        _check_feasible(aux, value)
+        _check_feasible(H, aux, value)
         warm_total += value
         fresh = build_aux_network(H)
         assert value == max_flow(fresh)[0]
@@ -1276,8 +1322,9 @@ def test_warm_flow_is_a_maximum_flow():
 
 def _cut_capacity(aux, X):
     """The capacity of the cut with the vertices of X and t on the sink
-    side, read off the fresh network's arcs; an edge node sits on the sink
-    side exactly when all its members do, which is its cheaper side."""
+    side, read off the fresh network's arcs, both arcs of each pair: a pair
+    edge's arc pair carries its capacity each way.  An edge node sits on the
+    sink side exactly when all its members do, which is its cheaper side."""
     net = aux.flow
     sink_side = {aux.sink} | {aux.vertex_node[v] for v in X}
     for enode in range(2 + len(aux.vertex_node), net.n):
@@ -1285,7 +1332,7 @@ def _cut_capacity(aux, X):
             sink_side.add(enode)
     return sum(
         net.cap[a]
-        for a in range(0, len(net.to), 2)
+        for a in range(len(net.to))
         if net.to[a ^ 1] not in sink_side and net.to[a] in sink_side
     )
 
@@ -1375,9 +1422,96 @@ def test_released_pins_shift_every_cut(monkeypatch):
                 got = min_potential_pinned(H, force, ban, mode, below)
                 assert got == _pinned_cut_oracle(H, force, ban, mode, below), (trial, force, ban, mode, below)
                 assert _record() is rec
-                _check_feasible(rec.aux, rec.value)
+                _check_feasible(H, rec.aux, rec.value)
                 assert rec.aux.finite + rec.shift < rec.aux.infinite
                 shifted += rec.shift > before
                 instances += 1
         assert instances >= 500 and shifted >= 200
         assert resets >= 40 if headroom == 1 else resets == 0
+
+
+def _parallel_pairs(rng, max_n):
+    """Int weights with pair edges repeated as separate edges (which
+    hypergraph() would merge), singletons and triples among them."""
+    n = rng.randint(2, max_n)
+    edges = []
+    for _ in range(rng.randint(n, 3 * n)):
+        members = frozenset(rng.sample(range(n), rng.choice((1, 2, 2, 2, 3)) if n > 2 else rng.randint(1, 2)))
+        edges += [(members, rng.randint(1, 12))] * rng.choice((1, 1, 2, 3))
+    return WeightedHypergraph(n, tuple(rng.randint(0, 12) for _ in range(n)), tuple(edges))
+
+
+def test_one_arc_pair_matches_the_two_arc_network(monkeypatch):
+    # A pair edge is one arc pair with residual L w(e) each way.  With net
+    # flow f from u to v its residuals are w - f and w + f, the sums the
+    # two-arc layout offers, so every residual reachability set is the
+    # same: both networks have the same cuts, the same warm value and the
+    # same SMALLEST and LARGEST sides, and give the same answers to the
+    # same chained asks, pinned ones in every mode with cutoffs and the
+    # releases between them, and window ones with and without a cutoff.
+    # int and Fraction weights, singletons, triples, parallel pairs
+    rng = random.Random(2929)
+    modes = (None, LARGEST, SMALLEST)
+    pair_arcs = asks = shifted = 0
+    for trial in range(60):
+        shape = trial % 3
+        fractional = shape == 1
+        if shape == 0:
+            H = random_hypergraph(rng, max_n=8, max_edges=16)
+        elif shape == 1:
+            H = _fraction_hypergraph(rng, 8)
+        else:
+            H = _parallel_pairs(rng, 7)
+        n = H.n
+        old, new = _two_arc_aux_network(H), build_aux_network(H)
+        pairs = sum(len(members) == 2 for members, _ in H.edges)
+        assert len(old.flow.to) - len(new.flow.to) == 2 * pairs
+        pair_arcs += pairs
+        for field in ("vertex_node", "scale", "offset", "weights", "edges", "source_arc", "sink_arc", "finite", "infinite"):
+            assert getattr(old, field) == getattr(new, field), field
+        for X in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(n + 1)):
+            assert _cut_capacity(old, set(X)) == _cut_capacity(new, set(X))
+        assert old.flow.max_flow(0, 1) == new.flow.max_flow(0, 1)
+        for mode in modes:
+            assert old.sink_side(mode) == new.sink_side(mode)
+
+        script = []
+        order = rng.sample(range(n), n)
+        for i in range(2 * n + 4):
+            if i % 4 == 3:
+                m1, m2 = rng.choice([(a, b) for a, b in itertools.product(range(3), repeat=2) if a <= n - b])
+                mode = rng.choice(modes)
+                low = min_potential_enum(H, m1, m2, mode)[1]
+                script.append(("window", m1, m2, mode, rng.choice([None, *_thresholds(low, fractional)])))
+                continue
+            if i % 2:
+                picked = rng.sample(range(n), rng.randint(0, min(3, n)))
+                k = rng.randint(0, len(picked))
+                force, ban = picked[:k], picked[k:]
+            else:
+                v = order[i // 2 % n]
+                force, ban = [v], [] if n == 1 else [order[(i // 2 + 1) % n]]
+            mode = rng.choice(modes)
+            low = _pinned_oracle(H, force, ban, mode)[1]
+            script.append(("pinned", force, ban, mode, rng.choice([None, *_thresholds(low, fractional)])))
+        answers = []
+        for builder in (_two_arc_aux_network, build_aux_network):
+            monkeypatch.setattr(min_potential, "build_aux_network", builder)
+            min_potential._memo.record = None
+            got = []
+            for kind, *args in script:
+                if kind == "window":
+                    got.append(min_potential_constrained(H, *args))
+                    continue
+                before = _record().shift if _record() is not None else 0
+                got.append(min_potential_pinned(H, *args))
+                shifted += builder is build_aux_network and _record().shift > before
+            answers.append(got)
+        assert answers[0] == answers[1]
+        for (kind, *args), answer in zip(script, answers[1]):
+            if kind == "pinned":
+                assert answer == _pinned_cut_oracle(H, *args)
+            elif args[2] is not None and args[3] is None:
+                assert answer == min_potential_enum(H, *args[:3])
+        asks += len(script)
+    assert pair_arcs >= 250 and asks >= 750 and shifted >= 300, (pair_arcs, asks, shifted)

@@ -775,7 +775,9 @@ def test_scan_search_work(monkeypatch, to_hyper, band, bound):
     # (rho_m) and 47,205 (rho_s) lookups; chained flows along a depth-first
     # sweep, with W read off each flow's last search, took about 140,000 and
     # 7,100, and chained flows repaired by path searches seeded from the
-    # open terminal arcs take 6,409 and 1,145.
+    # open terminal arcs took 6,409 and 1,145 on the network with a node
+    # per edge, 2,254 and 607 on the vertex network with an arc each way
+    # per edge, and take 2,066 and 460 with one arc pair per edge.
     assert _scan_lookups(monkeypatch, to_hyper, band) <= bound
 
 
@@ -791,8 +793,10 @@ def test_scan_search_work_unperturbed(monkeypatch, to_hyper, band, bound):
     # The sweep's flows run on the plain network, and each stops once its
     # value proves the pair above the band, so no flow of this above-band
     # scan runs its final, failing search.  Each flow repairs the one before
-    # it by path searches seeded from the open terminal arcs: 6,409 (rho_m)
-    # and 1,145 (rho_s) lookups.  Dinic phases from t, stopped at the same
+    # it by path searches seeded from the open terminal arcs: 2,066 (rho_m)
+    # and 460 (rho_s) lookups on the vertex network with one arc pair per
+    # edge (6,409 and 1,145 on the network with a node per edge, when the
+    # figures below were taken).  Dinic phases from t, stopped at the same
     # cutoff, took 19,034 and 1,466; run to their maximum, 48,090 and 5,658;
     # and a sweep on a LARGEST network perturbed by (n + 1) scaling, 139,864
     # and 7,123.
@@ -802,9 +806,10 @@ def test_scan_search_work_unperturbed(monkeypatch, to_hyper, band, bound):
 def test_scan_search_work_per_flow_grows_slowly(monkeypatch):
     # A repaired scan flow searches near the arcs its two pins open, so its
     # work barely grows with the graph.  Per flow of an above-band rho_m
-    # scan, n = 120 -> 480: 53.4 -> 91.8 lookups (x1.7).  Dinic phases from
-    # t, which flood outwards from every open arc into t, took 158.6 ->
-    # 528.8 (x3.3).
+    # scan, n = 120 -> 480: 17.2 -> 30.9 lookups (x1.8) on the vertex
+    # network with one arc pair per edge, and 53.4 -> 91.8 (x1.7) on the
+    # network with a node per edge, where Dinic phases from t, which flood
+    # outwards from every open arc into t, took 158.6 -> 528.8 (x3.3).
     per_flow = []
     for n in (120, 480):
         per_flow.append(_scan_lookups(monkeypatch, hypergraph_for_rho_m, solver._MULTI_BAND, n) / n)
@@ -1133,6 +1138,103 @@ def test_certified_cubic_solve_runs_no_pinned_flow(monkeypatch):
     assert asked == 0 and scans == []
     assert isinstance(color_multigraph(G), Colored)
     assert scans[0] == G.n == 120
+
+
+def test_band_zero_scan_agrees_below_one():
+    # Step 3 reads only m <= 0, so a level whose step 4 will return scans at
+    # band 0 (cutoff 1).  A pair at value <= 0 is answered in full under
+    # either cutoff, so wherever the simple band's scan has m <= 0 the
+    # band-0 scan gives the same (m, W), and elsewhere m >= 1 and no set.
+    # Random connected simple levels whose deficit bound fails; the two
+    # scans run chained on one warm record, in either order
+    rng = random.Random(2929)
+    tight = loose = 0
+    for trial in range(1000):
+        n = rng.randint(3, 11)
+        p = rng.uniform(0.0, 0.4)
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+        pairs |= {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+        raw = [(u, v, GADGET if rng.random() < 0.15 else SINGLE) for u, v in sorted(pairs)]
+        G = normalize(n, raw, [FP if rng.random() < 0.3 else UNCOLORED for _ in range(n)])
+        H = hypergraph_for_rho_s(G)
+        if solver._deficit_bound(H):
+            continue
+        if trial % 2:
+            wide, narrow = solver._scan(H, n, solver._SIMPLE_BAND), solver._scan(H, n, 0)
+        else:
+            narrow, wide = solver._scan(H, n, 0), solver._scan(H, n, solver._SIMPLE_BAND)
+        if wide[0] <= 0:
+            tight += 1
+            assert narrow == wide
+        else:
+            loose += 1
+            assert narrow[0] >= 1 and narrow[1] is None
+    assert tight >= 500 and loose >= 100, (tight, loose)
+
+
+def test_step_four_levels_scan_at_band_zero(monkeypatch):
+    # A level whose deficit bound fails and whose step 4 has a triangle or
+    # an induced 4-cycle to act on scans at step 3 with cutoff 1: step 4
+    # returns, so step 5 never reads the band above 0.  A level's deficit
+    # bound, its scan and its step-4 route come in that order, so a step-4
+    # route right after a failed bound and a scan is that scan's level.
+    # Every ask of such a scan has below=1, and every scan asks with its
+    # band's top plus one, band 0 or the simple band.  Step 3 acts on some
+    # of these levels, at band 0 or the simple band alike
+    asked = _asking(monkeypatch)
+    events = []
+    bound, scan = solver._deficit_bound, solver._scan
+    device, pin = solver._cycle_device_route, solver._cycle_pin_route
+
+    def logged_bound(H):
+        holds = bound(H)
+        events.append(("bound", holds))
+        return holds
+
+    def logged_scan(H, n, band_top):
+        first = len(asked)
+        out = scan(H, n, band_top)
+        events.append(("scan", band_top, asked[first:]))
+        return out
+
+    def logged_device(G, ctx, depth, C, pairs, step, what):
+        events.append(("route", step))
+        return (yield from device(G, ctx, depth, C, pairs, step, what))
+
+    def logged_pin(G, ctx, depth, C, step):
+        events.append(("route", step))
+        return (yield from pin(G, ctx, depth, C, step))
+
+    monkeypatch.setattr(solver, "_deficit_bound", logged_bound)
+    monkeypatch.setattr(solver, "_scan", logged_scan)
+    monkeypatch.setattr(solver, "_cycle_device_route", logged_device)
+    monkeypatch.setattr(solver, "_cycle_pin_route", logged_pin)
+    rng = random.Random(4242)
+    cases = [gen_hk(k) for k in (1, 2, 3)]
+    cases += [_densified(rng, n, rng.randint(1, 6)) for n in (10, 12, 14, 16, 18) for _ in range(4)]
+    cubic = [_random_cubic(seed, 2 * rng.randint(5, 12)) for seed in range(12)]
+    cases += [_subdivided(rng, G, [FP, UNCOLORED], GADGET) for G in cubic]
+    cases += [_subdivided(rng, _subdivided(rng, G, [FP, UNCOLORED], GADGET), [FP]) for G in cubic]
+    while len(cases) < 150:
+        kind, G = _random_instance(rng)
+        if kind == "simple":
+            cases.append(G)
+    fired = 0
+    for G in cases:
+        trace = []
+        color_simple(G, brute_threshold=3, trace=trace)
+        fired += sum(line.split()[0] == "3" for line in trace)
+    step_four = 0
+    for i, event in enumerate(events):
+        if event[0] == "scan":
+            band_top, asks = event[1:]
+            assert band_top in (0, solver._SIMPLE_BAND)
+            assert [below for _, below, *_ in asks] == [band_top + 1] * len(asks)
+        if event == ("route", "4") and i >= 2 and events[i - 2] == ("bound", False) and events[i - 1][0] == "scan":
+            step_four += 1
+            band_top, asks = events[i - 1][1:]
+            assert band_top == 0 and asks and all(below == 1 for _, below, *_ in asks)
+    assert step_four >= 15 and fired >= 15, (step_four, fired)
 
 
 def _entry_screen_flows(monkeypatch):
