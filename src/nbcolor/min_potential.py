@@ -124,8 +124,10 @@ zero is plain Dinic.
 A pinned instance repairs the flow it starts from instead of running Dinic
 over the whole network (compare Goldberg, Hed, Kaplan, Tarjan & Werneck, ESA
 2011).  The record keeps open-arc sets, a superset of the terminal arcs with
-residual capacity: the warm flow's open ones, listed when the first pinned
-instance runs, plus every terminal arc an instance opens.  An instance opens
+residual capacity: the warm flow's open ones, listed as soon as the warm flow
+is built (up to the first pinned instance the network is only read, and no
+read moves flow, so these are still the open arcs then), plus every
+terminal arc an instance opens.  An instance opens
 the s->u arcs of the vertices it bans and the v->t arcs of those it forces,
 and a release opens the terminal arc it raises without pinning: v->t when
 it releases a ban on v, s->v when it releases a force.  An augmenting path is
@@ -650,19 +652,20 @@ def max_flow(aux: AuxNetwork) -> tuple[int, set[int]]:
 class _Warm:
     """A thread's warm record for H.  `root_value` is the warm flow's value;
     `forced`, `banned` and `value` describe the flow aux.flow holds,
-    `maximal` is False when it stopped at a cutoff, and `shift` is what the
-    released pins have added to every cut."""
+    `maximal` is False when it stopped at a cutoff, `shift` is what the
+    released pins have added to every cut, and `open_arcs` holds a superset
+    of that flow's open terminal arcs, listed with the warm flow."""
 
     def __init__(self, H: WeightedHypergraph):
         self.H = H
         self.reset()
 
     def reset(self) -> None:
-        """A fresh network for H and its warm flow, Dinic's from zero, with
-        no pins."""
+        """A fresh network for H, its warm flow, Dinic's from zero, with no
+        pins, and that flow's open-arc sets."""
         self.aux = aux = build_aux_network(self.H)
         self.root_value = self.value = aux.flow.max_flow(aux.source, aux.sink)
-        self.open_arcs: OpenArcs | None = None  # built by the first pinned instance
+        self.open_arcs = _open_arcs(aux)
         self.forced = self.banned = frozenset()
         self.maximal = True
         self.shift = 0
@@ -730,8 +733,6 @@ def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset
         stopped = below is not None and rec.value >= aux.cut_target(below) + rec.shift
         return None if stopped else aux.sink_side(extremal)
     _memo.record = None
-    if rec.open_arcs is None:
-        rec.open_arcs = _open_arcs(aux)
     cap, inf, arcs, shift = aux.flow.cap, aux.infinite, rec.open_arcs, rec.shift
     for v in rec.forced - forced:
         shift += _release(cap, aux.sink_arc[v], aux.source_arc[v], arcs.out_of_s, inf)
@@ -740,8 +741,7 @@ def _solve_device(rec: _Warm, banned, forced, extremal, below=None) -> frozenset
     if aux.finite + shift >= inf:
         # a finite cut could reach `infinite`: start again from no pins
         rec.reset()
-        aux = rec.aux
-        rec.open_arcs = arcs = _open_arcs(aux)
+        aux, arcs = rec.aux, rec.open_arcs
         cap, inf, shift = aux.flow.cap, aux.infinite, 0
     for v in banned - rec.banned:
         cap[aux.source_arc[v]] += inf

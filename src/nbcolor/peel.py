@@ -10,7 +10,7 @@ per rule, and touch only the neighbours of each deleted vertex.
 Each step deletes the smallest surviving id of the highest-priority rule
 with a candidate, which is the vertex a recursive level would pick, since
 deletions keep the relative order of ids.  It pushes a record (vertex, step,
-lift, neighbours with edge kinds, tag, retagged neighbours) and stops once
+lift, neighbours with edge kinds, retagged neighbours) and stops once
 the rest would open its level with a check of its own:
 
   * at most brute_threshold vertices left;
@@ -37,8 +37,13 @@ independent tag on the partner of a forest-tagged parallel pair) update the
 potential and the classes of the retagged vertices.  The potential's
 tag credits and edge debits come from the driver's weights record
 (potential.RHO_M or RHO_S), the same one the potential itself reads.  The
-caller (the solver's level opening) colors the core and `Peeled.lift`
-replays the records in reverse.
+caller (the solver's level opening) colors the core, `Peeled.lift` replays
+the records in reverse, and the caller validates the lifted coloring once,
+on the input.  That one validation decides as much as validating every
+level would: each level's edges are among the input's, and a tag a
+deletion adds can only be broken by an I-I edge or a parallel pair inside F
+in the input itself, since the record that added it lifts its own vertex
+to I (forest tags around it) or F (an independent tag on its partner).
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ from .graph_core import (
     IP,
     I_SIDE,
     MULTI,
-    SINGLE,
     UNCOLORED,
     Coloring,
     Graph,
@@ -113,7 +117,8 @@ class Peeled:
     the core is the input induced on `keep`, with each kept vertex's final
     tag from `tags` (the caller induces it from the input, so no copy of the
     whole graph is made), and `records` holds one entry per deleted vertex,
-    in deletion order."""
+    in deletion order.  `tags` ends as the peel left it: a deleted vertex
+    keeps its tag at deletion, a kept one its final tag."""
 
     def __init__(self, source: Graph, tags: list[str], alive: list[bool]):
         self.source = source
@@ -126,62 +131,24 @@ class Peeled:
     def keep(self) -> list[int]:
         return [v for v in range(self.source.n) if self.alive[v]]
 
-    def lift(self, core: Graph, table, c_core: Coloring, validate, subgraph) -> Coloring | tuple[str, str]:
-        """Lift the core's coloring through the records, deepest first, and
-        return it or the (step, message) of the first level that fails.
-
-        A record's level is the core plus every vertex deleted at or after it.
-        Its coloring is valid there exactly when the level below was valid
-        and the deleted vertex keeps its tag, has no I neighbour while in I,
-        and while in F has no F neighbour across a parallel pair or gadget
-        nor two plain F neighbours already joined in the F forest (a
-        union-find over F, seeded with the core's F edges).  The level below
-        carries the same tags or stronger ones, so these checks add up to
-        validating every level.  The core itself is validated once, with
-        `validate`; after any failed check every level is rebuilt with
-        `subgraph` and validated in full, so the message names the level,
-        rule and witness that one validation per level would.  Call it once:
-        it rewinds `tags` to the input's."""
-        n = self.source.n
-        tags = self.tags
-        color: list[str | None] = [None] * n
+    def lift(self, table, c_core: Coloring) -> Coloring:
+        """Replay the records on the core's coloring, deepest first: the
+        core's vertices (listed in `table`, the core's numbering into the
+        input's) keep their sides, and each deleted vertex takes the side
+        its record names ("opp", "deg2" or a fixed side).  Nothing is
+        checked here: the caller validates the result once, on the input,
+        which decides as much as validating every level (module
+        docstring)."""
+        color: list[str | None] = [None] * self.source.n
         for i, orig in enumerate(table):
             color[orig] = c_core.assignment[i]
-        parent = list(range(n))
-        for a, b, kind in core.edges:
-            if kind == SINGLE and c_core.assignment[a] == c_core.assignment[b] == F_SIDE:
-                parent[find(parent, table[a])] = find(parent, table[b])
-        exact = validate(core, c_core) is not None
-        present = list(self.alive)
-        for v, step, lift, nb, tag_v, retag in reversed(self.records):
+        for v, _, lift, nb, _ in reversed(self.records):
             if lift == "opp":
-                side = F_SIDE if color[next(iter(nb))] == I_SIDE else I_SIDE
+                color[v] = F_SIDE if color[next(iter(nb))] == I_SIDE else I_SIDE
             elif lift == "deg2":
-                side = I_SIDE if all(color[u] == F_SIDE for u in nb) else F_SIDE
+                color[v] = I_SIDE if all(color[u] == F_SIDE for u in nb) else F_SIDE
             else:
-                side = lift
-            color[v] = side
-            present[v] = True
-            for u in retag:
-                tags[u] = UNCOLORED
-            if not exact:
-                exact = (tag_v == FP and side != F_SIDE) or (tag_v == IP and side != I_SIDE)
-                for u, kind in nb.items():
-                    if exact:
-                        break
-                    if color[u] != side:
-                        continue
-                    if side == I_SIDE or kind != SINGLE:
-                        exact = True
-                    else:
-                        ru, rv = find(parent, u), find(parent, v)
-                        exact = ru == rv
-                        parent[ru] = rv
-            if exact:
-                level, ids = subgraph(Graph(n, self.source.edges, tuple(tags)), [x for x in range(n) if present[x]])
-                bad = validate(level, Coloring(tuple(color[x] for x in ids)))
-                if bad is not None:
-                    return step, f"lifted coloring violates {bad.rule} at {bad.witness}"
+                color[v] = lift
         return Coloring(tuple(color))
 
 
@@ -279,7 +246,7 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
         else:
             lift = F_SIDE
 
-        record((v, rule.step, lift, nb, tags[v], retag))
+        record((v, rule.step, lift, nb, retag))
         alive[v] = False
         live -= 1
         if ranks is not None:
@@ -303,7 +270,7 @@ def peel(G: Graph, spec: Spec, rho: int, brute_threshold: int, note) -> Peeled |
     k = _first_split(nbr, alive, run.records)
     if k is not None:
         # stop after deletion k: undo the later ones and drop any failure
-        for v, _, _, _, _, retag in run.records[k + 1 :]:
+        for v, _, _, _, retag in run.records[k + 1 :]:
             alive[v] = True
             for u in retag:
                 tags[u] = UNCOLORED

@@ -55,11 +55,13 @@ below the floor, or a deletion that disconnected the graph (found after the
 loop by a reverse union-find over the deletions, which undoes those after
 it).  The worker then runs once on the core, one level per deletion deeper,
 and the peel records replay in reverse to lift its coloring.  The replay
-validates the core once and then each deleted vertex against its neighbours
-at deletion time (independent side, parallel pairs and gadgets, a
-union-find over the F forest, its tag); since a level's tags are never
-stronger than the level below's, these checks are exactly one full
-validation per level. Trace lines and diagnostics are the ones the
+checks nothing: the level validates the lifted coloring once, on its own
+graph, like every other lifted coloring (_ok), and that decides as much as
+validating every peeled level would (peel module docstring).  A failure is
+reported at the last deletion's step, the one the core was asked for, with
+a witness in the level's numbering; a validation per peeled level would
+name the deepest failing level instead, but only a wrong lift rule or an
+invalid child coloring can fail there.  Trace lines are the ones the
 recursion would produce.
 
 The workers' levels run on one explicit stack (_run).  A level is a
@@ -776,9 +778,11 @@ def _any_cycle(G: Graph) -> list[int]:
     raise GraphError("no cycle found")
 
 
-def _close_cycle(parent: dict, x: int, y: int) -> list[int] | None:
+def _close_cycle(parent: dict, x: int, y: int) -> list[int]:
     """The cycle a non-tree edge xy closes through the search tree `parent`
-    (root mapped to None), or None when the two tree paths share no vertex."""
+    (root mapped to None).  Both callers grow one tree from one root, so
+    the two tree paths meet at the root at the latest; and an edge whose
+    ends are not parent and child closes at least 3 vertices."""
     px = [x]
     while px[-1] is not None:
         px.append(parent[px[-1]])
@@ -788,9 +792,7 @@ def _close_cycle(parent: dict, x: int, y: int) -> list[int] | None:
         py.append(parent[py[-1]])
     py.pop()
     sy = set(py)
-    cut = next((u for u in px if u in sy), None)
-    if cut is None:
-        return None
+    cut = next(u for u in px if u in sy)
     return px[: px.index(cut) + 1] + list(reversed(py[: py.index(cut)]))
 
 
@@ -1495,9 +1497,7 @@ def _shortest_l_cycle(G: Graph, Lset):
                     queue.append(y)
                 elif parent[x] != y and parent[y] != x:
                     cyc = _close_cycle(parent, x, y)
-                    if cyc is None:
-                        continue
-                    if len(cyc) >= 3 and (best is None or len(cyc) < len(best)):
+                    if best is None or len(cyc) < len(best):
                         best = _canon_cycle(cyc)
         if best is not None and len(best) == 3:
             break
@@ -1628,7 +1628,8 @@ def _open(G: Graph, ctx: _Ctx, depth: int, rho, spec: Spec):
     against the floor ("entry"), the brute-force base, the split into
     components, each a child level (step "1"), then the degree <= 2 peel,
     whose core is a child one level per deletion deeper, asked for at the
-    last deletion's step.  Returns None when the level stays open for the
+    last deletion's step; the records' replay is validated on G at that
+    step.  Returns None when the level stays open for the
     worker's own steps.  `rho` is the public potential function the worker
     looked up (spec.weights holds the same weights); it and the rebuilds
     and validations go through this module's names, so wrappers installed
@@ -1664,9 +1665,9 @@ def _open(G: Graph, ctx: _Ctx, depth: int, rho, spec: Spec):
         return Diagnostic(*run.failure)
     core, table = induced_subgraph(G, run.keep)
     core = Graph(core.n, core.edges, tuple(run.tags[v] for v in table))
-    out = yield core, depth + len(run.records), run.records[-1][1]
-    lifted = run.lift(core, table, out.coloring, validate_coloring, induced_subgraph)
-    return Colored(lifted) if isinstance(lifted, Coloring) else Diagnostic(*lifted)
+    step = run.records[-1][1]
+    out = yield core, depth + len(run.records), step
+    return _ok(G, run.lift(table, out.coloring), step)
 
 
 # -- the level loop --------------------------------------------------------

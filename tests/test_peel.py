@@ -6,9 +6,17 @@ every deletion, kept here as the reference: interleaved breadth-first
 searches from the deleted vertex's neighbours (`_splits`), stopping at the
 first deletion that disconnects the live graph.  With `stop_at_split` false
 it runs to its other stops, which shows what the offline version deletes
-and then undoes.  The last tests bound the peel's classification work
-and the memory of its class table, and check the rules' contract: a vertex
-with three or more neighbours is classified by its tag alone.
+and then undoes.
+
+`_reference_lift` is the lift as it was when it validated every level of
+the peel; `Peeled.lift` now only replays the records, and the solver
+validates the result once, on the input.  The lift tests check that the
+two agree on every core coloring, valid or not, and that a wrong replay
+reaches the driver as a Diagnostic of the core's step.
+
+The last tests bound the peel's classification work and the memory of its
+class table, and check the rules' contract: a vertex with three or more
+neighbours is classified by its tag alone.
 """
 
 import random
@@ -16,10 +24,26 @@ import tracemalloc
 from collections import deque
 from heapq import heappop, heappush
 
-from nbcolor.graph_core import FP, F_SIDE, GADGET, IP, I_SIDE, MULTI, SINGLE, UNCOLORED, normalize
+from nbcolor.graph_core import (
+    FP,
+    F_SIDE,
+    GADGET,
+    IP,
+    I_SIDE,
+    MULTI,
+    SINGLE,
+    UNCOLORED,
+    Coloring,
+    Graph,
+    find,
+    induced_subgraph,
+    normalize,
+    validate_coloring,
+)
+from nbcolor.oracle import brute_nb_color
 from nbcolor.peel import Peeled, _Ranks, peel
 from nbcolor.potential import rho_m, rho_s
-from nbcolor.solver import _MULTI_PEEL, _SIMPLE_PEEL
+from nbcolor.solver import _MULTI_PEEL, _SIMPLE_PEEL, Diagnostic, color_multigraph, color_simple
 
 
 def _splits(nbr, starts) -> bool:
@@ -108,7 +132,7 @@ def _reference_peel(G, spec, rho, brute_threshold, note, stop_at_split=True):
             lift = "opp"
         else:
             lift = F_SIDE
-        run.records.append((v, rule.step, lift, nb, tags[v], retag))
+        run.records.append((v, rule.step, lift, nb, retag))
         alive[v] = False
         live -= 1
         if ranks is not None:
@@ -232,7 +256,7 @@ def test_offline_split_matches_the_interleaved_search():
         full = _reference_peel(G, spec, r, threshold, None, stop_at_split=False)
         undone = full.records[len(want.records) :]
         cases["split"] += bool(undone)
-        cases["undone retag"] += any(rec[5] for rec in undone)
+        cases["undone retag"] += any(rec[4] for rec in undone)
         cases["undone isolated"] += any(not rec[3] for rec in undone)
         if want.failure is not None:
             cases["kept: " + want.failure[1]] = cases.get("kept: " + want.failure[1], 0) + 1
@@ -240,6 +264,133 @@ def test_offline_split_matches_the_interleaved_search():
             cases["dropped: " + full.failure[1]] = cases.get("dropped: " + full.failure[1], 0) + 1
     # every kind of stop, both failures kept and both dropped
     assert len(cases) == 7 and min(cases.values()) >= 10, cases
+
+
+def _reference_lift(run, core, table, c_core):
+    """The lift that validated every level: the core's coloring, then the
+    records deepest first, each deleted vertex checked against its
+    neighbours at deletion time (its tag, an I neighbour while in I, an F
+    neighbour across a parallel pair or gadget while in F, and two plain F
+    neighbours already joined in a union-find over the F forest).  The core
+    is validated once; after any failed check every level is rebuilt and
+    validated in full, so a failure comes back as the (step, message) of
+    the first level that one validation per level would reject.  A deleted
+    vertex's tag at its deletion is its final tag in `run.tags`, since a
+    retag only touches vertices still live."""
+    n = run.source.n
+    tags = list(run.tags)
+    color = [None] * n
+    for i, orig in enumerate(table):
+        color[orig] = c_core.assignment[i]
+    parent = list(range(n))
+    for a, b, kind in core.edges:
+        if kind == SINGLE and c_core.assignment[a] == c_core.assignment[b] == F_SIDE:
+            parent[find(parent, table[a])] = find(parent, table[b])
+    exact = validate_coloring(core, c_core) is not None
+    present = list(run.alive)
+    for v, step, lift, nb, retag in reversed(run.records):
+        if lift == "opp":
+            side = F_SIDE if color[next(iter(nb))] == I_SIDE else I_SIDE
+        elif lift == "deg2":
+            side = I_SIDE if all(color[u] == F_SIDE for u in nb) else F_SIDE
+        else:
+            side = lift
+        color[v] = side
+        present[v] = True
+        tag_v = tags[v]
+        for u in retag:
+            tags[u] = UNCOLORED
+        if not exact:
+            exact = (tag_v == FP and side != F_SIDE) or (tag_v == IP and side != I_SIDE)
+            for u, kind in nb.items():
+                if exact:
+                    break
+                if color[u] != side:
+                    continue
+                if side == I_SIDE or kind != SINGLE:
+                    exact = True
+                else:
+                    ru, rv = find(parent, u), find(parent, v)
+                    exact = ru == rv
+                    parent[ru] = rv
+        if exact:
+            level, ids = induced_subgraph(Graph(n, run.source.edges, tuple(tags)), [x for x in range(n) if present[x]])
+            bad = validate_coloring(level, Coloring(tuple(color[x] for x in ids)))
+            if bad is not None:
+                return step, f"lifted coloring violates {bad.rule} at {bad.witness}"
+    return Coloring(tuple(color))
+
+
+def test_replay_lift_matches_the_validating_lift():
+    # the replay is valid on the input exactly when every level of the peel
+    # is, and then it is the coloring the validating lift returns
+    rng = random.Random(3131)
+    cases = {"valid": 0, "invalid": 0}
+    for trial in range(2000):
+        driver = trial % 2
+        spec, rho, heavy = ((_MULTI_PEEL, rho_m, MULTI), (_SIMPLE_PEEL, rho_s, GADGET))[driver]
+        G = _bead_graph(rng, heavy)
+        run = peel(G, spec, rho(G, range(G.n)), rng.choice((0, 1, 3, 3, 8)), None)
+        if run is None or run.failure is not None:
+            continue
+        core, table = induced_subgraph(G, run.keep)
+        core = Graph(core.n, core.edges, tuple(run.tags[v] for v in table))
+        if not 0 < core.n <= 16:
+            continue
+        c = brute_nb_color(core, core.n)
+        if c is None:
+            continue
+        flips = set(rng.sample(range(core.n), min(rng.randint(1, 3), core.n)))
+        flipped = Coloring(tuple((F_SIDE if x == I_SIDE else I_SIDE) if i in flips else x for i, x in enumerate(c.assignment)))
+        for c_core in (c, flipped):
+            want = _reference_lift(run, core, table, c_core)
+            got = run.lift(table, c_core)
+            if isinstance(want, Coloring):
+                assert got == want, trial
+                assert validate_coloring(G, got) is None, trial
+                cases["valid"] += 1
+            else:
+                assert validate_coloring(G, got) is not None, (trial, want)
+                cases["invalid"] += 1
+    assert min(cases.values()) >= 50, cases
+
+
+def test_a_wrong_replay_is_a_diagnostic_of_the_core_step(monkeypatch):
+    # plant one wrong side in the first replay a solve makes: an F vertex
+    # with an I neighbour moves to I, and the level reports its core's step
+    replay = Peeled.lift
+    runs = []
+
+    def planted(run, table, c_core):
+        lifted = list(replay(run, table, c_core).assignment)
+        if not runs:
+            runs.append(run)
+            G = run.source
+            v = next(
+                rec[0]
+                for rec in reversed(run.records)
+                if lifted[rec[0]] == F_SIDE and any(lifted[u] == I_SIDE for u in G.adj[rec[0]])
+            )
+            lifted[v] = I_SIDE
+        return Coloring(tuple(lifted))
+
+    monkeypatch.setattr(Peeled, "lift", planted)
+    # a Petersen graph (multigraph) and a 10-vertex graph of simple potential
+    # 0, each with a chain of 20 inner vertices: the peel takes 8 of them, the
+    # first by a degree-2 rule and the rest as leaves, so some deleted F
+    # vertex has an I neighbour whatever the core's coloring
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    dense10 = [(0, 7), (0, 8), (0, 9), (1, 2), (1, 3), (1, 5), (1, 9), (2, 4), (2, 6)]
+    dense10 += [(2, 7), (3, 4), (3, 6), (4, 5), (5, 6), (7, 8), (8, 9)]
+    chain = [1, *range(10, 30), 6]
+    for color, core in ((color_multigraph, petersen), (color_simple, dense10)):
+        runs.clear()
+        singles = core + list(zip(chain, chain[1:]))
+        out = color(normalize(30, [(a, b, SINGLE) for a, b in singles]))
+        assert len(runs) == 1, out
+        assert isinstance(out, Diagnostic) and out.step == runs[0].records[-1][1], out
+        assert out.message.startswith("lifted coloring violates edge-inside-I"), out
 
 
 def _tree_and_chain_graph(rng, n, heavy):
